@@ -7,25 +7,15 @@ from schurq import spectra
 
 
 def main() -> int:
-    sweeps = []
-    for n in (2, 3, 4):
-        sweeps.append(spectra.skew_symmetry_sweep(n, 8))
-        sweeps.append(spectra.supersymmetry_sweep(n, 8))
-        sweeps.append(spectra.stability_sweep(n, 8))
-        sweeps.append(spectra.auxiliary_sweep(n))
-    for n in (2, 3):
-        sweeps.append(spectra.lemma_121_sweep(n, 6))
-        sweeps.append(spectra.conjugation_sweep(n, 5))
-        sweeps.append(spectra.eigenfunction_sweep(n, 8))
-        sweeps.append(spectra.uniqueness_sweep(n, 8))
-        sweeps.append(spectra.separation_sweep(n, 8))
     failed = 0
-    for report in sweeps:
-        status = "PASS" if report.passed else "FAIL"
-        print(f"{report.name}: {status} ({report.checked} checks)")
-        for failure in report.failures:
-            print(f"  {failure}")
-        failed += not report.passed
+    for spec in spectra.SWEEPS.values():
+        for n in spec.desk_n:
+            report = spec.sweep(n, spec.desk_max)
+            status = "PASS" if report.passed else "FAIL"
+            print(f"{report.name}: {status} ({report.checked} checks)")
+            for failure in report.failures:
+                print(f"  {failure}")
+            failed += not report.passed
     return 1 if failed else 0
 
 

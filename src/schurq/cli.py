@@ -97,16 +97,7 @@ def cmd_eigen(args) -> int:
     return 0
 
 
-SUITES = {
-    "skew": lambda n, d: spectra.skew_symmetry_sweep(n, d),
-    "supersym": lambda n, d: spectra.supersymmetry_sweep(n, d),
-    "stability": lambda n, d: spectra.stability_sweep(n, d),
-    "lemma121": lambda n, d: spectra.lemma_121_sweep(n, d),
-    "lemma123i": lambda n, d: spectra.conjugation_sweep(n, d),
-    "lemma123ii": lambda n, d: spectra.eigenfunction_sweep(n, d),
-    "lemma123iii": lambda n, d: spectra.uniqueness_sweep(n, d),
-    "aux35": lambda n, d: spectra.auxiliary_sweep(n),
-}
+SUITES = {name: spec.sweep for name, spec in spectra.SWEEPS.items()}
 
 
 def cmd_verify(args) -> int:

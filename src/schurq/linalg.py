@@ -17,47 +17,33 @@ def _clone(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def rank(rows) -> int:
-    if not rows:
-        return 0
-    m = _clone(rows)
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+def _rref(rows, rhs=None):
+    """Gauss-Jordan elimination of A, applied to b alongside when given.
 
-
-def solve(rows, rhs) -> list[Fraction]:
-    """Solve A x = b for a (possibly overdetermined) consistent system.
-
-    Raises InconsistentSystem if no solution exists and ValueError if
-    the solution is not unique.
+    Returns (R, c, pivots, factor): R is the reduced row echelon form of
+    A, c is b (zeros when not given) after the same row operations,
+    pivots[r] is the pivot column of row r of R, and factor is the
+    product of the pivots times the sign of the row swaps, which is
+    det A when A is square and invertible.
     """
     m = _clone(rows)
-    b = [Fraction(x) for x in rhs]
+    b = [Fraction(x) for x in rhs] if rhs is not None else [Fraction(0)] * len(m)
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots: list[int] = []
-    r = 0
+    factor = Fraction(1)
     for col in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
         pivot = next((i for i in range(r, nrows) if m[i][col]), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        b[r], b[pivot] = b[pivot], b[r]
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            b[r], b[pivot] = b[pivot], b[r]
+            factor = -factor
+        factor *= m[r][col]
         inv = 1 / m[r][col]
         m[r] = [x * inv for x in m[r]]
         b[r] *= inv
@@ -67,41 +53,34 @@ def solve(rows, rhs) -> list[Fraction]:
                 m[i] = [a - f * c for a, c in zip(m[i], m[r])]
                 b[i] -= f * b[r]
         pivots.append(col)
-        r += 1
-    for i in range(r, nrows):
-        if b[i]:
-            raise InconsistentSystem("right-hand side outside the column span")
+    return m, b, pivots, factor
+
+
+def rank(rows) -> int:
+    return len(_rref(rows)[2])
+
+
+def solve(rows, rhs) -> list[Fraction]:
+    """Solve A x = b for a (possibly overdetermined) consistent system.
+
+    Raises InconsistentSystem if no solution exists and ValueError if
+    the solution is not unique.
+    """
+    _, b, pivots, _ = _rref(rows, rhs)
+    if any(b[len(pivots):]):
+        raise InconsistentSystem("right-hand side outside the column span")
+    ncols = len(rows[0]) if rows else 0
     if len(pivots) < ncols:
         raise ValueError("underdetermined system")
-    x = [Fraction(0)] * ncols
-    for row, col in enumerate(pivots):
-        x[col] = b[row]
-    return x
+    return b[:ncols]  # every column is a pivot, so row r of R reads x_r = c_r
 
 
 def nullspace(rows) -> list[list[Fraction]]:
     """Basis of the kernel of A."""
-    m = _clone(rows)
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * c for a, c in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    m, _, pivots, _ = _rref(rows)
+    ncols = len(rows[0]) if rows else 0
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for row, col in enumerate(pivots):
@@ -111,21 +90,6 @@ def nullspace(rows) -> list[list[Fraction]]:
 
 
 def determinant(rows) -> Fraction:
-    """Determinant by fraction elimination (independent of the Pfaffian)."""
-    m = _clone(rows)
-    size = len(m)
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((i for i in range(col, size) if m[i][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for i in range(col + 1, size):
-            if m[i][col]:
-                f = m[i][col] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return det
+    """Determinant of a square matrix by fraction elimination (independent of the Pfaffian)."""
+    _, _, pivots, factor = _rref(rows)
+    return factor if len(pivots) == len(rows) else Fraction(0)

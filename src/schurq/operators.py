@@ -8,7 +8,8 @@ denominators, so each step reduces exactly.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from itertools import count, islice
+from typing import Iterator, Sequence, Union
 
 from .algebra import (
     Polynomial,
@@ -18,6 +19,7 @@ from .algebra import (
 )
 
 Value = Union[Polynomial, RationalFunction]
+Pair = tuple[list[RationalFunction], list[RationalFunction]]  # (plain, barred) of the tilde family
 
 
 def _lift(f: Value) -> RationalFunction:
@@ -102,22 +104,36 @@ def family_step(prev: Sequence[RationalFunction], level: int) -> list[RationalFu
     return out
 
 
-def derivative_family(f: Value, k: int, n: int) -> list[RationalFunction]:
+def family_levels(f: Value, n: int) -> Iterator[list[RationalFunction]]:
+    """Yield (D_i^{(k)} f)_i for k = 1, 2, ..., one family_step per level asked for."""
     values = family_start(f, n)
-    for level in range(2, k + 1):
+    for level in count(2):
+        yield values
         values = family_step(values, level)
-    return values
+
+
+def _level(levels: Iterator, k: int):
+    """Item k (counting from 1) of a level iterator; k < 1 gives level 1."""
+    return next(islice(levels, max(k, 1) - 1, None))
+
+
+def derivative_family(f: Value, k: int, n: int) -> list[RationalFunction]:
+    return _level(family_levels(f, n), k)
+
+
+def omega_sum(values: Sequence[RationalFunction]) -> RationalFunction:
+    """sum_i values_i: Omega_k f from level k of the plain family."""
+    total = RationalFunction.zero(len(values))
+    for v in values:
+        total = total + v
+    return total
 
 
 def omega(f: Value, k: int, n: int) -> RationalFunction:
     """Omega_k f = sum_i D_i^{(k)} f, for odd k."""
     if k < 1 or k % 2 == 0:
         raise ValueError("omega is defined for odd k >= 1")
-    values = derivative_family(f, k, n)
-    total = RationalFunction.zero(n)
-    for v in values:
-        total = total + v
-    return total
+    return omega_sum(derivative_family(f, k, n))
 
 
 def _euler_square_sum(f: Value, n: int) -> RationalFunction:
@@ -132,15 +148,6 @@ def _euler_square_sum(f: Value, n: int) -> RationalFunction:
     return total
 
 
-def euler_cubes(f: Value, n: int) -> RationalFunction:
-    """(sum_i D_i^3 - (sum_i D_i)^2) f, the conjugated form of Omega_3."""
-    g = _lift(f)
-    total = RationalFunction.zero(n)
-    for i in range(1, n + 1):
-        total = total + g.euler(i).euler(i).euler(i)
-    return total - _euler_square_sum(f, n)
-
-
 def sum_cubes(f: Value, n: int) -> RationalFunction:
     """(sum_i D_i^3) f."""
     g = _lift(f)
@@ -148,6 +155,11 @@ def sum_cubes(f: Value, n: int) -> RationalFunction:
     for i in range(1, n + 1):
         total = total + g.euler(i).euler(i).euler(i)
     return total
+
+
+def euler_cubes(f: Value, n: int) -> RationalFunction:
+    """(sum_i D_i^3 - (sum_i D_i)^2) f, the conjugated form of Omega_3."""
+    return sum_cubes(f, n) - _euler_square_sum(f, n)
 
 
 def omega3_closed(f: Value, n: int) -> RationalFunction:
@@ -195,7 +207,7 @@ def omega3_closed(f: Value, n: int) -> RationalFunction:
 # ---------------------------------------------------------------------------
 
 
-def tilde_family_start(f: Value, n: int) -> tuple[list[RationalFunction], list[RationalFunction]]:
+def tilde_family_start(f: Value, n: int) -> Pair:
     g = _lift(f)
     plain = [g.euler(i) for i in range(1, n + 1)]
     return plain, list(plain)
@@ -203,7 +215,7 @@ def tilde_family_start(f: Value, n: int) -> tuple[list[RationalFunction], list[R
 
 def tilde_family_step(
     plain: Sequence[RationalFunction], barred: Sequence[RationalFunction]
-) -> tuple[list[RationalFunction], list[RationalFunction]]:
+) -> Pair:
     """One level of the paired recursion.
 
     plain_i  <- D_i plain_i
@@ -237,22 +249,32 @@ def tilde_family_step(
     return new_plain, new_barred
 
 
-def tilde_family(f: Value, k: int, n: int) -> tuple[list[RationalFunction], list[RationalFunction]]:
-    plain, barred = tilde_family_start(f, n)
-    for _ in range(2, k + 1):
-        plain, barred = tilde_family_step(plain, barred)
-    return plain, barred
+def tilde_levels(f: Value, n: int) -> Iterator[Pair]:
+    """Yield (plain, barred) for k = 1, 2, ..., one tilde_family_step per level asked for."""
+    pair = tilde_family_start(f, n)
+    while True:
+        yield pair
+        pair = tilde_family_step(*pair)
+
+
+def tilde_family(f: Value, k: int, n: int) -> Pair:
+    return _level(tilde_levels(f, n), k)
+
+
+def tilde_omega_sum(pair: Pair) -> RationalFunction:
+    """sum_i (plain_i + barred_i): tilde Omega_k f from level k of the tilde family."""
+    plain, barred = pair
+    total = RationalFunction.zero(len(plain))
+    for p, b in zip(plain, barred):
+        total = total + p + b
+    return total
 
 
 def tilde_omega(f: Value, k: int, n: int) -> RationalFunction:
     """tilde Omega_k f = sum_i (plain_i + barred_i) at level k."""
     if k < 1:
         raise ValueError("tilde omega requires k >= 1")
-    plain, barred = tilde_family(f, k, n)
-    total = RationalFunction.zero(n)
-    for p, b in zip(plain, barred):
-        total = total + p + b
-    return total
+    return tilde_omega_sum(tilde_family(f, k, n))
 
 
 # ---------------------------------------------------------------------------
@@ -260,29 +282,30 @@ def tilde_omega(f: Value, k: int, n: int) -> RationalFunction:
 # ---------------------------------------------------------------------------
 
 
-def delta(n: int) -> RationalFunction:
-    """prod_{i<j} (x_i + x_j)/(x_i - x_j)."""
+def _pair_product(n: int, upper, lower) -> RationalFunction:
+    """prod_{i<j} upper(i, j) / lower(i, j), for factor builders upper, lower."""
     num = Polynomial.constant(n, 1)
     den: dict = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            num = num * sum_factor(i, j).as_polynomial(n)
-            d, _ = diff_factor(i, j)
+            num = num * upper(i, j).as_polynomial(n)
+            d = lower(i, j)
             den[d] = den.get(d, 0) + 1
     return RationalFunction(num, den)
 
 
+def _diff(i: int, j: int):
+    return diff_factor(i, j)[0]
+
+
+def delta(n: int) -> RationalFunction:
+    """prod_{i<j} (x_i + x_j)/(x_i - x_j)."""
+    return _pair_product(n, sum_factor, _diff)
+
+
 def delta_inverse(n: int) -> RationalFunction:
     """prod_{i<j} (x_i - x_j)/(x_i + x_j)."""
-    num = Polynomial.constant(n, 1)
-    den: dict = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            d, _ = diff_factor(i, j)
-            num = num * d.as_polynomial(n)
-            s = sum_factor(i, j)
-            den[s] = den.get(s, 0) + 1
-    return RationalFunction(num, den)
+    return _pair_product(n, _diff, sum_factor)
 
 
 CONJUGATABLE_OPS = {

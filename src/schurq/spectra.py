@@ -8,14 +8,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Optional
 
 from . import linalg, operators
 from .algebra import (
     Polynomial,
     RationalFunction,
-    T_MINUS,
-    T_PLUS,
     format_fraction,
     substitute,
 )
@@ -23,21 +22,22 @@ from .qfunctions import (
     StrictPartition,
     monomial_symmetric,
     partitions,
+    power_sum,
     q_two,
     schur_q,
     strict_partitions,
     is_supersymmetric,
 )
 
+
+def _at_level(family: Callable[[Polynomial, int, int], RationalFunction], k: int):
+    """The operator f -> family(f, k, n), the sum over level k of one family."""
+    return lambda f, n: family(f, k, n)
+
+
 OPERATORS: dict[str, Callable[[Polynomial, int], RationalFunction]] = {
-    "omega1": lambda f, n: operators.omega(f, 1, n),
-    "omega3": lambda f, n: operators.omega(f, 3, n),
-    "omega5": lambda f, n: operators.omega(f, 5, n),
-    "omega7": lambda f, n: operators.omega(f, 7, n),
-    "tilde-omega1": lambda f, n: operators.tilde_omega(f, 1, n),
-    "tilde-omega2": lambda f, n: operators.tilde_omega(f, 2, n),
-    "tilde-omega3": lambda f, n: operators.tilde_omega(f, 3, n),
-    "tilde-omega4": lambda f, n: operators.tilde_omega(f, 4, n),
+    **{f"omega{k}": _at_level(operators.omega, k) for k in (1, 3, 5, 7)},
+    **{f"tilde-omega{k}": _at_level(operators.tilde_omega, k) for k in (1, 2, 3, 4)},
     "omega3-closed": operators.omega3_closed,
     "euler-cubes": operators.euler_cubes,
 }
@@ -60,6 +60,7 @@ class EigenReport:
     eigenvalue: Optional[Fraction]
     is_eigen: bool
     residual: Polynomial
+    image: Optional[Polynomial] = field(default=None, repr=False)  # op applied to Q_lambda
 
     def to_json_obj(self) -> dict:
         return {
@@ -84,13 +85,13 @@ def eigen_check(lam: StrictPartition, op: str, n: int) -> EigenReport:
         raise DenominatorLeft(f"{op} Q_{lam} left denominator {image.den}")
     p = image.as_polynomial()
     if p.is_zero():
-        return EigenReport(lam, op, Fraction(0), True, p)
+        return EigenReport(lam, op, Fraction(0), True, p, p)
     lead_m, lead_c = f.leading_term()
     c = p.terms.get(lead_m, Fraction(0)) / lead_c
     residual = p - f.scale(c)
     if residual.is_zero():
-        return EigenReport(lam, op, c, True, residual)
-    return EigenReport(lam, op, None, False, residual)
+        return EigenReport(lam, op, c, True, residual, p)
+    return EigenReport(lam, op, None, False, residual, p)
 
 
 def hc_eigenvalue_omega3(lam: StrictPartition) -> Fraction:
@@ -122,10 +123,8 @@ class RnPolynomial:
         p = self.poly
         if not p.is_symmetric():
             raise NotInRn("not symmetric")
-        if p.n >= 2:
-            sub = substitute(p, {1: T_PLUS, 2: T_MINUS})
-            if sub.degree_in(sub.n) > 0:
-                raise NotInRn("depends on s after t_i=s, t_j=-s")
+        if not is_supersymmetric(p, p.n):
+            raise NotInRn("depends on s after t_i=s, t_j=-s")
 
     @property
     def n(self) -> int:
@@ -139,12 +138,7 @@ def odd_power_sum_rn(r: int, n: int) -> RnPolynomial:
     """sum t_i^r for odd r, the basic members of the algebra."""
     if r % 2 == 0:
         raise ValueError("only odd exponents cancel")
-    terms = {}
-    for i in range(n):
-        e = [0] * n
-        e[i] = r
-        terms[tuple(e)] = Fraction(1)
-    return RnPolynomial(Polynomial(n, terms))
+    return RnPolynomial(power_sum(r, n))
 
 
 def rn_eigenvalue(r: RnPolynomial, lam: StrictPartition, n: int) -> Fraction:
@@ -205,21 +199,18 @@ def _q_basis(d: int, n: int) -> list[StrictPartition]:
     return [lam for lam in strict_partitions(d, max_length=n)]
 
 
-def _operator_matrix(op: str, basis: list[StrictPartition], n: int):
-    """Matrix of the operator on span{Q_lambda}, column by column."""
-    polys = [schur_q(lam, n) for lam in basis]
-    monomials = sorted({m for p in polys for m in p.terms})
+def _operator_matrix(polys: list[Polynomial], images: list[Polynomial]):
+    """Matrix of an operator on span{Q_lambda}, given the images of the basis.
+
+    The rows of the coordinate system run over every monomial of the
+    basis and of the images, so an image outside the span makes
+    linalg.solve raise InconsistentSystem rather than being truncated.
+    """
+    monomials = sorted({m for p in polys + images for m in p.terms})
     coords = [[p.terms.get(m, Fraction(0)) for p in polys] for m in monomials]
-    columns = []
-    for lam, p in zip(basis, polys):
-        image = apply_operator(op, p, n)
-        if not image.is_polynomial():
-            raise DenominatorLeft(f"{op} Q_{lam}")
-        img = image.as_polynomial()
-        rhs = [img.terms.get(m, Fraction(0)) for m in monomials]
-        columns.append(linalg.solve(coords, rhs))
-    size = len(basis)
-    return [[columns[c][r] for c in range(size)] for r in range(size)]
+    rhs = ([img.terms.get(m, Fraction(0)) for m in monomials] for img in images)
+    columns = [linalg.solve(coords, b) for b in rhs]
+    return [list(row) for row in zip(*columns)]
 
 
 def uniqueness_sweep(n: int, maxdeg: int, operators_used=("omega1", "omega3", "omega5", "omega7")) -> SweepReport:
@@ -238,36 +229,28 @@ def uniqueness_sweep(n: int, maxdeg: int, operators_used=("omega1", "omega3", "o
         if size == 1:
             report.checked += 1
             continue
-        matrices = {}
-        # candidate eigenvalues come from the basis polynomials themselves
-        per_lam = {}
-        for lam in basis:
-            per_lam[lam] = {}
-        used_ops = []
+        polys = [schur_q(lam, n) for lam in basis]
+        matrices = []
+        # joint eigenvalue tuple of each Q_lambda over the operators used so far
+        keys: dict[StrictPartition, tuple] = {lam: () for lam in basis}
         for op in operators_used:
-            matrices[op] = _operator_matrix(op, basis, n)
-            for lam in basis:
-                rep = eigen_check(lam, op, n)
+            reports = [eigen_check(lam, op, n) for lam in basis]
+            for lam, rep in zip(basis, reports):
                 if not rep.is_eigen:
                     report.failures.append(f"d={d} {lam}: not an eigenfunction of {op}")
-                per_lam[lam][op] = rep.eigenvalue
-            used_ops.append(op)
-            # group by joint eigenvalue tuple so far
-            groups: dict[tuple, list[StrictPartition]] = {}
-            for lam in basis:
-                key = tuple(per_lam[lam][o] for o in used_ops)
-                groups.setdefault(key, []).append(lam)
-            if all(len(g) == 1 for g in groups.values()):
+                keys[lam] += (rep.eigenvalue,)
+            matrices.append(_operator_matrix(polys, [rep.image for rep in reports]))
+            if len(set(keys.values())) == size:
                 break
-        # exact joint eigenspaces: intersect kernels of (M_op - c I)
-        groups = {}
+        groups: dict[tuple, list[StrictPartition]] = {}
         for lam in basis:
-            key = tuple(per_lam[lam][o] for o in used_ops)
-            groups.setdefault(key, []).append(lam)
+            groups.setdefault(keys[lam], []).append(lam)
+        # exact joint eigenspaces: intersect kernels of (M_op - c I)
         for key, members in groups.items():
+            if None in key:
+                continue  # a member is not an eigenfunction, reported above
             stacked = []
-            for op, c in zip(used_ops, key):
-                m = matrices[op]
+            for m, c in zip(matrices, key):
                 stacked.extend(
                     [m[r][col] - (c if r == col else 0) for col in range(size)]
                     for r in range(size)
@@ -292,18 +275,23 @@ def lemma_121_sweep(n: int, maxdeg: int) -> SweepReport:
         ("tilde-omega3 = 2 omega3 + 2 omega1", 3, {3: 2, 1: 2}),
         ("tilde-omega4 = 4 omega3 + 2 omega1", 4, {3: 4, 1: 2}),
     ]
+    top_omega = max(k for _, _, combo in relations for k in combo)
+    top_tilde = max(tk for _, tk, _ in relations)
     for d in range(0, maxdeg + 1):
         mus = [()] if d == 0 else list(partitions(d, max_length=n))
         for mu in mus:
             f = Polynomial.constant(n, 1) if not mu else monomial_symmetric(mu, n)
-            images = {k: operators.omega(f, k, n) for k in (1, 3)}
+            # one pass of each family, summing only the levels the relations use
+            plain = islice(operators.family_levels(f, n), top_omega)
+            images = {k: operators.omega_sum(v) for k, v in enumerate(plain, 1) if k % 2}
+            tilde = islice(operators.tilde_levels(f, n), top_tilde)
+            tildes = {k: operators.tilde_omega_sum(pair) for k, pair in enumerate(tilde, 1)}
             for name, tk, combo in relations:
-                lhs = operators.tilde_omega(f, tk, n)
                 rhs = RationalFunction.zero(n)
                 for k, coef in combo.items():
                     rhs = rhs + images[k].scale(coef)
                 report.checked += 1
-                if not lhs == rhs:
+                if not tildes[tk] == rhs:
                     report.failures.append(f"{name} fails on m_{mu}, n={n}")
     return report
 
@@ -428,3 +416,28 @@ def separation_sweep(n: int, maxweight: int) -> SweepReport:
             if rn_eigenvalue(witness, lam, n) == rn_eigenvalue(witness, mu, n):
                 report.failures.append(f"witness fails for {lam} vs {mu}")
     return report
+
+
+# ---------------------------------------------------------------------------
+# The suite registry behind `schurq verify` and scripts/run_sweeps.py
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    sweep: Callable[[int, int], SweepReport]  # (n, max) -> report
+    desk_n: tuple[int, ...]  # the desk-scale run: one sweep per n, at desk_max
+    desk_max: int
+
+
+SWEEPS: dict[str, SweepSpec] = {
+    "skew": SweepSpec(skew_symmetry_sweep, (2, 3, 4), 8),
+    "supersym": SweepSpec(supersymmetry_sweep, (2, 3, 4), 8),
+    "stability": SweepSpec(stability_sweep, (2, 3, 4), 8),
+    "lemma121": SweepSpec(lemma_121_sweep, (2, 3), 6),
+    "lemma123i": SweepSpec(conjugation_sweep, (2, 3), 5),
+    "lemma123ii": SweepSpec(eigenfunction_sweep, (2, 3), 8),
+    "lemma123iii": SweepSpec(uniqueness_sweep, (2, 3), 8),
+    "aux35": SweepSpec(lambda n, _max: auxiliary_sweep(n), (2, 3, 4), 0),
+    "separation": SweepSpec(separation_sweep, (2, 3), 8),
+}

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from schurq import cli
+from schurq import cli, spectra
 from schurq.spectra import SweepReport
 
 
@@ -86,6 +86,18 @@ class TestVerify:
         rc, out, _ = run(capsys, ["verify", "--suite", "skew", "--n", "2", "--format", "text"])
         assert rc == 1
         assert "FAIL" in out
+
+    def test_separation_suite(self, capsys):
+        argv = ["verify", "--suite", "separation", "--n", "3", "--max", "5", "--format", "text"]
+        rc, out, _ = run(capsys, argv)
+        assert rc == 0
+        assert out.startswith("separation(n=3,maxweight=5): PASS")
+
+    def test_every_registered_sweep_is_a_suite(self):
+        parser = cli.build_parser()
+        for name in spectra.SWEEPS:
+            args = parser.parse_args(["verify", "--suite", name, "--n", "2"])
+            assert cli.SUITES[args.suite] is spectra.SWEEPS[name].sweep
 
 
 class TestErrors:

@@ -1,0 +1,93 @@
+import random
+from fractions import Fraction
+
+import pytest
+
+from schurq.linalg import InconsistentSystem, determinant, nullspace, rank, solve
+
+
+def random_matrix(rng, nrows, ncols):
+    entries = [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4), 5]
+    return [[Fraction(rng.choice(entries)) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def apply(rows, v):
+    return [sum(a * x for a, x in zip(row, v)) for row in rows]
+
+
+def matrices(count=200, max_size=6, seed=11):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield random_matrix(rng, rng.randint(1, max_size), rng.randint(1, max_size))
+
+
+class TestSolve:
+    def test_round_trip(self):
+        rng = random.Random(3)
+        checked = 0
+        for rows in matrices():
+            if rank(rows) < len(rows[0]):
+                continue
+            x = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in rows[0]]
+            assert solve(rows, apply(rows, x)) == x
+            checked += 1
+        assert checked > 20
+
+    def test_overdetermined_consistent(self):
+        rows = [[1, 0], [0, 1], [1, 1]]
+        assert solve(rows, [2, 3, 5]) == [2, 3]
+
+    def test_inconsistent_raises(self):
+        with pytest.raises(InconsistentSystem):
+            solve([[1, 0], [0, 1], [1, 1]], [2, 3, 6])
+
+    def test_underdetermined_raises(self):
+        with pytest.raises(ValueError, match="underdetermined"):
+            solve([[1, 1]], [2])
+        with pytest.raises(ValueError, match="underdetermined"):
+            solve([[1, 2], [2, 4]], [1, 2])
+
+    def test_inputs_untouched(self):
+        rows = [[0, 1], [1, 0]]
+        rhs = [1, 2]
+        assert solve(rows, rhs) == [2, 1]
+        assert rows == [[0, 1], [1, 0]] and rhs == [1, 2]
+
+
+class TestRankNullspace:
+    def test_rank_nullity(self):
+        for rows in matrices():
+            kernel = nullspace(rows)
+            assert rank(rows) + len(kernel) == len(rows[0])
+            for v in kernel:
+                assert all(c == 0 for c in apply(rows, v))
+
+    def test_known_rank(self):
+        assert rank([[1, 2, 3], [2, 4, 6], [1, 0, 1]]) == 2
+        assert rank([[0, 0], [0, 0]]) == 0
+        assert rank([]) == 0
+
+
+class TestDeterminant:
+    def test_known_values(self):
+        assert determinant([[2, 1], [1, 3]]) == 5
+        assert determinant([[0, 1], [1, 0]]) == -1
+        assert determinant([[1, 2], [2, 4]]) == 0
+        assert determinant([]) == 1
+
+    def test_row_swap_flips_sign(self):
+        rng = random.Random(7)
+        for _ in range(100):
+            size = rng.randint(2, 6)
+            rows = random_matrix(rng, size, size)
+            a, b = rng.sample(range(size), 2)
+            swapped = list(rows)
+            swapped[a], swapped[b] = swapped[b], swapped[a]
+            assert determinant(swapped) == -determinant(rows)
+
+    def test_zero_iff_rank_deficient(self):
+        rng = random.Random(9)
+        for _ in range(100):
+            size = rng.randint(1, 5)
+            rows = random_matrix(rng, size, size)
+            assert (determinant(rows) == 0) == (rank(rows) < size)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -13,10 +14,16 @@ from schurq.operators import (
     derivative_family,
     euler_cubes,
     euler_derivative,
+    family_levels,
+    family_start,
+    family_step,
     omega,
     omega3_closed,
     sum_cubes,
     tilde_family,
+    tilde_family_start,
+    tilde_family_step,
+    tilde_levels,
     tilde_omega,
 )
 from schurq.qfunctions import StrictPartition, schur_q, strict_partitions
@@ -59,6 +66,26 @@ class TestDerivativeFamily:
         f = Polynomial.constant(3, 4)
         for k in (1, 2, 3, 4):
             assert all(v.is_zero() for v in derivative_family(f, k, 3))
+
+
+class TestLevelIterators:
+    def test_family_levels_follow_the_recursion(self):
+        n = 3
+        f = schur_q(StrictPartition((3, 1)), n)
+        values = family_start(f, n)
+        for level, got in enumerate(islice(family_levels(f, n), 5), 1):
+            if level > 1:
+                values = family_step(values, level)
+            assert got == values
+
+    def test_tilde_levels_follow_the_recursion(self):
+        n = 3
+        f = schur_q(StrictPartition((3, 1)), n)
+        pair = tilde_family_start(f, n)
+        for level, got in enumerate(islice(tilde_levels(f, n), 4), 1):
+            if level > 1:
+                pair = tilde_family_step(*pair)
+            assert got == pair
 
 
 class TestOmega:

@@ -1,9 +1,11 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from schurq.algebra import Polynomial
-from schurq.qfunctions import StrictPartition, strict_partitions
+from schurq import linalg, operators, spectra
+from schurq.algebra import Polynomial, RationalFunction
+from schurq.qfunctions import StrictPartition, schur_q, strict_partitions
 from schurq.spectra import (
     Inseparable,
     NotInRn,
@@ -140,3 +142,68 @@ class TestSweeps:
         report = lemma_121_sweep(2, 4)
         assert report.passed
         assert report.checked == 4 * (1 + 1 + 2 + 2 + 3)  # partitions of 0..4, len<=2
+
+
+def count_calls(monkeypatch, module, names) -> Counter:
+    """Wrap module.<name> for each name so that its calls are counted."""
+    calls = Counter()
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestComputedOnce:
+    def test_uniqueness_applies_each_operator_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, spectra, ["apply_operator", "eigen_check"])
+        assert uniqueness_sweep(3, 6).passed
+        assert calls["eigen_check"] > 0
+        assert calls["apply_operator"] == calls["eigen_check"]
+
+    def test_lemma121_walks_each_family_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, operators, ["family_step", "tilde_family_step"])
+        report = lemma_121_sweep(2, 3)
+        assert report.passed
+        inputs = 6  # m_mu for mu = (), 1, 2, 11, 3, 21
+        assert report.checked == 4 * inputs
+        assert calls["family_step"] == 2 * inputs  # levels 2 and 3
+        assert calls["tilde_family_step"] == 3 * inputs  # levels 2, 3 and 4
+
+
+class TestSpanGuard:
+    def test_image_outside_span_raises(self, monkeypatch):
+        # an image monomial of degree d+1 lies outside the degree-d Q-span
+        n = 2
+        leaky_input = schur_q(StrictPartition((2, 1)), n)
+        original = spectra.apply_operator
+
+        def leaky(op, f, n):
+            image = original(op, f, n)
+            if op == "omega1" and f == leaky_input:
+                extra = Polynomial.monomial(n, (f.degree() + 1, 0))
+                image = image + RationalFunction.from_polynomial(extra)
+            return image
+
+        monkeypatch.setattr(spectra, "apply_operator", leaky)
+        with pytest.raises(linalg.InconsistentSystem):
+            uniqueness_sweep(n, 3)
+
+    def test_non_eigen_image_in_span_is_a_fail(self, monkeypatch):
+        n = 2
+        mixed_input = schur_q(StrictPartition((2, 1)), n)
+        other = RationalFunction.from_polynomial(schur_q(StrictPartition((3,)), n))
+        original = spectra.apply_operator
+
+        def mixing(op, f, n):
+            image = original(op, f, n)
+            return image + other if op == "omega1" and f == mixed_input else image
+
+        monkeypatch.setattr(spectra, "apply_operator", mixing)
+        report = uniqueness_sweep(n, 3)
+        assert not report.passed
+        assert "d=3 2,1: not an eigenfunction of omega1" in report.failures
