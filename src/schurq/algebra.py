@@ -9,6 +9,7 @@ Variable indices are 1-based throughout the public API.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
@@ -171,19 +172,6 @@ class Polynomial:
         return hash((self.n, frozenset(self.terms.items())))
 
     # -- calculus ----------------------------------------------------
-
-    def partial(self, i: int) -> "Polynomial":
-        """d/dx_i."""
-        if not 1 <= i <= self.n:
-            raise IndexError(f"variable index {i} out of range 1..{self.n}")
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for m, c in self.terms.items():
-            e = m[i - 1]
-            if e:
-                new = list(m)
-                new[i - 1] = e - 1
-                terms[tuple(new)] = c * e
-        return Polynomial(self.n, terms)
 
     def euler(self, i: int) -> "Polynomial":
         """x_i * d/dx_i."""
@@ -391,31 +379,30 @@ def exact_divide(p: Polynomial, f: Factor) -> Polynomial:
             new[k] -= 1
             terms[tuple(new)] = c
         return Polynomial(p.n, terms)
-    # binomial x_i -+ x_j: divide treating x_i as the dominant variable;
-    # the leading (lex in x_i) monomial of the divisor is x_i.
+    # binomial x_i -+ x_j: p splits into binary forms sum_a c_a x_i^a x_j^(e-a),
+    # one per exponent vector outside {i, j} and degree e = e_i + e_j.  Each
+    # form is divided on its own by synthetic division, d_(a-1) = c_a +- d_a,
+    # and divides iff its remainder c_0 +- d_0 is zero.
     i, j = f.i - 1, f.j - 1
-    sign = Fraction(1) if f.kind == "diff" else Fraction(-1)
-    rem = dict(p.terms)
+    step = operator.add if f.kind == "diff" else operator.sub
+    forms: dict[tuple[int, ...], dict[int, Fraction]] = {}
+    for m, c in p.terms.items():
+        key = list(m)
+        key[i] += key[j]
+        key[j] = 0
+        forms.setdefault(tuple(key), {})[m[i]] = c
     quo: dict[tuple[int, ...], Fraction] = {}
-    while rem:
-        m = max(rem, key=lambda e: (e[i], grevlex_key(e)))
-        if m[i] == 0:
+    for key, form in forms.items():
+        e = key[i]
+        qm = list(key)
+        d = 0
+        for a in range(e, 0, -1):
+            d = step(form.get(a, 0), d)
+            if d:
+                qm[i], qm[j] = a - 1, e - a
+                quo[tuple(qm)] = d
+        if step(form.get(0, 0), d):
             raise NotDivisible(str(f))
-        c = rem[m]
-        qm = list(m)
-        qm[i] -= 1
-        qm = tuple(qm)
-        quo[qm] = c
-        # rem -= c * x^qm * (x_i -+ x_j)
-        del rem[m]
-        other = list(qm)
-        other[j] += 1
-        other = tuple(other)
-        s = rem.get(other, Fraction(0)) + sign * c
-        if s:
-            rem[other] = s
-        else:
-            rem.pop(other, None)
     return Polynomial(p.n, quo)
 
 
@@ -444,21 +431,22 @@ class RationalFunction:
         self._reduce()
 
     def _reduce(self) -> None:
+        # The factors are pairwise coprime primes, so cancelling one never
+        # changes whether another divides: one sweep suffices.
         if self.num.is_zero():
             self.den = {}
             return
-        changed = True
-        while changed and self.den:
-            changed = False
-            for f in list(self.den):
+        for f, m in list(self.den.items()):
+            while m:
                 q = divides(self.num, f)
-                if q is not None:
-                    self.num = q
-                    if self.den[f] == 1:
-                        del self.den[f]
-                    else:
-                        self.den[f] -= 1
-                    changed = True
+                if q is None:
+                    break
+                self.num = q
+                m -= 1
+            if m:
+                self.den[f] = m
+            else:
+                del self.den[f]
 
     # -- constructors ------------------------------------------------
 
@@ -505,21 +493,18 @@ class RationalFunction:
         common: dict[Factor, int] = dict(self.den)
         for f, m in other.den.items():
             common[f] = max(common.get(f, 0), m)
-        a = self.num
-        for f, m in common.items():
-            deficit = m - self.den.get(f, 0)
-            if deficit:
-                fp = f.as_polynomial(self.n)
-                for _ in range(deficit):
-                    a = a * fp
-        b = other.num
-        for f, m in common.items():
-            deficit = m - other.den.get(f, 0)
-            if deficit:
-                fp = f.as_polynomial(self.n)
-                for _ in range(deficit):
-                    b = b * fp
-        return RationalFunction(a + b, common)
+
+        def lift(r: "RationalFunction") -> Polynomial:
+            num = r.num
+            for f, m in common.items():
+                deficit = m - r.den.get(f, 0)
+                if deficit:
+                    fp = f.as_polynomial(r.n)
+                    for _ in range(deficit):
+                        num = num * fp
+            return num
+
+        return RationalFunction(lift(self) + lift(other), common)
 
     def __neg__(self) -> "RationalFunction":
         out = RationalFunction.__new__(RationalFunction)
@@ -557,24 +542,23 @@ class RationalFunction:
 
     # -- calculus ----------------------------------------------------
 
-    def partial(self, i: int) -> "RationalFunction":
-        """d/dx_i via the quotient rule over the factored denominator."""
-        result = RationalFunction(self.num.partial(i), dict(self.den))
-        for f, m in self.den.items():
-            fprime = f.as_polynomial(self.n).partial(i)
-            if fprime.is_zero():
-                continue
-            den = dict(self.den)
-            den[f] = den.get(f, 0) + 1
-            result = result + RationalFunction(
-                self.num.scale(-m) * fprime, den
-            )
-        return result
-
     def euler(self, i: int) -> "RationalFunction":
-        """x_i * d/dx_i."""
-        xi = RationalFunction.from_polynomial(Polynomial.variable(self.n, i))
-        return xi * self.partial(i)
+        """x_i * d/dx_i, by the quotient rule over the factored denominator.
+
+        With D = x_i d/dx_i, D(N / prod f^m) = (D N - N * sum m D(f)/f) / prod f^m.
+        D(x_i)/x_i = 1, and each binomial f through x_i contributes D(f)/f,
+        so its power in the result's denominator grows by one.
+        """
+        num = self.num.euler(i) - self.num.scale(self.den.get(var_factor(i), 0))
+        grown = Polynomial.constant(self.n, 1)  # product of the binomials raised so far
+        den = dict(self.den)
+        for f, m in self.den.items():
+            if f.kind != "var" and i in (f.i, f.j):
+                fp = f.as_polynomial(self.n)
+                num = num * fp - self.num.scale(m) * fp.euler(i) * grown
+                grown = grown * fp
+                den[f] += 1
+        return RationalFunction(num, den)
 
     # -- serialization -----------------------------------------------
 

@@ -10,9 +10,10 @@ import argparse
 import json
 import sys
 
-from . import operators, spectra
+from . import linalg, operators, spectra
 from .algebra import Polynomial, RationalFunction, format_fraction
 from .qfunctions import (
+    NotInSpan,
     OddCycleType,
     StrictPartition,
     char_map,
@@ -132,8 +133,8 @@ def cmd_tableaux(args) -> int:
 
 def cmd_expand(args) -> int:
     lam = StrictPartition.parse(args.lam)
-    _guard(args, deg=max(args.max, lam.weight))
     n = max(lam.weight, 1)
+    _guard(args, n=n, deg=max(args.max, lam.weight))
     expansion = expand_in_power_sums(schur_q(lam, n), n, args.max)
     items = sorted(expansion.items(), key=lambda kv: (kv[0].weight, kv[0].parts))
     obj = {str(nu): format_fraction(c) for nu, c in items}
@@ -220,6 +221,10 @@ def main(argv=None) -> int:
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (linalg.InconsistentSystem, spectra.DenominatorLeft, NotInSpan) as exc:
+        # a computation broke an invariant the mathematics guarantees: a bug, not a FAIL
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

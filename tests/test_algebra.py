@@ -120,6 +120,29 @@ class TestExactDivide:
                 continue
             assert exact_divide(prod, f) == p
 
+    def test_root_oracle(self):
+        # f divides p iff p vanishes on f's zero set: x_i = 0, x_i = x_j or x_i = -x_j
+        rng = random.Random(31)
+        oracles = [
+            (Factor("var", 2), {2: 0}),
+            (Factor("diff", 1, 3), {1: T_PLUS, 3: T_PLUS}),
+            (Factor("sum", 2, 3), {2: T_PLUS, 3: T_MINUS}),
+        ]
+        for trial in range(900):
+            f, zero_set = oracles[trial % 3]
+            terms = {}
+            for _ in range(rng.randint(0, 6)):
+                exps = tuple(rng.randint(0, 4) for _ in range(3))
+                terms[exps] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            p = Polynomial(3, terms)
+            if trial % 2:
+                p = p * f.as_polynomial(3)
+            if substitute(p, zero_set).is_zero():
+                assert exact_divide(p, f) * f.as_polynomial(3) == p
+            else:
+                with pytest.raises(NotDivisible):
+                    exact_divide(p, f)
+
 
 class TestRationalFunction:
     def test_antisymmetry(self):
@@ -146,10 +169,35 @@ class TestRationalFunction:
         n = 3
         r = RationalFunction(x(n, 1) * x(n, 2), {Factor("diff", 1, 2): 1, Factor("sum", 1, 3): 2})
         s = RationalFunction(x(n, 3), {Factor("diff", 2, 3): 1})
-        for value in (r + s, r * s, r - s):
+        d12, s13 = Factor("diff", 1, 2), Factor("sum", 1, 3)
+        carried = x(n, 1) * x(n, 3) * d12.as_polynomial(n) * d12.as_polynomial(n)
+        carried = carried * s13.as_polynomial(n)
+        t = RationalFunction(carried, {d12: 3, s13: 1, Factor("var", 1): 2, Factor("sum", 2, 3): 1})
+        for value in (r + s, r * s, r - s, t):
             for f in value.den:
                 with pytest.raises(NotDivisible):
                     exact_divide(value.num, f)
+
+    @given(polynomials(3, max_degree=3, max_terms=4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_euler_quotient_rule(self, num, data):
+        # D(N/P) = (D(N) P - N D(P)) / P^2 with D = x_i d/dx_i and P the
+        # product of the denominator's factor polynomials
+        n = 3
+        factors = [Factor("var", 1), Factor("var", 3), Factor("diff", 1, 2)]
+        factors += [Factor("sum", 1, 3), Factor("diff", 2, 3), Factor("sum", 1, 2)]
+        mult = st.integers(min_value=0, max_value=2)
+        den = {f: data.draw(mult) for f in factors}
+        prod = Polynomial.constant(n, 1)
+        for f, m in den.items():
+            for _ in range(m):
+                prod = prod * f.as_polynomial(n)
+        r = RationalFunction(num, den)
+        for i in range(1, n + 1):
+            expected = RationalFunction(
+                num.euler(i) * prod - num * prod.euler(i), {f: 2 * m for f, m in den.items()}
+            )
+            assert r.euler(i) == expected
 
     @given(polynomials(2, max_degree=3, max_terms=3), polynomials(2, max_degree=3, max_terms=3))
     @settings(max_examples=30, deadline=None)

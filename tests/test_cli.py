@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from schurq import cli, spectra
+from schurq import cli, linalg, spectra
 from schurq.spectra import SweepReport
 
 
@@ -125,3 +125,23 @@ class TestErrors:
         rc, out, _ = run(capsys, ["qk", "--n", "7", "--max", "1", "--force", "--format", "text"])
         assert rc == 0
         assert "q1" in out
+
+    def test_expand_guardrail_counts_variables(self, capsys):
+        # expand works in n = |lambda| variables, so |lambda| = 7 exceeds MAX_N
+        rc, _, err = run(capsys, ["expand", "--lambda", "7"])
+        assert rc == 2
+        assert "guardrail" in err
+        rc, out, _ = run(capsys, ["expand", "--lambda", "7", "--max", "7", "--force"])
+        assert rc == 0
+        assert json.loads(out)["7"] == "2/7"
+
+    def test_internal_error_exits_3(self, capsys, monkeypatch):
+        def broken(n, d):
+            raise linalg.InconsistentSystem("injected")
+
+        monkeypatch.setitem(cli.SUITES, "skew", broken)
+        rc, out, err = run(capsys, ["verify", "--suite", "skew", "--n", "2"])
+        assert rc == 3
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "injected" in err
