@@ -1,7 +1,12 @@
 #!/usr/bin/env python3
-"""Run every verification sweep at desk scale and exit nonzero on failure."""
+"""Run every verification sweep at desk scale and exit nonzero on failure.
+
+One PASS/FAIL line per sweep goes to stdout; each sweep's wall time goes
+to stderr, so stdout stays byte-identical from run to run.
+"""
 
 import sys
+from time import perf_counter
 
 from schurq import spectra
 
@@ -10,11 +15,14 @@ def main() -> int:
     failed = 0
     for spec in spectra.SWEEPS.values():
         for n in spec.desk_n:
+            start = perf_counter()
             report = spec.sweep(n, spec.desk_max)
+            elapsed = perf_counter() - start
             status = "PASS" if report.passed else "FAIL"
             print(f"{report.name}: {status} ({report.checked} checks)")
             for failure in report.failures:
                 print(f"  {failure}")
+            print(f"{report.name}: {elapsed:.2f} s", file=sys.stderr)
             failed += not report.passed
     return 1 if failed else 0
 

@@ -25,28 +25,44 @@ class VariableCountMismatch(ValueError):
     """Operands live in rings with different variable counts."""
 
 
+def _coeff(c: Scalar) -> Scalar:
+    """Canonical coefficient: an int when c is integral, else a Fraction.
+
+    Floats are refused: they are not exact, and Fraction(0.1) is not 1/10.
+    """
+    if type(c) is int:
+        return c
+    if isinstance(c, float):
+        raise TypeError(f"inexact coefficient {c!r}")
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def grevlex_key(exponents: tuple[int, ...]):
     """Sort key; larger key = larger monomial in graded reverse lex."""
     return (sum(exponents), tuple(-e for e in reversed(exponents)))
 
 
 class Polynomial:
-    """Sparse polynomial in x_1..x_n over Fraction.
+    """Sparse polynomial in x_1..x_n with rational coefficients.
 
-    The term map never stores zero coefficients.  Instances are treated
-    as immutable; no method mutates self.
+    The term map never stores zero coefficients, and stores each one in
+    canonical form (see _coeff): an int when it is integral, else a
+    Fraction with denominator > 1.  Instances are treated as immutable;
+    no method mutates self.
     """
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: Mapping[tuple[int, ...], Scalar]):
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], Scalar] = {}
         for exps, coeff in terms.items():
             if len(exps) != n:
                 raise VariableCountMismatch(
                     f"monomial {exps} has {len(exps)} entries, expected {n}"
                 )
-            c = Fraction(coeff)
+            c = _coeff(coeff)
             if c:
                 clean[tuple(exps)] = c
         self.n = n
@@ -60,7 +76,7 @@ class Polynomial:
 
     @staticmethod
     def constant(n: int, c: Scalar) -> "Polynomial":
-        return Polynomial(n, {(0,) * n: Fraction(c)})
+        return Polynomial(n, {(0,) * n: c})
 
     @staticmethod
     def variable(n: int, i: int) -> "Polynomial":
@@ -68,11 +84,11 @@ class Polynomial:
             raise IndexError(f"variable index {i} out of range 1..{n}")
         exps = [0] * n
         exps[i - 1] = 1
-        return Polynomial(n, {tuple(exps): Fraction(1)})
+        return Polynomial(n, {tuple(exps): 1})
 
     @staticmethod
     def monomial(n: int, exps: Iterable[int], coeff: Scalar = 1) -> "Polynomial":
-        return Polynomial(n, {tuple(exps): Fraction(coeff)})
+        return Polynomial(n, {tuple(exps): coeff})
 
     # -- predicates --------------------------------------------------
 
@@ -82,9 +98,9 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Scalar:
         if self.is_zero():
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
         return self.terms[(0,) * self.n]
@@ -104,7 +120,7 @@ class Polynomial:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
+    def leading_term(self) -> tuple[tuple[int, ...], Scalar]:
         """Grevlex-leading (monomial, coefficient); error on zero."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
@@ -121,9 +137,9 @@ class Polynomial:
         self._check(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, Fraction(0)) + c
+            s = terms.get(m, 0) + c
             if s:
-                terms[m] = s
+                terms[m] = s if type(s) is int or s.denominator != 1 else s.numerator
             else:
                 terms.pop(m, None)
         out = Polynomial.__new__(Polynomial)
@@ -142,13 +158,13 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], Scalar] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
-                s = terms.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    terms[m] = s
+                s = terms.get(m, 0) + c1 * c2
+                if s:  # _coeff's rule, inlined: this runs once per term pair
+                    terms[m] = s if type(s) is int or s.denominator != 1 else s.numerator
                 else:
                     terms.pop(m, None)
         out = Polynomial.__new__(Polynomial)
@@ -157,10 +173,10 @@ class Polynomial:
         return out
 
     def scale(self, c: Scalar) -> "Polynomial":
-        c = Fraction(c)
+        c = _coeff(c)
         out = Polynomial.__new__(Polynomial)
         out.n = self.n
-        out.terms = {m: v * c for m, v in self.terms.items()} if c else {}
+        out.terms = {m: _coeff(v * c) for m, v in self.terms.items()} if c else {}
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -198,13 +214,13 @@ class Polynomial:
     def permute_variables(self, perm: Iterable[int]) -> "Polynomial":
         """Apply x_i -> x_{perm[i-1]} (perm is 1-based image list)."""
         perm = list(perm)
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], Scalar] = {}
         for m, c in self.terms.items():
             new = [0] * self.n
             for pos, e in enumerate(m):
                 new[perm[pos] - 1] += e
             key = tuple(new)
-            terms[key] = terms.get(key, Fraction(0)) + c
+            terms[key] = terms.get(key, 0) + c
         return Polynomial(self.n, terms)
 
     def is_symmetric(self) -> bool:
@@ -217,7 +233,7 @@ class Polynomial:
 
     # -- serialization -----------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
 
     def to_text(self, names: Optional[list[str]] = None) -> str:
@@ -259,7 +275,7 @@ class Polynomial:
         return f"Polynomial({self.to_text()})"
 
 
-def format_fraction(c: Fraction) -> str:
+def format_fraction(c: Scalar) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
@@ -274,11 +290,14 @@ def substitute(p: Polynomial, assignment: Mapping[int, object]) -> Polynomial:
     for i in assignment:
         if not 1 <= i <= p.n:
             raise IndexError(f"assigned variable {i} out of range 1..{p.n}")
+    assignment = {
+        i: v if v in (T_PLUS, T_MINUS) else _coeff(v) for i, v in assignment.items()
+    }
     uses_t = any(v in (T_PLUS, T_MINUS) for v in assignment.values())
     remaining = [i for i in range(1, p.n + 1) if i not in assignment]
     n_out = len(remaining) + (1 if uses_t else 0)
     pos = {i: k for k, i in enumerate(remaining)}
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[tuple[int, ...], Scalar] = {}
     for m, c in p.terms.items():
         new = [0] * n_out
         coeff = c
@@ -296,12 +315,12 @@ def substitute(p: Polynomial, assignment: Mapping[int, object]) -> Polynomial:
                         coeff = -coeff
                 else:
                     if e:
-                        coeff *= Fraction(v) ** e
+                        coeff *= v**e
             if not coeff:
                 break
         if coeff:
             key = tuple(new)
-            s = terms.get(key, Fraction(0)) + coeff
+            s = terms.get(key, 0) + coeff
             if s:
                 terms[key] = s
             else:
@@ -385,13 +404,13 @@ def exact_divide(p: Polynomial, f: Factor) -> Polynomial:
     # and divides iff its remainder c_0 +- d_0 is zero.
     i, j = f.i - 1, f.j - 1
     step = operator.add if f.kind == "diff" else operator.sub
-    forms: dict[tuple[int, ...], dict[int, Fraction]] = {}
+    forms: dict[tuple[int, ...], dict[int, Scalar]] = {}
     for m, c in p.terms.items():
         key = list(m)
         key[i] += key[j]
         key[j] = 0
         forms.setdefault(tuple(key), {})[m[i]] = c
-    quo: dict[tuple[int, ...], Fraction] = {}
+    quo: dict[tuple[int, ...], Scalar] = {}
     for key, form in forms.items():
         e = key[i]
         qm = list(key)
@@ -523,7 +542,8 @@ class RationalFunction:
         return RationalFunction(self.num * other.num, den)
 
     def scale(self, c: Scalar) -> "RationalFunction":
-        if not Fraction(c):
+        c = _coeff(c)
+        if not c:
             return RationalFunction.zero(self.n)
         out = RationalFunction.__new__(RationalFunction)
         out.num = self.num.scale(c)
@@ -581,12 +601,12 @@ class RationalFunction:
 # ---------------------------------------------------------------------------
 
 
-def pfaffian(rows, zero=None, one=None):
+def pfaffian(rows, zero=0, one=1):
     """Pfaffian of a skew-symmetric matrix by first-row expansion.
 
     Entries may be any ring elements supporting +, -, *.  `zero`/`one`
-    default to Fraction(0)/Fraction(1) and must be supplied for other
-    rings (e.g. Polynomial matrices).
+    default to the scalars 0/1 and must be supplied for other rings
+    (e.g. Polynomial matrices).
     """
     size = len(rows)
     if size % 2:
@@ -598,10 +618,6 @@ def pfaffian(rows, zero=None, one=None):
         for b in range(size):
             if not rows[a][b] == -rows[b][a]:
                 raise ValueError("matrix is not skew-symmetric")
-    if zero is None:
-        zero = Fraction(0)
-    if one is None:
-        one = Fraction(1)
 
     cache: dict[tuple[int, ...], object] = {}
 

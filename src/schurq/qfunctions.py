@@ -202,11 +202,13 @@ def power_sum(l: int, n: int) -> Polynomial:
     """p_l = sum_i x_i^l."""
     if l < 1:
         raise ValueError("power sum index must be >= 1")
+    if n < 1:
+        raise ValueError("need n >= 1")
     terms = {}
     for i in range(n):
         e = [0] * n
         e[i] = l
-        terms[tuple(e)] = Fraction(1)
+        terms[tuple(e)] = 1
     return Polynomial(n, terms)
 
 
@@ -219,7 +221,7 @@ def power_sum_product(nu, n: int) -> Polynomial:
 
 def char_map(nu: OddCycleType, n: int) -> Polynomial:
     """2^{l(nu)} * p_nu, the image of an odd cycle type."""
-    return power_sum_product(nu.parts, n).scale(Fraction(2) ** nu.length)
+    return power_sum_product(nu.parts, n).scale(2**nu.length)
 
 
 def monomial_symmetric(mu: tuple[int, ...], n: int) -> Polynomial:
@@ -229,7 +231,7 @@ def monomial_symmetric(mu: tuple[int, ...], n: int) -> Polynomial:
     exps = list(mu) + [0] * (n - len(mu))
     terms = {}
     for perm in set(permutations(exps)):
-        terms[perm] = Fraction(1)
+        terms[perm] = 1
     return Polynomial(n, terms)
 
 
@@ -263,8 +265,8 @@ def expand_in_power_sums(p: Polynomial, n: int, maxweight: int) -> dict[OddCycle
         nus = list(odd_cycle_types(d))
         basis = [power_sum_product(nu.parts, n) for nu in nus]
         monomials = sorted({m for b in basis for m in b.terms} | set(component.terms))
-        rows = [[b.terms.get(m, Fraction(0)) for b in basis] for m in monomials]
-        rhs = [component.terms.get(m, Fraction(0)) for m in monomials]
+        rows = [[b.terms.get(m, 0) for b in basis] for m in monomials]
+        rhs = [component.terms.get(m, 0) for m in monomials]
         try:
             coeffs = linalg.solve(rows, rhs)
         except linalg.InconsistentSystem as exc:

@@ -87,7 +87,7 @@ def eigen_check(lam: StrictPartition, op: str, n: int) -> EigenReport:
     if p.is_zero():
         return EigenReport(lam, op, Fraction(0), True, p, p)
     lead_m, lead_c = f.leading_term()
-    c = p.terms.get(lead_m, Fraction(0)) / lead_c
+    c = Fraction(p.terms.get(lead_m, 0), lead_c)
     residual = p - f.scale(c)
     if residual.is_zero():
         return EigenReport(lam, op, c, True, residual, p)
@@ -207,8 +207,8 @@ def _operator_matrix(polys: list[Polynomial], images: list[Polynomial]):
     linalg.solve raise InconsistentSystem rather than being truncated.
     """
     monomials = sorted({m for p in polys + images for m in p.terms})
-    coords = [[p.terms.get(m, Fraction(0)) for p in polys] for m in monomials]
-    rhs = ([img.terms.get(m, Fraction(0)) for m in monomials] for img in images)
+    coords = [[p.terms.get(m, 0) for p in polys] for m in monomials]
+    rhs = ([img.terms.get(m, 0) for m in monomials] for img in images)
     columns = [linalg.solve(coords, b) for b in rhs]
     return [list(row) for row in zip(*columns)]
 

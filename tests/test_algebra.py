@@ -249,6 +249,53 @@ class TestPfaffian:
             assert pfaffian(rows) ** 2 == determinant(rows)
 
 
+def is_canonical(p):
+    """Every stored coefficient is an int, or a Fraction that is not an integer."""
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in p.terms.values()
+    )
+
+
+class TestCanonicalCoefficients:
+    @given(
+        polynomials(3, max_degree=4, max_terms=4),
+        polynomials(3, max_degree=4, max_terms=4),
+        st.fractions(min_value=-4, max_value=4, max_denominator=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_operation_stores_canonical_coefficients(self, a, b, c):
+        results = [a, a + b, a - b, a * b, a.scale(c), a.scale(4), a.euler(1), a.euler(3)]
+        results += [substitute(a, {1: Fraction(1, 2), 3: T_MINUS}), substitute(a, {2: 2})]
+        for f in (Factor("var", 2), Factor("diff", 1, 3), Factor("sum", 2, 3)):
+            results.append(exact_divide(a * f.as_polynomial(3), f))
+        for p in results:
+            assert is_canonical(p), p.terms
+
+    def test_half_then_double_round_trip(self):
+        n = 3
+        p = (x(n, 1) + x(n, 2).scale(3) - Polynomial.constant(n, 1)) * (x(n, 1) - x(n, 3))
+        p = p + schur_q(StrictPartition((2, 1)), n)
+        half = p.scale(Fraction(1, 2))
+        assert any(type(c) is Fraction for c in half.terms.values())
+        back = half.scale(2)
+        assert all(type(c) is int for c in back.terms.values())
+        assert back == p
+        assert hash(back) == hash(p)
+
+    def test_floats_are_refused(self):
+        p = x(2, 1) + x(2, 2)
+        with pytest.raises(TypeError):
+            Polynomial(1, {(1,): 0.1})
+        with pytest.raises(TypeError):
+            Polynomial.constant(2, 1.0)
+        with pytest.raises(TypeError):
+            p.scale(0.5)
+        with pytest.raises(TypeError):
+            RationalFunction(p, {Factor("diff", 1, 2): 1}).scale(2.0)
+        with pytest.raises(TypeError):
+            substitute(p, {1: 0.5})
+
+
 class TestSerialization:
     def test_grevlex_text(self):
         p = Polynomial(2, {(1, 1): 2, (2, 0): 1, (0, 0): Fraction(-1, 2)})

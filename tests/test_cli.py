@@ -1,9 +1,17 @@
+import importlib.util
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from schurq import cli, linalg, spectra
-from schurq.spectra import SweepReport
+from schurq.spectra import SweepReport, SweepSpec, skew_symmetry_sweep
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, argv):
@@ -135,6 +143,12 @@ class TestErrors:
         assert rc == 0
         assert json.loads(out)["7"] == "2/7"
 
+    def test_char_map_needs_a_variable(self, capsys):
+        rc, out, err = run(capsys, ["char-map", "--nu", "3", "--n", "0"])
+        assert rc == 2
+        assert out == ""
+        assert "need n >= 1" in err
+
     def test_internal_error_exits_3(self, capsys, monkeypatch):
         def broken(n, d):
             raise linalg.InconsistentSystem("injected")
@@ -145,3 +159,30 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: ")
         assert "injected" in err
+
+
+class TestModuleEntryPoint:
+    def test_python_m_schurq_matches_main(self, capsys):
+        argv = ["qfun", "--lambda", "2,1", "--n", "2"]
+        rc, expected, _ = run(capsys, argv)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "schurq", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == rc == 0
+        assert proc.stdout == expected
+
+
+class TestRunSweepsScript:
+    def test_wall_time_goes_to_stderr(self, capsys, monkeypatch):
+        path = ROOT / "scripts" / "run_sweeps.py"
+        spec = importlib.util.spec_from_file_location("run_sweeps", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(spectra, "SWEEPS", {"skew": SweepSpec(skew_symmetry_sweep, (2,), 4)})
+        assert script.main() == 0
+        captured = capsys.readouterr()
+        report = skew_symmetry_sweep(2, 4)
+        assert captured.out == f"{report.name}: PASS ({report.checked} checks)\n"
+        assert re.fullmatch(re.escape(report.name) + r": \d+\.\d\d s\n", captured.err)

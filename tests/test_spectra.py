@@ -41,6 +41,17 @@ class TestEigenCheck:
                 assert rep.is_eigen
                 assert rep.eigenvalue == hc_eigenvalue_omega3(lam)
 
+    def test_eigenvalues_are_exact(self):
+        eigen = 0
+        for d in range(6):
+            for lam in strict_partitions(d, max_length=3):
+                for op in spectra.OPERATORS:
+                    rep = eigen_check(lam, op, 3)
+                    if rep.is_eigen:
+                        eigen += 1
+                        assert type(rep.eigenvalue) in (int, Fraction), (lam, op)
+        assert eigen == 92
+
     def test_partition_too_long(self):
         with pytest.raises(ValueError):
             eigen_check(StrictPartition((2, 1)), "omega3", 1)
