@@ -120,6 +120,14 @@ class Polynomial:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
+    def is_symmetric(self) -> bool:
+        """Invariant under every adjacent swap x_i <-> x_(i+1), hence under all permutations."""
+        for i in range(self.n - 1):
+            swapped = {m[:i] + (m[i + 1], m[i]) + m[i + 2 :]: c for m, c in self.terms.items()}
+            if swapped != self.terms:
+                return False
+        return True
+
     def leading_term(self) -> tuple[tuple[int, ...], Scalar]:
         """Grevlex-leading (monomial, coefficient); error on zero."""
         if not self.terms:
@@ -195,41 +203,6 @@ class Polynomial:
             raise IndexError(f"variable index {i} out of range 1..{self.n}")
         terms = {m: c * m[i - 1] for m, c in self.terms.items() if m[i - 1]}
         return Polynomial(self.n, terms)
-
-    # -- evaluation / substitution -----------------------------------
-
-    def eval(self, point: Iterable[Scalar]) -> Fraction:
-        values = [Fraction(v) for v in point]
-        if len(values) != self.n:
-            raise VariableCountMismatch("point length mismatch")
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            prod = c
-            for v, e in zip(values, m):
-                if e:
-                    prod *= v**e
-            total += prod
-        return total
-
-    def permute_variables(self, perm: Iterable[int]) -> "Polynomial":
-        """Apply x_i -> x_{perm[i-1]} (perm is 1-based image list)."""
-        perm = list(perm)
-        terms: dict[tuple[int, ...], Scalar] = {}
-        for m, c in self.terms.items():
-            new = [0] * self.n
-            for pos, e in enumerate(m):
-                new[perm[pos] - 1] += e
-            key = tuple(new)
-            terms[key] = terms.get(key, 0) + c
-        return Polynomial(self.n, terms)
-
-    def is_symmetric(self) -> bool:
-        for i in range(1, self.n):
-            perm = list(range(1, self.n + 1))
-            perm[i - 1], perm[i] = perm[i], perm[i - 1]
-            if self.permute_variables(perm) != self:
-                return False
-        return True
 
     # -- serialization -----------------------------------------------
 

@@ -308,18 +308,12 @@ def delta_inverse(n: int) -> RationalFunction:
     return _pair_product(n, _diff, sum_factor)
 
 
-CONJUGATABLE_OPS = {
-    "omega3-closed": omega3_closed,
-    "euler-cubes": euler_cubes,
-}
-
-
 def conjugated_apply(op: str, f: Value, n: int) -> RationalFunction:
-    """delta^{-1} . op(delta . f), evaluated exactly."""
-    if op not in CONJUGATABLE_OPS:
+    """delta^{-1} . op(delta . f), evaluated exactly; op is "omega3-closed" (Lemma 1.23(i))."""
+    if op != "omega3-closed":
         raise ValueError(f"unknown conjugatable operator {op!r}")
     g = delta(n) * _lift(f)
-    return delta_inverse(n) * CONJUGATABLE_OPS[op](g, n)
+    return delta_inverse(n) * omega3_closed(g, n)
 
 
 def auxiliary_functions(i: int, n: int) -> tuple[RationalFunction, RationalFunction, RationalFunction]:

@@ -18,18 +18,43 @@ from typing import Iterator
 from . import linalg
 from .algebra import (
     Polynomial,
+    Scalar,
     T_MINUS,
     T_PLUS,
+    VariableCountMismatch,
     pfaffian,
     substitute,
 )
 
 
 @dataclass(frozen=True)
-class StrictPartition:
-    """Strictly decreasing positive parts."""
+class _Parts:
+    """A tuple of positive parts; each subclass normalises and checks it in __post_init__."""
 
     parts: tuple[int, ...]
+
+    @classmethod
+    def parse(cls, text: str):
+        text = text.strip()
+        if not text:
+            return cls(())
+        return cls(tuple(int(s) for s in text.split(",")))
+
+    @property
+    def weight(self) -> int:
+        return sum(self.parts)
+
+    @property
+    def length(self) -> int:
+        return len(self.parts)
+
+    def __str__(self) -> str:
+        return ",".join(str(x) for x in self.parts)
+
+
+@dataclass(frozen=True)
+class StrictPartition(_Parts):
+    """Strictly decreasing positive parts."""
 
     def __post_init__(self):
         p = tuple(self.parts)
@@ -39,70 +64,16 @@ class StrictPartition:
         if any(p[i] <= p[i + 1] for i in range(len(p) - 1)):
             raise ValueError(f"parts must strictly decrease: {p}")
 
-    @staticmethod
-    def parse(text: str) -> "StrictPartition":
-        text = text.strip()
-        if not text:
-            return StrictPartition(())
-        return StrictPartition(tuple(int(s) for s in text.split(",")))
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    def __str__(self) -> str:
-        return ",".join(str(x) for x in self.parts)
-
 
 @dataclass(frozen=True)
-class OddCycleType:
+class OddCycleType(_Parts):
     """Weakly decreasing odd positive parts (cycle type with odd cycles)."""
-
-    parts: tuple[int, ...]
 
     def __post_init__(self):
         p = tuple(sorted(self.parts, reverse=True))
         object.__setattr__(self, "parts", p)
         if any(x <= 0 or x % 2 == 0 for x in p):
             raise ValueError(f"parts must be odd and positive: {p}")
-
-    @staticmethod
-    def parse(text: str) -> "OddCycleType":
-        text = text.strip()
-        if not text:
-            return OddCycleType(())
-        return OddCycleType(tuple(int(s) for s in text.split(",")))
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    def __str__(self) -> str:
-        return ",".join(str(x) for x in self.parts)
-
-
-def strict_partitions(weight: int, max_length: int | None = None) -> Iterator[StrictPartition]:
-    """Strict partitions of the given weight, decreasing lexicographic."""
-
-    def rec(remaining: int, cap: int, prefix: tuple[int, ...]):
-        if remaining == 0:
-            yield prefix
-            return
-        if max_length is not None and len(prefix) >= max_length:
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            yield from rec(remaining - part, part - 1, prefix + (part,))
-
-    for parts in rec(weight, weight, ()):
-        yield StrictPartition(parts)
 
 
 def partitions(weight: int, max_length: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -118,6 +89,13 @@ def partitions(weight: int, max_length: int | None = None) -> Iterator[tuple[int
             yield from rec(remaining - part, part, prefix + (part,))
 
     yield from rec(weight, weight, ())
+
+
+def strict_partitions(weight: int, max_length: int | None = None) -> Iterator[StrictPartition]:
+    """Strict partitions of the given weight, decreasing lexicographic."""
+    for parts in partitions(weight, max_length):
+        if all(a > b for a, b in zip(parts, parts[1:])):
+            yield StrictPartition(parts)
 
 
 def odd_cycle_types(weight: int, max_length: int | None = None) -> Iterator[OddCycleType]:
@@ -252,21 +230,20 @@ def expand_in_power_sums(p: Polynomial, n: int, maxweight: int) -> dict[OddCycle
         raise NotSymmetric("input is not symmetric")
     if p.degree() > maxweight:
         raise ValueError("degree exceeds maxweight")
+    if p.n != n:
+        raise VariableCountMismatch(f"{p.n} vs {n} variables")
     result: dict[OddCycleType, Fraction] = {}
-    by_degree: dict[int, Polynomial] = {}
+    by_degree: dict[int, dict[tuple[int, ...], Scalar]] = {}
     for m, c in p.terms.items():
-        d = sum(m)
-        by_degree[d] = by_degree.get(d, Polynomial.zero(n)) + Polynomial.monomial(n, m, c)
+        by_degree.setdefault(sum(m), {})[m] = c
     for d, component in sorted(by_degree.items()):
-        if d == 0:
-            if component.constant_value():
-                raise NotInSpan("nonzero constant term")
-            continue
+        if d == 0:  # stored terms are nonzero, so a degree-0 component is a nonzero constant
+            raise NotInSpan("nonzero constant term")
         nus = list(odd_cycle_types(d))
         basis = [power_sum_product(nu.parts, n) for nu in nus]
-        monomials = sorted({m for b in basis for m in b.terms} | set(component.terms))
+        monomials = sorted({m for b in basis for m in b.terms} | set(component))
         rows = [[b.terms.get(m, 0) for b in basis] for m in monomials]
-        rhs = [component.terms.get(m, 0) for m in monomials]
+        rhs = [component.get(m, 0) for m in monomials]
         try:
             coeffs = linalg.solve(rows, rhs)
         except linalg.InconsistentSystem as exc:

@@ -8,13 +8,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from typing import Callable, Optional
 
 from . import linalg, operators
 from .algebra import (
     Polynomial,
     RationalFunction,
+    Scalar,
+    VariableCountMismatch,
     format_fraction,
     substitute,
 )
@@ -130,8 +132,10 @@ class RnPolynomial:
     def n(self) -> int:
         return self.poly.n
 
-    def eval_at(self, point) -> Fraction:
-        return self.poly.eval(point)
+    def eval_at(self, point) -> Scalar:
+        if len(point) != self.n:
+            raise VariableCountMismatch("point length mismatch")
+        return substitute(self.poly, dict(enumerate(point, 1))).constant_value()
 
 
 def odd_power_sum_rn(r: int, n: int) -> RnPolynomial:
@@ -141,7 +145,7 @@ def odd_power_sum_rn(r: int, n: int) -> RnPolynomial:
     return RnPolynomial(power_sum(r, n))
 
 
-def rn_eigenvalue(r: RnPolynomial, lam: StrictPartition, n: int) -> Fraction:
+def rn_eigenvalue(r: RnPolynomial, lam: StrictPartition, n: int) -> Scalar:
     """r evaluated at lambda padded with zeros to n entries."""
     if lam.length > n:
         raise ValueError("partition longer than the variable count")
@@ -195,10 +199,6 @@ class SweepReport:
         }
 
 
-def _q_basis(d: int, n: int) -> list[StrictPartition]:
-    return [lam for lam in strict_partitions(d, max_length=n)]
-
-
 def _operator_matrix(polys: list[Polynomial], images: list[Polynomial]):
     """Matrix of an operator on span{Q_lambda}, given the images of the basis.
 
@@ -213,7 +213,10 @@ def _operator_matrix(polys: list[Polynomial], images: list[Polynomial]):
     return [list(row) for row in zip(*columns)]
 
 
-def uniqueness_sweep(n: int, maxdeg: int, operators_used=("omega1", "omega3", "omega5", "omega7")) -> SweepReport:
+UNIQUENESS_OPS = ("omega1", "omega3", "omega5", "omega7")
+
+
+def uniqueness_sweep(n: int, maxdeg: int) -> SweepReport:
     """Confirm one-dimensional joint eigenspaces on each degree's Q-span.
 
     Builds exact operator matrices on the Q basis, intersects eigenspace
@@ -222,7 +225,7 @@ def uniqueness_sweep(n: int, maxdeg: int, operators_used=("omega1", "omega3", "o
     """
     report = SweepReport(f"uniqueness(n={n},maxdeg={maxdeg})")
     for d in range(1, maxdeg + 1):
-        basis = _q_basis(d, n)
+        basis = list(strict_partitions(d, max_length=n))
         if not basis:
             continue
         size = len(basis)
@@ -233,7 +236,7 @@ def uniqueness_sweep(n: int, maxdeg: int, operators_used=("omega1", "omega3", "o
         matrices = []
         # joint eigenvalue tuple of each Q_lambda over the operators used so far
         keys: dict[StrictPartition, tuple] = {lam: () for lam in basis}
-        for op in operators_used:
+        for op in UNIQUENESS_OPS:
             reports = [eigen_check(lam, op, n) for lam in basis]
             for lam, rep in zip(basis, reports):
                 if not rep.is_eigen:
@@ -296,12 +299,15 @@ def lemma_121_sweep(n: int, maxdeg: int) -> SweepReport:
     return report
 
 
-def eigenfunction_sweep(n: int, maxweight: int, ops=("omega1", "omega3", "omega5")) -> SweepReport:
+EIGENFUNCTION_OPS = ("omega1", "omega3", "omega5")
+
+
+def eigenfunction_sweep(n: int, maxweight: int) -> SweepReport:
     """Lemma-level eigenfunction sweep with the explicit omega3 spectrum."""
     report = SweepReport(f"eigenfunctions(n={n},maxweight={maxweight})")
     for d in range(1, maxweight + 1):
         for lam in strict_partitions(d, max_length=n):
-            for op in ops:
+            for op in EIGENFUNCTION_OPS:
                 rep = eigen_check(lam, op, n)
                 report.checked += 1
                 if not rep.is_eigen:
@@ -354,20 +360,11 @@ def conjugation_sweep(n: int, maxdeg: int) -> SweepReport:
     plus (sum D_i^3) delta^{-1} = 0."""
     report = SweepReport(f"conjugation(n={n},maxdeg={maxdeg})")
 
-    def monomials(deg_cap):
-        def rec(prefix, remaining):
-            if len(prefix) == n:
-                yield tuple(prefix)
-                return
-            for e in range(remaining + 1):
-                yield from rec(prefix + [e], remaining - e)
-
-        for total in range(deg_cap + 1):
-            for exps in rec([], total):
-                if sum(exps) == total:
-                    yield exps
-
-    for exps in monomials(maxdeg):
+    # by degree, lexicographic within a degree
+    monomials = sorted(
+        (e for e in product(range(maxdeg + 1), repeat=n) if sum(e) <= maxdeg), key=sum
+    )
+    for exps in monomials:
         f = Polynomial.monomial(n, exps)
         lhs = operators.conjugated_apply("omega3-closed", f, n)
         rhs = operators.euler_cubes(f, n)

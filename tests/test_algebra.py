@@ -65,6 +65,23 @@ class TestPolynomialArithmetic:
         assert a + b == b + a
 
 
+
+class TestSymmetry:
+    def test_every_adjacent_swap_is_checked(self):
+        n = 3
+        # x1*x2 + x3 is fixed by x1 <-> x2 but not by x2 <-> x3
+        p = x(n, 1) * x(n, 2) + x(n, 3)
+        assert not p.is_symmetric()
+        e2 = x(n, 1) * x(n, 2) + x(n, 1) * x(n, 3) + x(n, 2) * x(n, 3)
+        assert e2.is_symmetric() and (e2 * e2).is_symmetric()
+
+    def test_symmetric_functions(self):
+        assert Polynomial.zero(3).is_symmetric() and Polynomial.constant(1, 5).is_symmetric()
+        for lam in [(1,), (2, 1), (3, 1)]:
+            assert schur_q(StrictPartition(lam), 4).is_symmetric()
+        assert not x(2, 1).is_symmetric()
+
+
 class TestSubstitute:
     def test_pair_substitution(self):
         p = x(2, 1) * x(2, 2)

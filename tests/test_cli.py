@@ -186,3 +186,20 @@ class TestRunSweepsScript:
         report = skew_symmetry_sweep(2, 4)
         assert captured.out == f"{report.name}: PASS ({report.checked} checks)\n"
         assert re.fullmatch(re.escape(report.name) + r": \d+\.\d\d s\n", captured.err)
+
+
+class TestEigenTableScript:
+    def test_small_table(self):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "eigen_table.py"), "--n", "2", "--max", "4"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert "NOT EIGEN" not in proc.stdout
+        header, _rule, *rows = proc.stdout.splitlines()
+        assert header.split() == ["lambda", "omega1", "omega3", "omega5", "formula3"]
+        assert len(rows) == 6  # strict partitions of 1..4 with at most 2 parts
+        for row in rows:
+            _lam, _omega1, omega3, _omega5, formula3 = row.split()
+            assert omega3 == formula3

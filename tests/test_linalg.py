@@ -75,6 +75,11 @@ class TestDeterminant:
         assert determinant([[1, 2], [2, 4]]) == 0
         assert determinant([]) == 1
 
+    def test_non_square_rejected(self):
+        for rows in ([[1], [2]], [[1, 2]], [[1, 2], [3]]):
+            with pytest.raises(ValueError, match="not square"):
+                determinant(rows)
+
     def test_row_swap_flips_sign(self):
         rng = random.Random(7)
         for _ in range(100):
@@ -91,3 +96,23 @@ class TestDeterminant:
             size = rng.randint(1, 5)
             rows = random_matrix(rng, size, size)
             assert (determinant(rows) == 0) == (rank(rows) < size)
+
+
+class TestInputChecks:
+    def test_floats_refused(self):
+        for call in (
+            lambda: solve([[0.1]], [1]),
+            lambda: solve([[1]], [0.1]),
+            lambda: rank([[0.5, 1]]),
+            lambda: nullspace([[1, 0.5]]),
+            lambda: determinant([[0.25]]),
+        ):
+            with pytest.raises(TypeError):
+                call()
+
+    def test_rhs_length_must_match_rows(self):
+        with pytest.raises(ValueError):
+            solve([[1], [2]], [1])
+        with pytest.raises(ValueError):
+            solve([[1], [2]], [1, 2, 0])
+        assert solve([[1], [2]], [1, 2]) == [1]

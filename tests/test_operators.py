@@ -227,8 +227,9 @@ class TestConjugation:
             assert sum_cubes(delta_inverse(n), n).is_zero()
 
     def test_unknown_operator(self):
-        with pytest.raises(ValueError):
-            conjugated_apply("omega5", Polynomial.zero(2), 2)
+        for op in ("omega5", "euler-cubes"):
+            with pytest.raises(ValueError):
+                conjugated_apply(op, Polynomial.zero(2), 2)
 
 
 class TestAuxiliaryFunctions:

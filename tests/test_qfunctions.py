@@ -45,6 +45,18 @@ class TestStrictPartition:
         counts = [sum(1 for _ in strict_partitions(d)) for d in range(1, 9)]
         assert counts == [1, 1, 2, 2, 3, 4, 5, 6]
 
+    def test_generator_matches_subset_oracle(self):
+        # a strict partition is a set of distinct parts; combinations of a
+        # decreasing range list each set once, with its parts decreasing
+        for d in range(16):
+            oracle = sorted(
+                (c for k in range(d + 1) for c in combinations(range(d, 0, -1), k) if sum(c) == d),
+                reverse=True,
+            )
+            for max_length in (None, *range(d + 2)):
+                got = [lam.parts for lam in strict_partitions(d, max_length)]
+                assert got == [c for c in oracle if max_length is None or len(c) <= max_length]
+
 
 class TestOddCycleType:
     def test_rejects_even_part(self):

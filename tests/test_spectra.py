@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from schurq import linalg, operators, spectra
-from schurq.algebra import Polynomial, RationalFunction
-from schurq.qfunctions import StrictPartition, schur_q, strict_partitions
+from schurq.algebra import Polynomial, RationalFunction, VariableCountMismatch
+from schurq.qfunctions import StrictPartition, power_sum, schur_q, strict_partitions
 from schurq.spectra import (
     Inseparable,
     NotInRn,
@@ -97,6 +97,29 @@ class TestRnPolynomial:
         for parts in [(1,), (3, 2), (4, 2, 1)]:
             assert rn_eigenvalue(one, StrictPartition(parts), 3) == 1
 
+    def test_float_point_refused(self):
+        r = odd_power_sum_rn(1, 2)
+        with pytest.raises(TypeError):
+            r.eval_at([0.5, 0.1])
+        with pytest.raises(VariableCountMismatch):
+            r.eval_at([1])
+        assert r.eval_at([Fraction(1, 2), 3]) == Fraction(7, 2)
+
+    def test_omega5_spectrum(self):
+        # ev(Omega_5, Q_lambda) = p5 - 2 p1 p3 + (2/3) p1^3 + (1/3) p3, with p_r = sum lambda_i^r
+        checked = 0
+        for n, maxweight in ((2, 8), (3, 8), (4, 6)):
+            p1, p3, p5 = (power_sum(r, n) for r in (1, 3, 5))
+            r = RnPolynomial(
+                p5 - (p1 * p3).scale(2) + (p1 * p1 * p1).scale(Fraction(2, 3)) + p3.scale(Fraction(1, 3))
+            )
+            for d in range(1, maxweight + 1):
+                for lam in strict_partitions(d, max_length=n):
+                    rep = eigen_check(lam, "omega5", n)
+                    assert rep.is_eigen and rn_eigenvalue(r, lam, n) == rep.eigenvalue, (n, lam)
+                    checked += 1
+        assert checked == 57
+
     def test_cubes_minus_square_matches_omega3(self):
         # sum t^3 - (sum t)^2 is in the algebra and evaluates like omega3
         n = 2
@@ -148,6 +171,10 @@ class TestSweeps:
     def test_uniqueness_n2_d3(self):
         report = uniqueness_sweep(2, 3)
         assert report.passed and report.checked >= 3
+
+    def test_conjugation_counts_every_monomial(self):
+        # the 20 monomials of degree <= 3 in 3 variables, plus the delta^-1 check
+        assert spectra.conjugation_sweep(3, 3).checked == 21
 
     def test_lemma121_small(self):
         report = lemma_121_sweep(2, 4)
