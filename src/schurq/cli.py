@@ -102,6 +102,10 @@ SUITES = {name: spec.sweep for name, spec in spectra.SWEEPS.items()}
 
 
 def cmd_verify(args) -> int:
+    if args.max is None:
+        args.max = 6
+    elif spectra.SWEEPS[args.suite].desk_max is None:
+        raise ValueError(f"suite {args.suite} takes no --max")
     _guard(args, n=args.n, deg=args.max)
     report = SUITES[args.suite](args.n, args.max)
     if args.format == "json":
@@ -186,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run an identity sweep")
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max", type=int, default=6)
+    p.add_argument("--max", type=int, help="default 6; aux35 takes none")
     common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -8,7 +8,7 @@ denominators, so each step reduces exactly.
 
 from __future__ import annotations
 
-from itertools import count, islice
+from itertools import chain, count, islice
 from typing import Iterator, Sequence, Union
 
 from .algebra import (
@@ -72,12 +72,6 @@ def coeff_plus(n: int, i: int, j: int) -> RationalFunction:
 # ---------------------------------------------------------------------------
 
 
-def family_start(f: Value, n: int) -> list[RationalFunction]:
-    """Level 1: entry i is the Euler derivative of f."""
-    g = _lift(f)
-    return [g.euler(i) for i in range(1, n + 1)]
-
-
 def family_step(prev: Sequence[RationalFunction], level: int) -> list[RationalFunction]:
     """Advance the vector (D_i^{(k-1)} f) to level k = level.
 
@@ -105,35 +99,20 @@ def family_step(prev: Sequence[RationalFunction], level: int) -> list[RationalFu
 
 
 def family_levels(f: Value, n: int) -> Iterator[list[RationalFunction]]:
-    """Yield (D_i^{(k)} f)_i for k = 1, 2, ..., one family_step per level asked for."""
-    values = family_start(f, n)
+    """Yield (D_i^{(k)} f)_i for k = 1, 2, ...: D_i f, then one family_step per level."""
+    g = _lift(f)
+    values = [g.euler(i) for i in range(1, n + 1)]
     for level in count(2):
         yield values
         values = family_step(values, level)
-
-
-def _level(levels: Iterator, k: int):
-    """Item k (counting from 1) of a level iterator; k < 1 gives level 1."""
-    return next(islice(levels, max(k, 1) - 1, None))
-
-
-def derivative_family(f: Value, k: int, n: int) -> list[RationalFunction]:
-    return _level(family_levels(f, n), k)
-
-
-def omega_sum(values: Sequence[RationalFunction]) -> RationalFunction:
-    """sum_i values_i: Omega_k f from level k of the plain family."""
-    total = RationalFunction.zero(len(values))
-    for v in values:
-        total = total + v
-    return total
 
 
 def omega(f: Value, k: int, n: int) -> RationalFunction:
     """Omega_k f = sum_i D_i^{(k)} f, for odd k."""
     if k < 1 or k % 2 == 0:
         raise ValueError("omega is defined for odd k >= 1")
-    return omega_sum(derivative_family(f, k, n))
+    values = next(islice(family_levels(f, n), k - 1, None))
+    return sum(values, RationalFunction.zero(n))
 
 
 def _euler_square_sum(f: Value, n: int) -> RationalFunction:
@@ -207,12 +186,6 @@ def omega3_closed(f: Value, n: int) -> RationalFunction:
 # ---------------------------------------------------------------------------
 
 
-def tilde_family_start(f: Value, n: int) -> Pair:
-    g = _lift(f)
-    plain = [g.euler(i) for i in range(1, n + 1)]
-    return plain, list(plain)
-
-
 def tilde_family_step(
     plain: Sequence[RationalFunction], barred: Sequence[RationalFunction]
 ) -> Pair:
@@ -250,31 +223,21 @@ def tilde_family_step(
 
 
 def tilde_levels(f: Value, n: int) -> Iterator[Pair]:
-    """Yield (plain, barred) for k = 1, 2, ..., one tilde_family_step per level asked for."""
-    pair = tilde_family_start(f, n)
+    """Yield (plain, barred) for k = 1, 2, ...: (D_i f, D_i f), then one step per level."""
+    g = _lift(f)
+    plain = [g.euler(i) for i in range(1, n + 1)]
+    pair = plain, list(plain)
     while True:
         yield pair
         pair = tilde_family_step(*pair)
-
-
-def tilde_family(f: Value, k: int, n: int) -> Pair:
-    return _level(tilde_levels(f, n), k)
-
-
-def tilde_omega_sum(pair: Pair) -> RationalFunction:
-    """sum_i (plain_i + barred_i): tilde Omega_k f from level k of the tilde family."""
-    plain, barred = pair
-    total = RationalFunction.zero(len(plain))
-    for p, b in zip(plain, barred):
-        total = total + p + b
-    return total
 
 
 def tilde_omega(f: Value, k: int, n: int) -> RationalFunction:
     """tilde Omega_k f = sum_i (plain_i + barred_i) at level k."""
     if k < 1:
         raise ValueError("tilde omega requires k >= 1")
-    return tilde_omega_sum(tilde_family(f, k, n))
+    plain, barred = next(islice(tilde_levels(f, n), k - 1, None))
+    return sum(chain.from_iterable(zip(plain, barred)), RationalFunction.zero(n))
 
 
 # ---------------------------------------------------------------------------

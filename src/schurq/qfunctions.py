@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Iterator
 
 from . import linalg
@@ -126,25 +126,17 @@ def q_series(n: int, maxdeg: int) -> tuple[Polynomial, ...]:
     return tuple(coeffs)
 
 
-def q_poly(k: int, n: int) -> Polynomial:
-    return q_series(n, k)[k]
-
-
 @lru_cache(maxsize=None)
 def q_two(k: int, l: int, n: int) -> Polynomial:
     """Q_{k,l} = q_k q_l + 2 sum_p (-1)^p q_{k+p} q_{l-p}; Q_{k,0} = q_k.
 
-    The alternating sign is what makes Q_{k,l} = -Q_{l,k} for k+l > 0.
-    Q_{0,0} is 0, the value the skew Pfaffian matrices need.
+    The alternating sign is what makes Q_{k,l} = -Q_{l,k} for k+l > 0;
+    Q_{0,l} = -q_l follows from Q(t)Q(-t) = 1.  Q_{0,0} is 0.
     """
     if k < 0 or l < 0:
         raise ValueError("indices must be non-negative")
     if k == 0 and l == 0:
         return Polynomial.zero(n)
-    if l == 0:
-        return q_poly(k, n)
-    if k == 0:
-        return -q_poly(l, n)
     qs = q_series(n, k + l)
     total = qs[k] * qs[l]
     for p in range(1, l + 1):
@@ -158,17 +150,16 @@ def schur_q(lam: StrictPartition, n: int) -> Polynomial:
     """Q_lambda via the Pfaffian of the matrix (Q_{lambda_i lambda_j}).
 
     Odd length is handled by bordering with a zero part, which turns the
-    last column into (q_{lambda_i}) and keeps the matrix skew.
+    last column into (q_{lambda_i}) and keeps the matrix skew.  Each entry
+    is built once: q_two above the diagonal, its negation below, zero on it.
     """
-    parts = list(lam.parts)
-    if not parts:
-        return Polynomial.constant(n, 1)
-    if len(parts) == 1:
-        return q_poly(parts[0], n)
-    if len(parts) % 2:
-        parts.append(0)
-    rows = [[q_two(a, b, n) for b in parts] for a in parts]
-    return pfaffian(rows, zero=Polynomial.zero(n), one=Polynomial.constant(n, 1))
+    parts = lam.parts + (0,) * (lam.length % 2)
+    zero = Polynomial.zero(n)
+    rows = [[zero] * len(parts) for _ in parts]
+    for a, b in combinations(range(len(parts)), 2):
+        rows[a][b] = q_two(parts[a], parts[b], n)
+        rows[b][a] = -rows[a][b]
+    return pfaffian(rows, zero=zero, one=Polynomial.constant(n, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, product
+from itertools import chain, islice, product
 from typing import Callable, Optional
 
 from . import linalg, operators
@@ -86,8 +86,6 @@ def eigen_check(lam: StrictPartition, op: str, n: int) -> EigenReport:
     if not image.is_polynomial():
         raise DenominatorLeft(f"{op} Q_{lam} left denominator {image.den}")
     p = image.as_polynomial()
-    if p.is_zero():
-        return EigenReport(lam, op, Fraction(0), True, p, p)
     lead_m, lead_c = f.leading_term()
     c = Fraction(p.terms.get(lead_m, 0), lead_c)
     residual = p - f.scale(c)
@@ -285,10 +283,11 @@ def lemma_121_sweep(n: int, maxdeg: int) -> SweepReport:
         for mu in mus:
             f = Polynomial.constant(n, 1) if not mu else monomial_symmetric(mu, n)
             # one pass of each family, summing only the levels the relations use
+            zero = RationalFunction.zero(n)
             plain = islice(operators.family_levels(f, n), top_omega)
-            images = {k: operators.omega_sum(v) for k, v in enumerate(plain, 1) if k % 2}
+            images = {k: sum(v, zero) for k, v in enumerate(plain, 1) if k % 2}
             tilde = islice(operators.tilde_levels(f, n), top_tilde)
-            tildes = {k: operators.tilde_omega_sum(pair) for k, pair in enumerate(tilde, 1)}
+            tildes = {k: sum(chain.from_iterable(zip(*p)), zero) for k, p in enumerate(tilde, 1)}
             for name, tk, combo in relations:
                 rhs = RationalFunction.zero(n)
                 for k, coef in combo.items():
@@ -422,9 +421,9 @@ def separation_sweep(n: int, maxweight: int) -> SweepReport:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    sweep: Callable[[int, int], SweepReport]  # (n, max) -> report
+    sweep: Callable[[int, Optional[int]], SweepReport]  # (n, max) -> report
     desk_n: tuple[int, ...]  # the desk-scale run: one sweep per n, at desk_max
-    desk_max: int
+    desk_max: int | None  # None: the sweep has no size bound
 
 
 SWEEPS: dict[str, SweepSpec] = {
@@ -435,6 +434,6 @@ SWEEPS: dict[str, SweepSpec] = {
     "lemma123i": SweepSpec(conjugation_sweep, (2, 3), 5),
     "lemma123ii": SweepSpec(eigenfunction_sweep, (2, 3), 8),
     "lemma123iii": SweepSpec(uniqueness_sweep, (2, 3), 8),
-    "aux35": SweepSpec(lambda n, _max: auxiliary_sweep(n), (2, 3, 4), 0),
+    "aux35": SweepSpec(lambda n, _max: auxiliary_sweep(n), (2, 3, 4), None),
     "separation": SweepSpec(separation_sweep, (2, 3), 8),
 }

@@ -101,6 +101,39 @@ class TestVerify:
         assert rc == 0
         assert out.startswith("separation(n=3,maxweight=5): PASS")
 
+    def test_aux35_rejects_max(self, capsys):
+        rc, out, err = run(capsys, ["verify", "--suite", "aux35", "--n", "3", "--max", "9"])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and "--max" in err
+
+    def test_aux35_without_max_unchanged(self, capsys):
+        rc, out, _ = run(capsys, ["verify", "--suite", "aux35", "--n", "3", "--format", "text"])
+        assert (rc, out) == (0, "aux35(n=3): PASS (3 checks)\n")
+        rc, out, _ = run(capsys, ["verify", "--suite", "aux35", "--n", "3"])
+        obj = {"checked": 3, "failures": [], "passed": True, "suite": "aux35(n=3)"}
+        assert (rc, out) == (0, json.dumps(obj, sort_keys=True) + "\n")
+
+    def test_default_max_is_6(self, capsys, monkeypatch):
+        seen = {}
+
+        def record(n, d):
+            seen[n] = d
+            return SweepReport("recorded")
+
+        for name in spectra.SWEEPS:
+            if name == "aux35":
+                continue
+            seen.clear()
+            monkeypatch.setitem(cli.SUITES, name, record)
+            rc, _, _ = run(capsys, ["verify", "--suite", name, "--n", "2"])
+            assert (rc, seen) == (0, {2: 6}), name
+
+    def test_readme_lists_every_suite(self):
+        readme = (ROOT / "README.md").read_text()
+        listing = re.search(r"Verification suites: (.*?)\.", readme, re.S).group(1)
+        assert re.findall(r"`([^`]+)`", listing) == list(spectra.SWEEPS)
+
     def test_every_registered_sweep_is_a_suite(self):
         parser = cli.build_parser()
         for name in spectra.SWEEPS:
@@ -203,3 +236,13 @@ class TestEigenTableScript:
         for row in rows:
             _lam, _omega1, omega3, _omega5, formula3 = row.split()
             assert omega3 == formula3
+
+
+class TestBenchmarkSelfcheck:
+    def test_selfcheck_passes(self):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "selfcheck.py")],
+            cwd=ROOT, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+        assert proc.stdout.splitlines()[-1] == "0 failed checks"

@@ -11,17 +11,13 @@ from schurq.operators import (
     conjugated_apply,
     delta,
     delta_inverse,
-    derivative_family,
     euler_cubes,
     euler_derivative,
     family_levels,
-    family_start,
     family_step,
     omega,
     omega3_closed,
     sum_cubes,
-    tilde_family,
-    tilde_family_start,
     tilde_family_step,
     tilde_levels,
     tilde_omega,
@@ -55,24 +51,22 @@ class TestDerivativeFamily:
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     def test_n1_levels(self, m):
         f = Polynomial.monomial(1, (m,))
-        fam1 = derivative_family(f, 1, 1)
-        fam2 = derivative_family(f, 2, 1)
-        fam3 = derivative_family(f, 3, 1)
+        fam1, fam2, fam3 = islice(family_levels(f, 1), 3)
         assert fam1[0] == RationalFunction.from_polynomial(f.scale(m))
         assert fam2[0] == RationalFunction.from_polynomial(f.scale(m * (m - 1)))
         assert fam3[0] == RationalFunction.from_polynomial(f.scale(m * m * (m - 1)))
 
     def test_constant_input_all_zero(self):
         f = Polynomial.constant(3, 4)
-        for k in (1, 2, 3, 4):
-            assert all(v.is_zero() for v in derivative_family(f, k, 3))
+        for level in islice(family_levels(f, 3), 4):
+            assert all(v.is_zero() for v in level)
 
 
 class TestLevelIterators:
     def test_family_levels_follow_the_recursion(self):
         n = 3
         f = schur_q(StrictPartition((3, 1)), n)
-        values = family_start(f, n)
+        values = [euler_derivative(f, i) for i in range(1, n + 1)]
         for level, got in enumerate(islice(family_levels(f, n), 5), 1):
             if level > 1:
                 values = family_step(values, level)
@@ -81,7 +75,8 @@ class TestLevelIterators:
     def test_tilde_levels_follow_the_recursion(self):
         n = 3
         f = schur_q(StrictPartition((3, 1)), n)
-        pair = tilde_family_start(f, n)
+        level1 = [euler_derivative(f, i) for i in range(1, n + 1)]
+        pair = level1, level1
         for level, got in enumerate(islice(tilde_levels(f, n), 4), 1):
             if level > 1:
                 pair = tilde_family_step(*pair)
@@ -142,7 +137,7 @@ class TestOmega3Closed:
 class TestTildeFamily:
     def test_level_one(self):
         f = schur_q(StrictPartition((2,)), 2)
-        plain, barred = tilde_family(f, 1, 2)
+        plain, barred = next(tilde_levels(f, 2))
         for i in (1, 2):
             assert plain[i - 1] == euler_derivative(f, i)
             assert barred[i - 1] == euler_derivative(f, i)
@@ -166,9 +161,10 @@ class TestTildeFamily:
         # with S = plain + barred, M = plain - barred.
         n = 2
         f = schur_q(StrictPartition((2,)), n)
-        prev_plain, prev_barred = tilde_family(f, 1, n)
+        levels = list(islice(tilde_levels(f, n), 4))
+        prev_plain, prev_barred = levels[0]
         for k in range(2, 5):
-            plain, barred = tilde_family(f, k, n)
+            plain, barred = levels[k - 1]
             s_prev = [a + b for a, b in zip(prev_plain, prev_barred)]
             m_prev = [a - b for a, b in zip(prev_plain, prev_barred)]
             s_new = [a + b for a, b in zip(plain, barred)]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from schurq import linalg, operators, spectra
+from schurq import linalg, operators, qfunctions, spectra
 from schurq.algebra import Polynomial, RationalFunction, VariableCountMismatch
 from schurq.qfunctions import StrictPartition, power_sum, schur_q, strict_partitions
 from schurq.spectra import (
@@ -120,6 +120,27 @@ class TestRnPolynomial:
                     checked += 1
         assert checked == 57
 
+    def test_omega7_spectrum(self):
+        # ev(Omega_7, Q_lambda) = p7 - 2 p5 p1 - p3^2 + 2 p3 p1^2 - (1/3) p1^4 + p5 - (2/3) p3 p1
+        checked = 0
+        for n, maxweight in ((2, 8), (3, 8), (4, 6)):
+            p1, p3, p5, p7 = (power_sum(r, n) for r in (1, 3, 5, 7))
+            r = RnPolynomial(
+                p7
+                - (p5 * p1).scale(2)
+                - p3 * p3
+                + (p3 * p1 * p1).scale(2)
+                - (p1 * p1 * p1 * p1).scale(Fraction(1, 3))
+                + p5
+                - (p3 * p1).scale(Fraction(2, 3))
+            )
+            for d in range(1, maxweight + 1):
+                for lam in strict_partitions(d, max_length=n):
+                    rep = eigen_check(lam, "omega7", n)
+                    assert rep.is_eigen and rn_eigenvalue(r, lam, n) == rep.eigenvalue, (n, lam)
+                    checked += 1
+        assert checked == 57
+
     def test_cubes_minus_square_matches_omega3(self):
         # sum t^3 - (sum t)^2 is in the algebra and evaluates like omega3
         n = 2
@@ -211,6 +232,19 @@ class TestComputedOnce:
         assert report.checked == 4 * inputs
         assert calls["family_step"] == 2 * inputs  # levels 2 and 3
         assert calls["tilde_family_step"] == 3 * inputs  # levels 2, 3 and 4
+
+    @pytest.mark.parametrize(
+        "parts, entries",
+        [((), 0), ((3,), 1), ((4, 2), 1), ((4, 2, 1), 6), ((5, 3, 2, 1), 6)],
+        ids=["empty", "3", "4,2", "4,2,1", "5,3,2,1"],
+    )
+    def test_schur_q_builds_each_entry_once(self, monkeypatch, parts, entries):
+        # s(s-1)/2 entries, s = the length rounded up to even: only the strict upper triangle
+        qfunctions.schur_q.cache_clear()
+        qfunctions.q_two.cache_clear()
+        calls = count_calls(monkeypatch, qfunctions, ["q_two"])
+        qfunctions.schur_q(StrictPartition(parts), 4)
+        assert calls["q_two"] == entries
 
 
 class TestSpanGuard:
