@@ -1,8 +1,8 @@
 """Exact arithmetic substrate.
 
 Sparse multivariate polynomials over arbitrary-precision rationals,
-rational functions whose denominators stay factored over the family
-{x_i, x_i - x_j, x_i + x_j}, and a generic Pfaffian.
+rational functions whose denominators stay factored over the binomials
+x_i - x_j and x_i + x_j, and a generic Pfaffian.
 
 Variable indices are 1-based throughout the public API.
 """
@@ -308,49 +308,29 @@ def substitute(p: Polynomial, assignment: Mapping[int, object]) -> Polynomial:
 
 @dataclass(frozen=True, order=True)
 class Factor:
-    """Denominator atom: x_i ('var'), x_i - x_j ('diff') or x_i + x_j ('sum').
+    """Denominator atom: x_i - x_j ('diff') or x_i + x_j ('sum'), stored with i < j.
 
-    For diff/sum the indices are stored with i < j; a swapped difference
-    is recorded by the caller negating the overall sign.
+    A swapped difference is recorded by the caller negating the overall sign.
     """
 
     kind: str
     i: int
-    j: int = 0
+    j: int
 
     def __post_init__(self):
-        if self.kind not in ("var", "diff", "sum"):
+        if self.kind not in ("diff", "sum"):
             raise ValueError(f"bad factor kind {self.kind!r}")
-        if self.kind != "var" and not self.i < self.j:
-            raise ValueError("diff/sum factors require i < j")
+        if not self.i < self.j:
+            raise ValueError("factors require i < j")
 
     def as_polynomial(self, n: int) -> Polynomial:
-        if self.kind == "var":
-            return Polynomial.variable(n, self.i)
         xi = Polynomial.variable(n, self.i)
         xj = Polynomial.variable(n, self.j)
         return xi - xj if self.kind == "diff" else xi + xj
 
     def __str__(self) -> str:
-        if self.kind == "var":
-            return f"x{self.i}"
         op = "-" if self.kind == "diff" else "+"
         return f"(x{self.i}{op}x{self.j})"
-
-
-def var_factor(i: int) -> Factor:
-    return Factor("var", i)
-
-
-def diff_factor(i: int, j: int) -> tuple[Factor, int]:
-    """Factor for x_i - x_j plus the sign making it canonical (i < j)."""
-    if i < j:
-        return Factor("diff", i, j), 1
-    return Factor("diff", j, i), -1
-
-
-def sum_factor(i: int, j: int) -> Factor:
-    return Factor("sum", min(i, j), max(i, j))
 
 
 class NotDivisible(Exception):
@@ -361,16 +341,6 @@ def exact_divide(p: Polynomial, f: Factor) -> Polynomial:
     """Divide p by the factor polynomial exactly, or raise NotDivisible."""
     if p.is_zero():
         return p
-    if f.kind == "var":
-        k = f.i - 1
-        terms = {}
-        for m, c in p.terms.items():
-            if m[k] == 0:
-                raise NotDivisible(str(f))
-            new = list(m)
-            new[k] -= 1
-            terms[tuple(new)] = c
-        return Polynomial(p.n, terms)
     # binomial x_i -+ x_j: p splits into binary forms sum_a c_a x_i^a x_j^(e-a),
     # one per exponent vector outside {i, j} and degree e = e_i + e_j.  Each
     # form is divided on its own by synthetic division, d_(a-1) = c_a +- d_a,
@@ -398,13 +368,6 @@ def exact_divide(p: Polynomial, f: Factor) -> Polynomial:
     return Polynomial(p.n, quo)
 
 
-def divides(p: Polynomial, f: Factor) -> Optional[Polynomial]:
-    try:
-        return exact_divide(p, f)
-    except NotDivisible:
-        return None
-
-
 class RationalFunction:
     """Polynomial numerator over a multiset of Factor denominators.
 
@@ -429,12 +392,12 @@ class RationalFunction:
             self.den = {}
             return
         for f, m in list(self.den.items()):
-            while m:
-                q = divides(self.num, f)
-                if q is None:
-                    break
-                self.num = q
-                m -= 1
+            try:
+                while m:
+                    self.num = exact_divide(self.num, f)
+                    m -= 1
+            except NotDivisible:
+                pass
             if m:
                 self.den[f] = m
             else:
@@ -528,7 +491,9 @@ class RationalFunction:
             other = RationalFunction.from_polynomial(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return (self - other).is_zero()
+        # both sides are reduced, and a reduced (num, den) is unique
+        self._check(other)
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
         return hash((self.num, frozenset(self.den.items())))
@@ -539,14 +504,15 @@ class RationalFunction:
         """x_i * d/dx_i, by the quotient rule over the factored denominator.
 
         With D = x_i d/dx_i, D(N / prod f^m) = (D N - N * sum m D(f)/f) / prod f^m.
-        D(x_i)/x_i = 1, and each binomial f through x_i contributes D(f)/f,
-        so its power in the result's denominator grows by one.
+        Each binomial f through x_i contributes D(f)/f = +-x_i/f, so its power
+        in the result's denominator grows by one; the other factors are constant
+        under D.
         """
-        num = self.num.euler(i) - self.num.scale(self.den.get(var_factor(i), 0))
+        num = self.num.euler(i)
         grown = Polynomial.constant(self.n, 1)  # product of the binomials raised so far
         den = dict(self.den)
         for f, m in self.den.items():
-            if f.kind != "var" and i in (f.i, f.j):
+            if i in (f.i, f.j):
                 fp = f.as_polynomial(self.n)
                 num = num * fp - self.num.scale(m) * fp.euler(i) * grown
                 grown = grown * fp

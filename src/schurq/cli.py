@@ -102,6 +102,10 @@ SUITES = {name: spec.sweep for name, spec in spectra.SWEEPS.items()}
 
 
 def cmd_verify(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
+    if args.max is not None and args.max < 0:
+        raise ValueError(f"--max must be at least 0, got {args.max}")
     if args.max is None:
         args.max = 6
     elif spectra.SWEEPS[args.suite].desk_max is None:

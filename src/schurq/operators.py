@@ -8,15 +8,10 @@ denominators, so each step reduces exactly.
 
 from __future__ import annotations
 
-from itertools import chain, count, islice
+from itertools import chain, combinations, count, islice
 from typing import Iterator, Sequence, Union
 
-from .algebra import (
-    Polynomial,
-    RationalFunction,
-    diff_factor,
-    sum_factor,
-)
+from .algebra import Factor, Polynomial, RationalFunction
 
 Value = Union[Polynomial, RationalFunction]
 Pair = tuple[list[RationalFunction], list[RationalFunction]]  # (plain, barred) of the tilde family
@@ -33,38 +28,43 @@ def euler_derivative(f: Value, i: int) -> RationalFunction:
     return _lift(f).euler(i)
 
 
-def _x(n: int, i: int) -> Polynomial:
-    return Polynomial.variable(n, i)
+def _fraction(n: int, c, xs, diffs=(), sums=()) -> RationalFunction:
+    """c * prod_{i in xs} x_i / (prod_diffs (x_i - x_j) * prod_sums (x_i + x_j)).
 
-
-def _pair_fraction(numerator: Polynomial, i: int, j: int) -> RationalFunction:
-    """numerator / (x_i^2 - x_j^2), denominator kept factored."""
-    d, sign = diff_factor(i, j)
-    s = sum_factor(i, j)
-    num = numerator if sign > 0 else -numerator
-    return RationalFunction(num, {d: 1, s: 1})
+    Each pair (i, j) is stored as i < j; every swapped difference negates c once.
+    """
+    exps = [0] * n
+    for i in xs:
+        exps[i - 1] += 1
+    den: dict[Factor, int] = {}
+    for kind, pairs in (("diff", diffs), ("sum", sums)):
+        for i, j in pairs:
+            if i > j:
+                i, j = j, i
+                c = -c if kind == "diff" else c
+            f = Factor(kind, i, j)
+            den[f] = den.get(f, 0) + 1
+    return RationalFunction(Polynomial.monomial(n, exps, c), den)
 
 
 def coeff_c(n: int, i: int, j: int) -> RationalFunction:
     """2 x_i x_j / (x_i^2 - x_j^2)."""
-    return _pair_fraction((_x(n, i) * _x(n, j)).scale(2), i, j)
+    return _fraction(n, 2, (i, j), [(i, j)], [(i, j)])
 
 
 def coeff_d(n: int, i: int, j: int) -> RationalFunction:
     """2 x_i^2 / (x_i^2 - x_j^2)."""
-    return _pair_fraction((_x(n, i) * _x(n, i)).scale(2), i, j)
+    return _fraction(n, 2, (i, i), [(i, j)], [(i, j)])
 
 
 def coeff_minus(n: int, i: int, j: int) -> RationalFunction:
     """x_i / (x_i - x_j)."""
-    d, sign = diff_factor(i, j)
-    num = _x(n, i) if sign > 0 else -_x(n, i)
-    return RationalFunction(num, {d: 1})
+    return _fraction(n, 1, (i,), diffs=[(i, j)])
 
 
 def coeff_plus(n: int, i: int, j: int) -> RationalFunction:
     """x_i / (x_i + x_j)."""
-    return RationalFunction(_x(n, i), {sum_factor(i, j): 1})
+    return _fraction(n, 1, (i,), sums=[(i, j)])
 
 
 # ---------------------------------------------------------------------------
@@ -159,25 +159,16 @@ def omega3_closed(f: Value, n: int) -> RationalFunction:
     total = RationalFunction.zero(n)
     for i in range(1, n + 1):
         total = total + eul3[i - 1]
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            cij = _pair_fraction(_x(n, i) * _x(n, j), i, j)
-            total = total + cij.scale(6) * (eul2[i - 1] - eul2[j - 1])
-            pij = RationalFunction(_x(n, i) * _x(n, j), {sum_factor(i, j): 2})
-            total = total - pij.scale(6) * (eul[i - 1] + eul[j - 1])
+    for i, j in combinations(range(1, n + 1), 2):
+        cij = _fraction(n, 6, (i, j), [(i, j)], [(i, j)])
+        total = total + cij * (eul2[i - 1] - eul2[j - 1])
+        pij = _fraction(n, 6, (i, j), sums=[(i, j), (i, j)])
+        total = total - pij * (eul[i - 1] + eul[j - 1])
     for i in range(1, n + 1):
         others = [j for j in range(1, n + 1) if j != i]
-        for a_idx in range(len(others)):
-            for b_idx in range(a_idx + 1, len(others)):
-                a, b = others[a_idx], others[b_idx]
-                num = _x(n, i) * _x(n, i) * _x(n, a) * _x(n, b)
-                da, sa = diff_factor(i, a)
-                db, sb = diff_factor(i, b)
-                den = {da: 1, sum_factor(i, a): 1, sum_factor(i, b): 1}
-                den[db] = den.get(db, 0) + 1
-                if sa * sb < 0:
-                    num = -num
-                total = total + RationalFunction(num, den).scale(24) * eul[i - 1]
+        for a, b in combinations(others, 2):
+            term = _fraction(n, 24, (i, i, a, b), [(i, a), (i, b)], [(i, a), (i, b)])
+            total = total + term * eul[i - 1]
     return total - _euler_square_sum(f, n)
 
 
@@ -245,30 +236,24 @@ def tilde_omega(f: Value, k: int, n: int) -> RationalFunction:
 # ---------------------------------------------------------------------------
 
 
-def _pair_product(n: int, upper, lower) -> RationalFunction:
-    """prod_{i<j} upper(i, j) / lower(i, j), for factor builders upper, lower."""
+def _pair_product(n: int, upper: str, lower: str) -> RationalFunction:
+    """prod_{i<j} upper(i, j) / lower(i, j), for factor kinds upper, lower."""
     num = Polynomial.constant(n, 1)
-    den: dict = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            num = num * upper(i, j).as_polynomial(n)
-            d = lower(i, j)
-            den[d] = den.get(d, 0) + 1
+    den: dict[Factor, int] = {}
+    for i, j in combinations(range(1, n + 1), 2):
+        num = num * Factor(upper, i, j).as_polynomial(n)
+        den[Factor(lower, i, j)] = 1
     return RationalFunction(num, den)
-
-
-def _diff(i: int, j: int):
-    return diff_factor(i, j)[0]
 
 
 def delta(n: int) -> RationalFunction:
     """prod_{i<j} (x_i + x_j)/(x_i - x_j)."""
-    return _pair_product(n, sum_factor, _diff)
+    return _pair_product(n, "sum", "diff")
 
 
 def delta_inverse(n: int) -> RationalFunction:
     """prod_{i<j} (x_i - x_j)/(x_i + x_j)."""
-    return _pair_product(n, _diff, sum_factor)
+    return _pair_product(n, "diff", "sum")
 
 
 def conjugated_apply(op: str, f: Value, n: int) -> RationalFunction:
@@ -288,20 +273,13 @@ def auxiliary_functions(i: int, n: int) -> tuple[RationalFunction, RationalFunct
     """
     if not 1 <= i <= n:
         raise IndexError(f"index {i} out of range 1..{n}")
+    others = [j for j in range(1, n + 1) if j != i]
     phi = RationalFunction.zero(n)
     psi = RationalFunction.zero(n)
-    for j in range(1, n + 1):
-        if j == i:
-            continue
-        phi = phi + _pair_fraction(_x(n, i) * _x(n, j), i, j)
-        psi = psi + RationalFunction(_x(n, i) * _x(n, j), {sum_factor(i, j): 2})
+    for j in others:
+        phi = phi + _fraction(n, 1, (i, j), [(i, j)], [(i, j)])
+        psi = psi + _fraction(n, 1, (i, j), sums=[(i, j), (i, j)])
     theta = RationalFunction.zero(n)
-    others = [j for j in range(1, n + 1) if j != i]
-    for a_idx in range(len(others)):
-        for b_idx in range(a_idx + 1, len(others)):
-            a, b = others[a_idx], others[b_idx]
-            term = _pair_fraction(_x(n, i) * _x(n, a), i, a) * _pair_fraction(
-                _x(n, i) * _x(n, b), i, b
-            )
-            theta = theta + term
+    for a, b in combinations(others, 2):
+        theta = theta + _fraction(n, 1, (i, i, a, b), [(i, a), (i, b)], [(i, a), (i, b)])
     return phi, psi, theta

@@ -228,8 +228,6 @@ def expand_in_power_sums(p: Polynomial, n: int, maxweight: int) -> dict[OddCycle
     for m, c in p.terms.items():
         by_degree.setdefault(sum(m), {})[m] = c
     for d, component in sorted(by_degree.items()):
-        if d == 0:  # stored terms are nonzero, so a degree-0 component is a nonzero constant
-            raise NotInSpan("nonzero constant term")
         nus = list(odd_cycle_types(d))
         basis = [power_sum_product(nu.parts, n) for nu in nus]
         monomials = sorted({m for b in basis for m in b.terms} | set(component))

@@ -99,6 +99,12 @@ def hc_eigenvalue_omega3(lam: StrictPartition) -> Fraction:
     return Fraction(sum(p**3 for p in lam.parts) - sum(lam.parts) ** 2)
 
 
+def hc_eigenvalue_omega5(lam: StrictPartition) -> Fraction:
+    """p5 - 2 p1 p3 + (2/3) p1^3 + (1/3) p3, with p_r = sum lambda_i^r."""
+    p1, p3, p5 = (sum(p**r for p in lam.parts) for r in (1, 3, 5))
+    return p5 - 2 * p1 * p3 + Fraction(2 * p1**3 + p3, 3)
+
+
 # ---------------------------------------------------------------------------
 # The separating polynomial algebra
 # ---------------------------------------------------------------------------
@@ -302,7 +308,7 @@ EIGENFUNCTION_OPS = ("omega1", "omega3", "omega5")
 
 
 def eigenfunction_sweep(n: int, maxweight: int) -> SweepReport:
-    """Lemma-level eigenfunction sweep with the explicit omega3 spectrum."""
+    """Lemma-level eigenfunction sweep with the explicit omega1, omega3 and omega5 spectra."""
     report = SweepReport(f"eigenfunctions(n={n},maxweight={maxweight})")
     for d in range(1, maxweight + 1):
         for lam in strict_partitions(d, max_length=n):
@@ -316,6 +322,8 @@ def eigenfunction_sweep(n: int, maxweight: int) -> SweepReport:
                     report.failures.append(f"{lam}: omega1 eigenvalue {rep.eigenvalue}")
                 if op == "omega3" and rep.eigenvalue != hc_eigenvalue_omega3(lam):
                     report.failures.append(f"{lam}: omega3 eigenvalue {rep.eigenvalue}")
+                if op == "omega5" and rep.eigenvalue != hc_eigenvalue_omega5(lam):
+                    report.failures.append(f"{lam}: omega5 eigenvalue {rep.eigenvalue}")
     return report
 
 

@@ -118,9 +118,15 @@ class TestExactDivide:
         assert exact_divide(p, Factor("diff", 1, 2)) == x(2, 1) + x(2, 2)
 
     def test_not_divisible(self):
-        p = Polynomial(2, {(2, 0): 1, (0, 2): -1})
-        with pytest.raises(NotDivisible):
-            exact_divide(p, Factor("var", 1))
+        p = Polynomial(2, {(2, 0): 1, (0, 2): 1})
+        for f in (Factor("diff", 1, 2), Factor("sum", 1, 2)):
+            with pytest.raises(NotDivisible):
+                exact_divide(p, f)
+
+    def test_only_binomial_factors(self):
+        for args in (("var", 1, 2), ("diff", 2, 1), ("sum", 2, 2), ("prod", 1, 2)):
+            with pytest.raises(ValueError):
+                Factor(*args)
 
     def test_sum_factor(self):
         p = Polynomial(2, {(2, 1): 4, (1, 2): 4})
@@ -131,22 +137,23 @@ class TestExactDivide:
     @given(polynomials(3, max_degree=4, max_terms=4))
     @settings(max_examples=40, deadline=None)
     def test_multiply_then_divide_roundtrip(self, p):
-        for f in (Factor("var", 2), Factor("diff", 1, 3), Factor("sum", 2, 3)):
+        for f in (Factor("diff", 1, 3), Factor("sum", 2, 3)):
             prod = p * f.as_polynomial(3)
             if prod.is_zero():
                 continue
             assert exact_divide(prod, f) == p
 
     def test_root_oracle(self):
-        # f divides p iff p vanishes on f's zero set: x_i = 0, x_i = x_j or x_i = -x_j
+        # f divides p iff p vanishes on f's zero set: x_i = x_j or x_i = -x_j
         rng = random.Random(31)
         oracles = [
-            (Factor("var", 2), {2: 0}),
             (Factor("diff", 1, 3), {1: T_PLUS, 3: T_PLUS}),
             (Factor("sum", 2, 3), {2: T_PLUS, 3: T_MINUS}),
         ]
         for trial in range(900):
-            f, zero_set = oracles[trial % 3]
+            # trial // 2 picks the factor, trial % 2 the pre-multiply flag: each
+            # factor gets both plain and pre-multiplied inputs
+            f, zero_set = oracles[trial // 2 % 2]
             terms = {}
             for _ in range(rng.randint(0, 6)):
                 exps = tuple(rng.randint(0, 4) for _ in range(3))
@@ -189,7 +196,7 @@ class TestRationalFunction:
         d12, s13 = Factor("diff", 1, 2), Factor("sum", 1, 3)
         carried = x(n, 1) * x(n, 3) * d12.as_polynomial(n) * d12.as_polynomial(n)
         carried = carried * s13.as_polynomial(n)
-        t = RationalFunction(carried, {d12: 3, s13: 1, Factor("var", 1): 2, Factor("sum", 2, 3): 1})
+        t = RationalFunction(carried, {d12: 3, s13: 1, Factor("sum", 2, 3): 1})
         for value in (r + s, r * s, r - s, t):
             for f in value.den:
                 with pytest.raises(NotDivisible):
@@ -201,8 +208,8 @@ class TestRationalFunction:
         # D(N/P) = (D(N) P - N D(P)) / P^2 with D = x_i d/dx_i and P the
         # product of the denominator's factor polynomials
         n = 3
-        factors = [Factor("var", 1), Factor("var", 3), Factor("diff", 1, 2)]
-        factors += [Factor("sum", 1, 3), Factor("diff", 2, 3), Factor("sum", 1, 2)]
+        factors = [Factor("diff", 1, 2), Factor("sum", 1, 3)]
+        factors += [Factor("diff", 2, 3), Factor("sum", 1, 2)]
         mult = st.integers(min_value=0, max_value=2)
         den = {f: data.draw(mult) for f in factors}
         prod = Polynomial.constant(n, 1)
@@ -215,6 +222,37 @@ class TestRationalFunction:
                 num.euler(i) * prod - num * prod.euler(i), {f: 2 * m for f, m in den.items()}
             )
             assert r.euler(i) == expected
+
+    @given(
+        polynomials(3, max_degree=3, max_terms=4),
+        polynomials(3, max_degree=3, max_terms=4),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equality_reads_the_reduced_form(self, p, q, same, data):
+        # a == b exactly when a - b is zero, and equal values hash alike;
+        # `same` draws b as a re-expressed copy of a, so equal pairs occur
+        n = 3
+        factors = [Factor("diff", 1, 2), Factor("sum", 1, 3), Factor("diff", 2, 3)]
+        mult = st.integers(min_value=0, max_value=2)
+        a = RationalFunction(p, {f: data.draw(mult) for f in factors})
+        if same:
+            f = data.draw(st.sampled_from(factors))
+            den = dict(a.den)
+            den[f] = den.get(f, 0) + 1
+            b = RationalFunction(a.num * f.as_polynomial(n), den)
+        else:
+            b = RationalFunction(q, {f: data.draw(mult) for f in factors})
+        assert (a == b) == (a - b).is_zero()
+        if a == b:
+            assert hash(a) == hash(b)
+
+    def test_equality_refuses_mismatched_variable_counts(self):
+        with pytest.raises(VariableCountMismatch):
+            RationalFunction.constant(2, 1) == RationalFunction.constant(3, 1)
+        with pytest.raises(VariableCountMismatch):
+            RationalFunction.constant(2, 1) == Polynomial.constant(3, 1)
 
     @given(polynomials(2, max_degree=3, max_terms=3), polynomials(2, max_degree=3, max_terms=3))
     @settings(max_examples=30, deadline=None)
@@ -283,7 +321,7 @@ class TestCanonicalCoefficients:
     def test_every_operation_stores_canonical_coefficients(self, a, b, c):
         results = [a, a + b, a - b, a * b, a.scale(c), a.scale(4), a.euler(1), a.euler(3)]
         results += [substitute(a, {1: Fraction(1, 2), 3: T_MINUS}), substitute(a, {2: 2})]
-        for f in (Factor("var", 2), Factor("diff", 1, 3), Factor("sum", 2, 3)):
+        for f in (Factor("diff", 1, 3), Factor("sum", 2, 3)):
             results.append(exact_divide(a * f.as_polynomial(3), f))
         for p in results:
             assert is_canonical(p), p.terms

@@ -61,6 +61,11 @@ class TestBasicCommands:
         assert rc == 0
         assert json.loads(out) == {"3": "2/3", "1,1,1": "4/3"}
 
+    def test_expand_empty_partition(self, capsys):
+        # Q_() = 1 = p_()
+        rc, out, _ = run(capsys, ["expand", "--lambda", ""])
+        assert (rc, json.loads(out)) == (0, {"": "1"})
+
 
 class TestDeterminism:
     def test_byte_identical_runs(self, capsys):
@@ -113,6 +118,24 @@ class TestVerify:
         rc, out, _ = run(capsys, ["verify", "--suite", "aux35", "--n", "3"])
         obj = {"checked": 3, "failures": [], "passed": True, "suite": "aux35(n=3)"}
         assert (rc, out) == (0, json.dumps(obj, sort_keys=True) + "\n")
+
+    def test_sizes_below_the_range_are_refused(self, capsys):
+        # a sweep over no variables or a negative size would PASS with 0 checks
+        for name, spec in spectra.SWEEPS.items():
+            rc, out, err = run(capsys, ["verify", "--suite", name, "--n", "0"])
+            assert (rc, out) == (2, ""), name
+            assert err.startswith("error: ") and "--n" in err, name
+            if spec.desk_max is None:
+                continue
+            rc, out, err = run(capsys, ["verify", "--suite", name, "--n", "2", "--max", "-1"])
+            assert (rc, out) == (2, ""), name
+            assert err.startswith("error: ") and "--max" in err, name
+
+    def test_max_zero_still_checks(self, capsys):
+        for name in ("lemma121", "lemma123i"):
+            rc, out, _ = run(capsys, ["verify", "--suite", name, "--n", "2", "--max", "0"])
+            obj = json.loads(out)
+            assert rc == 0 and obj["passed"] and obj["checked"] > 0, name
 
     def test_default_max_is_6(self, capsys, monkeypatch):
         seen = {}

@@ -8,6 +8,8 @@ from schurq.operators import (
     auxiliary_functions,
     coeff_c,
     coeff_d,
+    coeff_minus,
+    coeff_plus,
     conjugated_apply,
     delta,
     delta_inverse,
@@ -184,6 +186,21 @@ class TestTildeFamily:
                 assert s_new[i - 1] - s_prev[i - 1] == rhs_s, (k, i)
                 assert m_new[i - 1] == rhs_m, (k, i)
             prev_plain, prev_barred = plain, barred
+
+
+class TestCoefficientSigns:
+    def test_swapped_pairs(self):
+        # each identity fails if a swapped difference does not negate the sign
+        n = 4
+        one, two = RationalFunction.constant(n, 1), RationalFunction.constant(n, 2)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i == j:
+                    continue
+                assert coeff_c(n, i, j) == -coeff_c(n, j, i)
+                assert coeff_d(n, i, j) + coeff_d(n, j, i) == two
+                assert coeff_minus(n, i, j) + coeff_minus(n, j, i) == one
+                assert coeff_plus(n, i, j) + coeff_plus(n, j, i) == one
 
 
 class TestDelta:

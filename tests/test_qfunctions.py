@@ -201,6 +201,17 @@ class TestExpandInPowerSums:
         for k in range(maxdeg + 1):
             assert series[k] == q_series(n, maxdeg)[k]
 
+    def test_constant_term(self):
+        # p_() = 1, so a constant is its own coefficient on the empty cycle type
+        n, c = 3, Fraction(5, 2)
+        p = Polynomial.constant(n, c) + schur_q(StrictPartition((3,)), n)
+        assert expand_in_power_sums(p, n, 3) == {
+            OddCycleType(()): c,
+            OddCycleType((3,)): Fraction(2, 3),
+            OddCycleType((1, 1, 1)): Fraction(4, 3),
+        }
+        assert expand_in_power_sums(Polynomial.constant(n, 1), n, 0) == {OddCycleType(()): 1}
+
     def test_not_symmetric(self):
         with pytest.raises(NotSymmetric):
             expand_in_power_sums(Polynomial.variable(2, 1), 2, 1)

@@ -73,6 +73,19 @@ class TestHcEigenvalue:
         assert hc_eigenvalue_omega3(StrictPartition((3,))) == 18
         assert hc_eigenvalue_omega3(StrictPartition((3, 2, 1))) == 0
 
+    def test_omega5_values(self):
+        for lam in ((1,), (2,), (3,), (2, 1), (3, 1)):
+            lam = StrictPartition(lam)
+            assert spectra.hc_eigenvalue_omega5(lam) == eigen_check(lam, "omega5", 2).eigenvalue
+
+    def test_eigenfunction_sweep_checks_omega5(self, monkeypatch):
+        assert spectra.eigenfunction_sweep(2, 3).passed
+        right = spectra.hc_eigenvalue_omega5
+        monkeypatch.setattr(spectra, "hc_eigenvalue_omega5", lambda lam: right(lam) + 1)
+        report = spectra.eigenfunction_sweep(2, 3)
+        assert not report.passed
+        assert all("omega5 eigenvalue" in failure for failure in report.failures)
+
 
 class TestRnPolynomial:
     def test_odd_power_sum_accepted(self):
