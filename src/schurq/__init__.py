@@ -1,89 +1,1 @@
 """Exact Schur Q-functions, radial Laplace-type operators, and verifiers."""
-
-from .algebra import (
-    Factor,
-    NotDivisible,
-    Polynomial,
-    RationalFunction,
-    VariableCountMismatch,
-    exact_divide,
-    pfaffian,
-    substitute,
-)
-from .qfunctions import (
-    OddCycleType,
-    StrictPartition,
-    char_map,
-    expand_in_power_sums,
-    is_supersymmetric,
-    power_sum,
-    q_series,
-    q_two,
-    schur_q,
-    shifted_tableaux_count,
-    shifted_tableaux_enumerate,
-    strict_partitions,
-)
-from .operators import (
-    auxiliary_functions,
-    conjugated_apply,
-    delta,
-    delta_inverse,
-    euler_cubes,
-    euler_derivative,
-    omega,
-    omega3_closed,
-    tilde_omega,
-)
-from .spectra import (
-    EigenReport,
-    RnPolynomial,
-    eigen_check,
-    hc_eigenvalue_omega3,
-    lemma_121_sweep,
-    rn_eigenvalue,
-    separation_check,
-    uniqueness_sweep,
-)
-
-__all__ = [
-    "Factor",
-    "NotDivisible",
-    "Polynomial",
-    "RationalFunction",
-    "VariableCountMismatch",
-    "exact_divide",
-    "pfaffian",
-    "substitute",
-    "OddCycleType",
-    "StrictPartition",
-    "char_map",
-    "expand_in_power_sums",
-    "is_supersymmetric",
-    "power_sum",
-    "q_series",
-    "q_two",
-    "schur_q",
-    "shifted_tableaux_count",
-    "shifted_tableaux_enumerate",
-    "strict_partitions",
-    "auxiliary_functions",
-    "conjugated_apply",
-    "delta",
-    "delta_inverse",
-    "euler_cubes",
-    "euler_derivative",
-    "omega",
-    "omega3_closed",
-    "tilde_omega",
-    "EigenReport",
-    "RnPolynomial",
-    "eigen_check",
-    "hc_eigenvalue_omega3",
-    "lemma_121_sweep",
-    "rn_eigenvalue",
-    "separation_check",
-    "uniqueness_sweep",
-]
-
-__version__ = "0.1.0"

@@ -99,11 +99,9 @@ class Polynomial:
         return all(not any(e) for e in self.terms)
 
     def constant_value(self) -> Scalar:
-        if self.is_zero():
-            return 0
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return self.terms[(0,) * self.n]
+        return self.terms.get((0,) * self.n, 0)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial (reporting only)."""
@@ -209,11 +207,10 @@ class Polynomial:
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
 
-    def to_text(self, names: Optional[list[str]] = None) -> str:
+    def to_text(self) -> str:
         if not self.terms:
             return "0"
-        if names is None:
-            names = [f"x{i}" for i in range(1, self.n + 1)]
+        names = [f"x{i}" for i in range(1, self.n + 1)]
         pieces = []
         for m, c in self.sorted_terms():
             factors = [
@@ -339,8 +336,6 @@ class NotDivisible(Exception):
 
 def exact_divide(p: Polynomial, f: Factor) -> Polynomial:
     """Divide p by the factor polynomial exactly, or raise NotDivisible."""
-    if p.is_zero():
-        return p
     # binomial x_i -+ x_j: p splits into binary forms sum_a c_a x_i^a x_j^(e-a),
     # one per exponent vector outside {i, j} and degree e = e_i + e_j.  Each
     # form is divided on its own by synthetic division, d_(a-1) = c_a +- d_a,

@@ -1,7 +1,11 @@
 """Dense exact linear algebra over Fraction (Gaussian elimination).
 
 Matrices are lists of row lists.  Sizes here are tiny (tens of rows),
-so plain fraction elimination is the right tool.
+so plain fraction elimination is the right tool.  One elimination
+(_rref) serves solve, rank, nullspace and determinant, and
+coordinates(basis, target) is the one polynomial-span solver: the
+operator matrices on the Q-span and the odd power-sum expansions both
+go through it.
 """
 
 from __future__ import annotations
@@ -66,6 +70,18 @@ def solve(rows, rhs) -> list[Fraction]:
     if len(pivots) < ncols:
         raise ValueError("underdetermined system")
     return [row[-1] for row in m[:ncols]]  # every column is a pivot, so row r of R reads x_r = R[r][-1]
+
+
+def coordinates(basis, target) -> list[Fraction]:
+    """Coordinates c with target = sum c_k basis[k], for polynomials in one ring.
+
+    The rows run over every monomial of the basis and of the target, so a
+    target outside the span raises InconsistentSystem rather than being
+    truncated, and a dependent basis raises ValueError.
+    """
+    monomials = sorted({m for p in (*basis, target) for m in p.terms})
+    rows = [[p.terms.get(m, 0) for p in basis] for m in monomials]
+    return solve(rows, [target.terms.get(m, 0) for m in monomials])
 
 
 def nullspace(rows) -> list[list[Fraction]]:

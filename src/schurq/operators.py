@@ -115,18 +115,6 @@ def omega(f: Value, k: int, n: int) -> RationalFunction:
     return sum(values, RationalFunction.zero(n))
 
 
-def _euler_square_sum(f: Value, n: int) -> RationalFunction:
-    """(sum_i D_i)^2 f."""
-    g = _lift(f)
-    first = RationalFunction.zero(n)
-    for i in range(1, n + 1):
-        first = first + g.euler(i)
-    total = RationalFunction.zero(n)
-    for i in range(1, n + 1):
-        total = total + first.euler(i)
-    return total
-
-
 def sum_cubes(f: Value, n: int) -> RationalFunction:
     """(sum_i D_i^3) f."""
     g = _lift(f)
@@ -138,7 +126,7 @@ def sum_cubes(f: Value, n: int) -> RationalFunction:
 
 def euler_cubes(f: Value, n: int) -> RationalFunction:
     """(sum_i D_i^3 - (sum_i D_i)^2) f, the conjugated form of Omega_3."""
-    return sum_cubes(f, n) - _euler_square_sum(f, n)
+    return sum_cubes(f, n) - omega(omega(f, 1, n), 1, n)
 
 
 def omega3_closed(f: Value, n: int) -> RationalFunction:
@@ -149,7 +137,7 @@ def omega3_closed(f: Value, n: int) -> RationalFunction:
     - 6 sum_{i<j} x_ix_j/(x_i+x_j)^2 (D_i + D_j)
     + 24 sum over triples {i,j,k} of
         x_i^2 x_j x_k / ((x_i^2-x_j^2)(x_i^2-x_k^2)) D_i   (i the member)
-    - (sum D_i)^2.
+    - (sum D_i)^2, applied as Omega_1 twice.
     """
     g = _lift(f)
     eul = [g.euler(i) for i in range(1, n + 1)]
@@ -169,7 +157,7 @@ def omega3_closed(f: Value, n: int) -> RationalFunction:
         for a, b in combinations(others, 2):
             term = _fraction(n, 24, (i, i, a, b), [(i, a), (i, b)], [(i, a), (i, b)])
             total = total + term * eul[i - 1]
-    return total - _euler_square_sum(f, n)
+    return total - omega(omega(f, 1, n), 1, n)
 
 
 # ---------------------------------------------------------------------------

@@ -98,8 +98,8 @@ def strict_partitions(weight: int, max_length: int | None = None) -> Iterator[St
             yield StrictPartition(parts)
 
 
-def odd_cycle_types(weight: int, max_length: int | None = None) -> Iterator[OddCycleType]:
-    for parts in partitions(weight, max_length):
+def odd_cycle_types(weight: int) -> Iterator[OddCycleType]:
+    for parts in partitions(weight):
         if all(p % 2 for p in parts):
             yield OddCycleType(parts)
 
@@ -230,13 +230,14 @@ def expand_in_power_sums(p: Polynomial, n: int, maxweight: int) -> dict[OddCycle
     for d, component in sorted(by_degree.items()):
         nus = list(odd_cycle_types(d))
         basis = [power_sum_product(nu.parts, n) for nu in nus]
-        monomials = sorted({m for b in basis for m in b.terms} | set(component))
-        rows = [[b.terms.get(m, 0) for b in basis] for m in monomials]
-        rhs = [component.get(m, 0) for m in monomials]
         try:
-            coeffs = linalg.solve(rows, rhs)
+            coeffs = linalg.coordinates(basis, Polynomial(n, component))
         except linalg.InconsistentSystem as exc:
             raise NotInSpan(f"degree-{d} component not in the odd span") from exc
+        except ValueError as exc:
+            raise ValueError(
+                f"the odd power sums of degree {d} are dependent in {n} variables"
+            ) from exc
         for nu, c in zip(nus, coeffs):
             if c:
                 result[nu] = c
@@ -248,6 +249,8 @@ def is_supersymmetric(p: Polynomial, n: int) -> bool:
 
     Requires a symmetric input; one substituted pair then suffices.
     """
+    if p.n != n:
+        raise VariableCountMismatch(f"{p.n} vs {n} variables")
     if not p.is_symmetric():
         raise NotSymmetric("input is not symmetric")
     if n < 2:

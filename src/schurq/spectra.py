@@ -204,17 +204,8 @@ class SweepReport:
 
 
 def _operator_matrix(polys: list[Polynomial], images: list[Polynomial]):
-    """Matrix of an operator on span{Q_lambda}, given the images of the basis.
-
-    The rows of the coordinate system run over every monomial of the
-    basis and of the images, so an image outside the span makes
-    linalg.solve raise InconsistentSystem rather than being truncated.
-    """
-    monomials = sorted({m for p in polys + images for m in p.terms})
-    coords = [[p.terms.get(m, 0) for p in polys] for m in monomials]
-    rhs = ([img.terms.get(m, 0) for m in monomials] for img in images)
-    columns = [linalg.solve(coords, b) for b in rhs]
-    return [list(row) for row in zip(*columns)]
+    """Matrix of an operator on span{Q_lambda}: column c holds the coordinates of images[c]."""
+    return [list(row) for row in zip(*(linalg.coordinates(polys, img) for img in images))]
 
 
 UNIQUENESS_OPS = ("omega1", "omega3", "omega5", "omega7")
@@ -233,9 +224,6 @@ def uniqueness_sweep(n: int, maxdeg: int) -> SweepReport:
         if not basis:
             continue
         size = len(basis)
-        if size == 1:
-            report.checked += 1
-            continue
         polys = [schur_q(lam, n) for lam in basis]
         matrices = []
         # joint eigenvalue tuple of each Q_lambda over the operators used so far

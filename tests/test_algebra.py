@@ -66,6 +66,17 @@ class TestPolynomialArithmetic:
 
 
 
+class TestConstantValue:
+    def test_zero_and_nonzero_constants(self):
+        assert Polynomial.zero(2).constant_value() == 0
+        assert Polynomial.constant(2, Fraction(3, 4)).constant_value() == Fraction(3, 4)
+
+    def test_non_constant_raises(self):
+        p = Polynomial.constant(2, 1) + Polynomial.variable(2, 2)
+        with pytest.raises(ValueError, match="not a constant"):
+            p.constant_value()
+
+
 class TestSymmetry:
     def test_every_adjacent_swap_is_checked(self):
         n = 3
@@ -142,6 +153,10 @@ class TestExactDivide:
             if prod.is_zero():
                 continue
             assert exact_divide(prod, f) == p
+
+    def test_zero_divides_to_zero(self):
+        for f in (Factor("diff", 1, 3), Factor("sum", 2, 3)):
+            assert exact_divide(Polynomial.zero(3), f) == Polynomial.zero(3)
 
     def test_root_oracle(self):
         # f divides p iff p vanishes on f's zero set: x_i = x_j or x_i = -x_j

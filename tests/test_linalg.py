@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from schurq.linalg import InconsistentSystem, determinant, nullspace, rank, solve
+from schurq.algebra import Polynomial
+from schurq.linalg import InconsistentSystem, coordinates, determinant, nullspace, rank, solve
 
 
 def random_matrix(rng, nrows, ncols):
@@ -52,6 +53,26 @@ class TestSolve:
         rhs = [1, 2]
         assert solve(rows, rhs) == [2, 1]
         assert rows == [[0, 1], [1, 0]] and rhs == [1, 2]
+
+
+class TestCoordinates:
+    # x1 + x2 and x1 - x2 span the linear forms in two variables
+    basis = [Polynomial(2, {(1, 0): 1, (0, 1): 1}), Polynomial(2, {(1, 0): 1, (0, 1): -1})]
+
+    def test_target_in_span(self):
+        target = Polynomial(2, {(1, 0): 3, (0, 1): Fraction(1, 2)})
+        assert coordinates(self.basis, target) == [Fraction(7, 4), Fraction(5, 4)]
+
+    def test_target_outside_span_raises(self):
+        # x1^2 is a monomial of no basis element: its row must still be checked
+        target = self.basis[0] + Polynomial.monomial(2, (2, 0))
+        with pytest.raises(InconsistentSystem):
+            coordinates(self.basis, target)
+
+    def test_dependent_basis_raises(self):
+        basis = [*self.basis, self.basis[0].scale(2)]
+        with pytest.raises(ValueError, match="underdetermined"):
+            coordinates(basis, self.basis[1])
 
 
 class TestRankNullspace:

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from schurq import linalg
-from schurq.algebra import Polynomial, T_MINUS, T_PLUS, substitute
+from schurq.algebra import Polynomial, T_MINUS, T_PLUS, VariableCountMismatch, substitute
 from schurq.qfunctions import (
     NotInSpan,
     NotSymmetric,
@@ -221,6 +221,19 @@ class TestExpandInPowerSums:
         with pytest.raises(NotInSpan):
             expand_in_power_sums(Polynomial.monomial(2, (1, 1)), 2, 2)
 
+    def test_fewer_variables_than_degree(self):
+        # in 2 variables the 5 odd power-sum products of degree 7 span a
+        # space of dimension 4, so the coefficients are not unique
+        with pytest.raises(ValueError, match="degree 7 are dependent in 2 variables"):
+            expand_in_power_sums(schur_q(StrictPartition((7,)), 2), 2, 7)
+        # at degree 5 the 3 products are still independent in 2 variables
+        q5 = schur_q(StrictPartition((5,)), 2)
+        e = expand_in_power_sums(q5, 2, 5)
+        total = Polynomial.zero(2)
+        for nu, c in e.items():
+            total = total + char_map(nu, 2).scale(c / 2**nu.length)
+        assert total == q5
+
 
 class TestSupersymmetry:
     def test_q21(self):
@@ -236,6 +249,12 @@ class TestSupersymmetry:
     def test_requires_symmetric(self):
         with pytest.raises(NotSymmetric):
             is_supersymmetric(Polynomial.variable(2, 1), 2)
+
+    def test_variable_count_must_match(self):
+        # p_2(t, -t) = 2t^2, so a wrong n must not reach the n < 2 shortcut
+        assert not is_supersymmetric(power_sum(2, 2), 2)
+        with pytest.raises(VariableCountMismatch):
+            is_supersymmetric(power_sum(2, 2), 1)
 
     def test_all_schur_q(self):
         for d in range(1, 7):

@@ -278,6 +278,24 @@ class TestSpanGuard:
         with pytest.raises(linalg.InconsistentSystem):
             uniqueness_sweep(n, 3)
 
+    def test_one_element_degree_is_checked(self, monkeypatch):
+        # degree 1 has the single basis element Q_(1); an image leaking x1^2
+        # must reach the span-guarded solve like any other degree
+        n = 2
+        q1 = schur_q(StrictPartition((1,)), n)
+        original = spectra.apply_operator
+
+        def leaky(op, f, n):
+            image = original(op, f, n)
+            if op == "omega1" and f == q1:
+                image = image + RationalFunction.from_polynomial(Polynomial.monomial(n, (2, 0)))
+            return image
+
+        assert uniqueness_sweep(n, 1).checked == 1
+        monkeypatch.setattr(spectra, "apply_operator", leaky)
+        with pytest.raises(linalg.InconsistentSystem):
+            uniqueness_sweep(n, 1)
+
     def test_non_eigen_image_in_span_is_a_fail(self, monkeypatch):
         n = 2
         mixed_input = schur_q(StrictPartition((2, 1)), n)
