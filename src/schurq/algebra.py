@@ -120,11 +120,7 @@ class Polynomial:
 
     def is_symmetric(self) -> bool:
         """Invariant under every adjacent swap x_i <-> x_(i+1), hence under all permutations."""
-        for i in range(self.n - 1):
-            swapped = {m[:i] + (m[i + 1], m[i]) + m[i + 2 :]: c for m, c in self.terms.items()}
-            if swapped != self.terms:
-                return False
-        return True
+        return all(self.transposed(i, i + 1) == self for i in range(1, self.n))
 
     def leading_term(self) -> tuple[tuple[int, ...], Scalar]:
         """Grevlex-leading (monomial, coefficient); error on zero."""
@@ -201,6 +197,20 @@ class Polynomial:
             raise IndexError(f"variable index {i} out of range 1..{self.n}")
         terms = {m: c * m[i - 1] for m, c in self.terms.items() if m[i - 1]}
         return Polynomial(self.n, terms)
+
+    def transposed(self, a: int, b: int) -> "Polynomial":
+        """p with x_a and x_b exchanged."""
+        if not (1 <= a <= self.n and 1 <= b <= self.n):
+            raise IndexError(f"variable indices {a}, {b} out of range 1..{self.n}")
+        if a == b:
+            return self
+        a, b = sorted((a - 1, b - 1))
+        out = Polynomial.__new__(Polynomial)
+        out.n = self.n
+        out.terms = {
+            m[:a] + (m[b],) + m[a + 1 : b] + (m[a],) + m[b + 1 :]: c for m, c in self.terms.items()
+        }
+        return out
 
     # -- serialization -----------------------------------------------
 
@@ -307,7 +317,8 @@ def substitute(p: Polynomial, assignment: Mapping[int, object]) -> Polynomial:
 class Factor:
     """Denominator atom: x_i - x_j ('diff') or x_i + x_j ('sum'), stored with i < j.
 
-    A swapped difference is recorded by the caller negating the overall sign.
+    A swapped difference is recorded by the caller negating the overall sign
+    (see Factor.ordered).
     """
 
     kind: str
@@ -319,6 +330,13 @@ class Factor:
             raise ValueError(f"bad factor kind {self.kind!r}")
         if not self.i < self.j:
             raise ValueError("factors require i < j")
+
+    @staticmethod
+    def ordered(kind: str, i: int, j: int) -> tuple["Factor", int]:
+        """(factor, sign) with x_i -+ x_j = sign * factor: a reversed difference has sign -1."""
+        if i < j:
+            return Factor(kind, i, j), 1
+        return Factor(kind, j, i), -1 if kind == "diff" else 1
 
     def as_polynomial(self, n: int) -> Polynomial:
         xi = Polynomial.variable(n, self.i)
@@ -513,6 +531,25 @@ class RationalFunction:
                 grown = grown * fp
                 den[f] += 1
         return RationalFunction(num, den)
+
+    def transposed(self, a: int, b: int) -> "RationalFunction":
+        """self with x_a and x_b exchanged.
+
+        The exchange permutes the denominator factors up to sign, so the
+        result is reduced as it stands and skips _reduce.
+        """
+        swap = {a: b, b: a}
+        num = self.num.transposed(a, b)
+        den: dict[Factor, int] = {}
+        for f, m in self.den.items():
+            g, sign = Factor.ordered(f.kind, swap.get(f.i, f.i), swap.get(f.j, f.j))
+            den[g] = m
+            if sign < 0 and m % 2:
+                num = -num
+        out = RationalFunction.__new__(RationalFunction)
+        out.num = num
+        out.den = den
+        return out
 
     # -- serialization -----------------------------------------------
 

@@ -4,8 +4,8 @@ Matrices are lists of row lists.  Sizes here are tiny (tens of rows),
 so plain fraction elimination is the right tool.  One elimination
 (_rref) serves solve, rank, nullspace and determinant, and
 coordinates(basis, target) is the one polynomial-span solver: the
-operator matrices on the Q-span and the odd power-sum expansions both
-go through it.
+operator matrices on the Q-span (all images of one operator in one
+elimination) and the odd power-sum expansions both go through it.
 """
 
 from __future__ import annotations
@@ -57,31 +57,43 @@ def rank(rows) -> int:
     return len(_rref(rows, len(rows[0]) if rows else 0)[1])
 
 
-def solve(rows, rhs) -> list[Fraction]:
+def solve(rows, rhs):
     """Solve A x = b for a (possibly overdetermined) consistent system.
 
-    Raises InconsistentSystem if no solution exists, and ValueError if
+    b has one entry per row of A.  When each entry is itself a row (b is
+    a matrix B), all of B's columns are solved in one elimination and
+    the solution X of A X = B comes back as rows too.  Raises
+    InconsistentSystem if some column has no solution, and ValueError if
     the solution is not unique or b has not one entry per row of A.
     """
     ncols = len(rows[0]) if rows else 0
-    m, pivots, _ = _rref([[*row, b] for row, b in zip(rows, rhs, strict=True)], ncols)
-    if any(row[-1] for row in m[len(pivots):]):
+    several = bool(rhs) and isinstance(rhs[0], (list, tuple))
+    augmented = [[*row, *(b if several else (b,))] for row, b in zip(rows, rhs, strict=True)]
+    m, pivots, _ = _rref(augmented, ncols)
+    if any(any(row[ncols:]) for row in m[len(pivots):]):
         raise InconsistentSystem("right-hand side outside the column span")
     if len(pivots) < ncols:
         raise ValueError("underdetermined system")
-    return [row[-1] for row in m[:ncols]]  # every column is a pivot, so row r of R reads x_r = R[r][-1]
+    # every column is a pivot, so row r of R reads x_r = R[r][ncols:]
+    return [row[ncols:] if several else row[ncols] for row in m[:ncols]]
 
 
-def coordinates(basis, target) -> list[Fraction]:
+def coordinates(basis, target):
     """Coordinates c with target = sum c_k basis[k], for polynomials in one ring.
 
-    The rows run over every monomial of the basis and of the target, so a
-    target outside the span raises InconsistentSystem rather than being
-    truncated, and a dependent basis raises ValueError.
+    target may also be a list of polynomials: then all of them are solved
+    in one elimination, and the result is the matrix whose column c holds
+    the coordinates of target[c].  The rows run over every monomial of
+    the basis and of the targets, so a target outside the span raises
+    InconsistentSystem rather than being truncated, and a dependent basis
+    raises ValueError.
     """
-    monomials = sorted({m for p in (*basis, target) for m in p.terms})
+    several = isinstance(target, list)
+    targets = target if several else [target]
+    monomials = sorted({m for p in (*basis, *targets) for m in p.terms})
     rows = [[p.terms.get(m, 0) for p in basis] for m in monomials]
-    return solve(rows, [target.terms.get(m, 0) for m in monomials])
+    x = solve(rows, [[t.terms.get(m, 0) for t in targets] for m in monomials])
+    return x if several else [r[0] for r in x]
 
 
 def nullspace(rows) -> list[list[Fraction]]:

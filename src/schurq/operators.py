@@ -4,6 +4,16 @@ Everything acts on concrete values: the level-k recursion is evaluated
 on the vector of level-(k-1) images rather than composed symbolically.
 Coefficients like 2*x_i*x_j/(x_i^2-x_j^2) are stored with factored
 denominators, so each step reduces exactly.
+
+A level walk (family_levels, tilde_levels) builds its coefficients once,
+at its first step past level 1, and at that step also decides which path
+it takes.  The coefficients permute with their indices, so when the
+input is a symmetric polynomial (no denominator, and num.is_symmetric())
+every level is equivariant: component j is component 1 under the
+transposition x_1 <-> x_j.  Such a walk computes component 1 only and
+fills in the others by transposing it.  Any other input (a monomial, a
+rational function with a denominator) takes the n-component step.  Both
+paths return the full vector of n components, and their values are equal.
 """
 
 from __future__ import annotations
@@ -39,10 +49,8 @@ def _fraction(n: int, c, xs, diffs=(), sums=()) -> RationalFunction:
     den: dict[Factor, int] = {}
     for kind, pairs in (("diff", diffs), ("sum", sums)):
         for i, j in pairs:
-            if i > j:
-                i, j = j, i
-                c = -c if kind == "diff" else c
-            f = Factor(kind, i, j)
+            f, sign = Factor.ordered(kind, i, j)
+            c *= sign
             den[f] = den.get(f, 0) + 1
     return RationalFunction(Polynomial.monomial(n, exps, c), den)
 
@@ -68,33 +76,69 @@ def coeff_plus(n: int, i: int, j: int) -> RationalFunction:
 
 
 # ---------------------------------------------------------------------------
+# One walk's coefficients and its symmetric path
+# ---------------------------------------------------------------------------
+
+Rows = list[list[tuple[int, RationalFunction, RationalFunction]]]
+
+
+def _symmetric(g: RationalFunction) -> bool:
+    """The exact test that puts a walk on the one-component path."""
+    return not g.den and g.num.is_symmetric()
+
+
+def _rows(n: int, first, second, symmetric: bool) -> Rows:
+    """Row i lists (j, first(n, i, j), second(n, i, j)) for every j != i.
+
+    A symmetric walk computes component 1 only, so it gets row 1 alone.
+    """
+    return [
+        [(j, first(n, i, j), second(n, i, j)) for j in range(1, n + 1) if j != i]
+        for i in range(1, 2 if symmetric else n + 1)
+    ]
+
+
+def _fill(first: RationalFunction, n: int) -> list[RationalFunction]:
+    """Components 1..n of a symmetric walk's level: x_1 <-> x_j applied to component 1."""
+    return [first] + [first.transposed(1, j) for j in range(2, n + 1)]
+
+
+# ---------------------------------------------------------------------------
 # The plain family and Omega_k
 # ---------------------------------------------------------------------------
 
 
-def family_step(prev: Sequence[RationalFunction], level: int) -> list[RationalFunction]:
+def family_step(
+    prev: Sequence[RationalFunction], level: int, rows: Rows | None = None
+) -> list[RationalFunction]:
     """Advance the vector (D_i^{(k-1)} f) to level k = level.
 
     Odd k:  D_i prev_i + sum_j 2x_ix_j/(x_i^2-x_j^2) (prev_i - prev_j).
     Even k: (D_i - 1) prev_i
             + sum_j [2x_ix_j/(x_i^2-x_j^2) prev_i - 2x_i^2/(x_i^2-x_j^2) prev_j].
+
+    rows holds the walk's (j, c_ij, d_ij) coefficients; without it every
+    component is computed.  With row 1 alone, prev must be the level of a
+    symmetric input, and the other components are transposes of the first.
     """
     n = len(prev)
+    if rows is None:
+        rows = _rows(n, coeff_c, coeff_d, symmetric=False)
     out = []
-    for i in range(1, n + 1):
+    for i, row in enumerate(rows, 1):
         pi = prev[i - 1]
         acc = pi.euler(i)
         if level % 2 == 0:
             acc = acc - pi
-        for j in range(1, n + 1):
-            if j == i:
-                continue
+        for j, c, d in row:
             pj = prev[j - 1]
             if level % 2:
-                acc = acc + coeff_c(n, i, j) * (pi - pj)
+                acc = acc + c * (pi - pj)
             else:
-                acc = acc + coeff_c(n, i, j) * pi - coeff_d(n, i, j) * pj
+                acc = acc + c * pi - d * pj
         out.append(acc)
+    if len(rows) < n:
+        return _fill(out[0], n)
     return out
 
 
@@ -102,9 +146,11 @@ def family_levels(f: Value, n: int) -> Iterator[list[RationalFunction]]:
     """Yield (D_i^{(k)} f)_i for k = 1, 2, ...: D_i f, then one family_step per level."""
     g = _lift(f)
     values = [g.euler(i) for i in range(1, n + 1)]
+    yield values
+    rows = _rows(n, coeff_c, coeff_d, _symmetric(g))
     for level in count(2):
+        values = family_step(values, level, rows)
         yield values
-        values = family_step(values, level)
 
 
 def omega(f: Value, k: int, n: int) -> RationalFunction:
@@ -166,7 +212,7 @@ def omega3_closed(f: Value, n: int) -> RationalFunction:
 
 
 def tilde_family_step(
-    plain: Sequence[RationalFunction], barred: Sequence[RationalFunction]
+    plain: Sequence[RationalFunction], barred: Sequence[RationalFunction], rows: Rows | None = None
 ) -> Pair:
     """One level of the paired recursion.
 
@@ -180,24 +226,28 @@ def tilde_family_step(
     The leading "plain_i + barred_i" in the barred line is what keeps
     the pair consistent with the plus/minus-combination recursions and
     the linear relations tying tilde Omega_k to the odd Omega family.
+
+    rows holds the walk's (j, x_i/(x_i-x_j), x_i/(x_i+x_j)) coefficients,
+    as in family_step: with row 1 alone both parts are filled in by
+    transposing their first component.
     """
     n = len(plain)
+    if rows is None:
+        rows = _rows(n, coeff_minus, coeff_plus, symmetric=False)
     new_plain = []
     new_barred = []
-    for i in range(1, n + 1):
+    for i, row in enumerate(rows, 1):
         pi = plain[i - 1]
         bi = barred[i - 1]
         acc_p = pi.euler(i)
         acc_b = pi + bi - bi.euler(i)
-        for j in range(1, n + 1):
-            if j == i:
-                continue
-            cm = coeff_minus(n, i, j)
-            cp = coeff_plus(n, i, j)
+        for j, cm, cp in row:
             acc_p = acc_p + cm * (pi - plain[j - 1]) - cp * (pi + barred[j - 1])
             acc_b = acc_b - cm * (bi - barred[j - 1]) + cp * (bi + plain[j - 1])
         new_plain.append(acc_p)
         new_barred.append(acc_b)
+    if len(rows) < n:
+        return _fill(new_plain[0], n), _fill(new_barred[0], n)
     return new_plain, new_barred
 
 
@@ -206,9 +256,11 @@ def tilde_levels(f: Value, n: int) -> Iterator[Pair]:
     g = _lift(f)
     plain = [g.euler(i) for i in range(1, n + 1)]
     pair = plain, list(plain)
+    yield pair
+    rows = _rows(n, coeff_minus, coeff_plus, _symmetric(g))
     while True:
+        pair = tilde_family_step(*pair, rows)
         yield pair
-        pair = tilde_family_step(*pair)
 
 
 def tilde_omega(f: Value, k: int, n: int) -> RationalFunction:

@@ -203,11 +203,6 @@ class SweepReport:
         }
 
 
-def _operator_matrix(polys: list[Polynomial], images: list[Polynomial]):
-    """Matrix of an operator on span{Q_lambda}: column c holds the coordinates of images[c]."""
-    return [list(row) for row in zip(*(linalg.coordinates(polys, img) for img in images))]
-
-
 UNIQUENESS_OPS = ("omega1", "omega3", "omega5", "omega7")
 
 
@@ -234,7 +229,8 @@ def uniqueness_sweep(n: int, maxdeg: int) -> SweepReport:
                 if not rep.is_eigen:
                     report.failures.append(f"d={d} {lam}: not an eigenfunction of {op}")
                 keys[lam] += (rep.eigenvalue,)
-            matrices.append(_operator_matrix(polys, [rep.image for rep in reports]))
+            # the operator's matrix on span{Q_lambda}: column c holds the coordinates of image c
+            matrices.append(linalg.coordinates(polys, [rep.image for rep in reports]))
             if len(set(keys.values())) == size:
                 break
         groups: dict[tuple, list[StrictPartition]] = {}

@@ -93,6 +93,39 @@ class TestSymmetry:
         assert not x(2, 1).is_symmetric()
 
 
+class TestTransposition:
+    def test_polynomial(self):
+        n = 3
+        p = x(n, 1) * x(n, 1) * x(n, 3) + x(n, 2).scale(5)
+        assert p.transposed(1, 3) == x(n, 3) * x(n, 3) * x(n, 1) + x(n, 2).scale(5)
+        assert p.transposed(3, 1) == p.transposed(1, 3)
+        assert p.transposed(2, 2) == p
+        with pytest.raises(IndexError):
+            p.transposed(1, 4)
+
+    @settings(max_examples=50, deadline=None)
+    @given(polynomials(4), polynomials(4))
+    def test_ring_automorphism(self, p, q):
+        assert p.transposed(2, 4).transposed(2, 4) == p
+        assert (p * q).transposed(1, 3) == p.transposed(1, 3) * q.transposed(1, 3)
+
+    def test_reversed_difference_flips_the_sign_per_odd_multiplicity(self):
+        n = 3
+        one = Polynomial.constant(n, 1)
+        for m, sign in ((1, -1), (2, 1), (3, -1)):
+            r = RationalFunction(one, {Factor("diff", 1, 3): m, Factor("sum", 1, 3): 1})
+            assert r.transposed(1, 3) == RationalFunction(one.scale(sign), r.den)
+
+    def test_result_is_reduced_and_matches_substitution(self):
+        # 1 / ((x1 - x2)(x2 + x3)) under x1 <-> x3 is 1 / ((x3 - x2)(x2 + x1))
+        n = 3
+        r = RationalFunction(x(n, 1), {Factor("diff", 1, 2): 1, Factor("sum", 2, 3): 2})
+        got = r.transposed(1, 3)
+        want = RationalFunction(-x(n, 3), {Factor("diff", 2, 3): 1, Factor("sum", 1, 2): 2})
+        assert got == want
+        assert got == RationalFunction(got.num, got.den)  # reducing again changes nothing
+
+
 class TestSubstitute:
     def test_pair_substitution(self):
         p = x(2, 1) * x(2, 2)

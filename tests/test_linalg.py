@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from schurq import linalg
 from schurq.algebra import Polynomial
 from schurq.linalg import InconsistentSystem, coordinates, determinant, nullspace, rank, solve
 
@@ -48,6 +49,25 @@ class TestSolve:
         with pytest.raises(ValueError, match="underdetermined"):
             solve([[1, 2], [2, 4]], [1, 2])
 
+    def test_several_right_hand_sides(self):
+        rows = [[1, 0], [0, 1], [1, 1]]
+        assert solve(rows, [[2, 1], [3, 0], [5, 1]]) == [[2, 1], [3, 0]]
+        with pytest.raises(InconsistentSystem):
+            solve(rows, [[2, 1], [3, 0], [5, 2]])  # only the second column is inconsistent
+
+    def test_several_right_hand_sides_match_one_by_one(self):
+        rng = random.Random(5)
+        checked = 0
+        for rows in matrices():
+            if rank(rows) < len(rows[0]):
+                continue
+            xs = [[Fraction(rng.randint(-5, 5)) for _ in rows[0]] for _ in range(3)]
+            columns = [apply(rows, x) for x in xs]
+            got = solve(rows, [list(b) for b in zip(*columns)])
+            assert [list(c) for c in zip(*got)] == [solve(rows, b) for b in columns] == xs
+            checked += 1
+        assert checked > 20
+
     def test_inputs_untouched(self):
         rows = [[0, 1], [1, 0]]
         rhs = [1, 2]
@@ -68,6 +88,24 @@ class TestCoordinates:
         target = self.basis[0] + Polynomial.monomial(2, (2, 0))
         with pytest.raises(InconsistentSystem):
             coordinates(self.basis, target)
+
+    def test_several_targets_in_one_elimination(self, monkeypatch):
+        targets = [Polynomial(2, {(1, 0): 3, (0, 1): Fraction(1, 2)}), self.basis[1], Polynomial.zero(2)]
+        calls = []
+        original = linalg._rref
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(linalg, "_rref", counted)
+        matrix = coordinates(self.basis, targets)
+        assert len(calls) == 1
+        # column c holds the coordinates of targets[c]
+        assert matrix == [[Fraction(7, 4), 0, 0], [Fraction(5, 4), 1, 0]]
+        leaky = [*targets, self.basis[0] + Polynomial.monomial(2, (2, 0))]
+        with pytest.raises(InconsistentSystem):
+            coordinates(self.basis, leaky)
 
     def test_dependent_basis_raises(self):
         basis = [*self.basis, self.basis[0].scale(2)]

@@ -24,7 +24,14 @@ from schurq.operators import (
     tilde_levels,
     tilde_omega,
 )
-from schurq.qfunctions import StrictPartition, schur_q, strict_partitions
+from schurq import operators
+from schurq.qfunctions import (
+    StrictPartition,
+    monomial_symmetric,
+    partitions,
+    schur_q,
+    strict_partitions,
+)
 
 
 def x(n, i):
@@ -201,6 +208,138 @@ class TestCoefficientSigns:
                 assert coeff_d(n, i, j) + coeff_d(n, j, i) == two
                 assert coeff_minus(n, i, j) + coeff_minus(n, j, i) == one
                 assert coeff_plus(n, i, j) + coeff_plus(n, j, i) == one
+
+
+def symmetric_inputs(n, kind, top):
+    """Q_lambda ("Q") or m_mu ("m") in n variables with |lambda|, |mu| <= top."""
+    for d in range(1, top + 1):
+        if kind == "Q":
+            for lam in strict_partitions(d, max_length=n):
+                yield f"Q_{lam}", schur_q(lam, n)
+        else:
+            for mu in partitions(d, max_length=n):
+                yield f"m_{mu}", monomial_symmetric(mu, n)
+
+
+def n_component_walks(f, n):
+    """The level-1 vector and the tilde pair, advanced by the two-argument steps."""
+    level1 = [euler_derivative(f, i) for i in range(1, n + 1)]
+    return level1, (level1, level1)
+
+
+class TestSymmetricPath:
+    @pytest.mark.parametrize(
+        "n, kind, top, plain_top, tilde_top",
+        [
+            *((n, kind, 5, 7, 4) for n in (1, 2, 3) for kind in ("Q", "m")),
+            (4, "Q", 5, 7, 4),
+            # the n-component reference walk on m_mu at n = 4 takes minutes past these sizes
+            (4, "m", 3, 5, 3),
+        ],
+    )
+    def test_equals_the_n_component_step(self, n, kind, top, plain_top, tilde_top):
+        # the walks take the one-component path on these inputs; the
+        # two-argument steps compute every component
+        for name, f in symmetric_inputs(n, kind, top):
+            values, pair = n_component_walks(f, n)
+            for level, got in enumerate(islice(family_levels(f, n), plain_top), 1):
+                if level > 1:
+                    values = family_step(values, level)
+                for i in range(n):
+                    assert got[i] == values[i], (name, level, i + 1)
+            for level, got in enumerate(islice(tilde_levels(f, n), tilde_top), 1):
+                if level > 1:
+                    pair = tilde_family_step(*pair)
+                for part in (0, 1):
+                    for i in range(n):
+                        assert got[part][i] == pair[part][i], (name, level, part, i + 1)
+
+    @pytest.mark.parametrize("build", [coeff_c, coeff_d, coeff_minus, coeff_plus])
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_transposed_coefficients(self, build, power):
+        # the coefficients are built independently by _fraction; a transposition
+        # that reverses a difference must negate once per odd multiplicity
+        n = 4
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i == j:
+                    continue
+                for a in range(1, n + 1):
+                    for b in range(a + 1, n + 1):
+                        swap = {a: b, b: a}
+                        si, sj = swap.get(i, i), swap.get(j, j)
+                        got = build(n, i, j)
+                        want = build(n, si, sj)
+                        if power == 2:
+                            got, want = got * got, want * want
+                        assert got.transposed(a, b) == want, (i, j, a, b)
+
+    @staticmethod
+    def count_transposes(monkeypatch):
+        calls = []
+        original = RationalFunction.transposed
+
+        def counted(self, a, b):
+            calls.append((a, b))
+            return original(self, a, b)
+
+        monkeypatch.setattr(RationalFunction, "transposed", counted)
+        return calls
+
+    def test_symmetric_input_fills_by_transposition(self, monkeypatch):
+        n = 3
+        f = schur_q(StrictPartition((2, 1)), n)
+        calls = self.count_transposes(monkeypatch)
+        omega(f, 5, n)
+        assert calls == [(1, 2), (1, 3)] * 4  # levels 2..5
+        calls.clear()
+        tilde_omega(f, 3, n)
+        assert calls == [(1, 2), (1, 3)] * 4  # levels 2 and 3, plain and barred
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: Polynomial.monomial(n, (2, 1, 0)),
+            lambda n: delta(n) * RationalFunction.from_polynomial(schur_q(StrictPartition((2, 1)), n)),
+        ],
+        ids=["monomial", "with-denominator"],
+    )
+    def test_other_inputs_take_the_n_component_step(self, monkeypatch, make):
+        n = 3
+        f = make(n)
+        calls = self.count_transposes(monkeypatch)
+        plain = list(islice(family_levels(f, n), 3))
+        tilde = list(islice(tilde_levels(f, n), 3))
+        assert calls == []
+        values, pair = n_component_walks(f, n)
+        for level in (2, 3):
+            values = family_step(values, level)
+            pair = tilde_family_step(*pair)
+        assert plain[-1] == values and tilde[-1] == pair
+
+    def test_coefficients_are_built_once_per_walk(self, monkeypatch):
+        n = 3
+        built = []
+        for name in ("coeff_c", "coeff_d", "coeff_minus", "coeff_plus"):
+            original = getattr(operators, name)
+
+            def counted(*args, _name=name, _original=original):
+                built.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(operators, name, counted)
+        q = schur_q(StrictPartition((3, 1)), n)
+        monomial = Polynomial.monomial(n, (1, 2, 0))
+        omega(q, 1, n)
+        tilde_omega(q, 1, n)
+        assert built == []  # level 1 needs no coefficient
+        for f, pairs in ((q, n - 1), (monomial, n * (n - 1))):
+            built.clear()
+            omega(f, 5, n)  # four steps
+            assert sorted(built) == ["coeff_c"] * pairs + ["coeff_d"] * pairs
+            built.clear()
+            tilde_omega(f, 4, n)  # three steps
+            assert sorted(built) == ["coeff_minus"] * pairs + ["coeff_plus"] * pairs
 
 
 class TestDelta:

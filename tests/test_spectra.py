@@ -237,6 +237,16 @@ class TestComputedOnce:
         assert calls["eigen_check"] > 0
         assert calls["apply_operator"] == calls["eigen_check"]
 
+    def test_uniqueness_solves_each_operator_matrix_once(self, monkeypatch):
+        # one elimination per (degree, operator) matrix, not one per image
+        calls = count_calls(monkeypatch, linalg, ["solve"])
+        checks = count_calls(monkeypatch, spectra, ["eigen_check"])
+        assert uniqueness_sweep(3, 7).passed
+        # degrees 1..7 at n = 3: bases of sizes 1, 1, 2, 2, 3, 4, 5; Omega_1 alone
+        # separates size 1, Omega_1 and Omega_3 the rest
+        assert checks["eigen_check"] == 1 + 1 + 2 * (2 + 2 + 3 + 4 + 5)
+        assert calls["solve"] == 2 + 2 * 5
+
     def test_lemma121_walks_each_family_once(self, monkeypatch):
         calls = count_calls(monkeypatch, operators, ["family_step", "tilde_family_step"])
         report = lemma_121_sweep(2, 3)
