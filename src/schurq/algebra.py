@@ -1,8 +1,9 @@
 """Exact arithmetic substrate.
 
-Sparse multivariate polynomials over arbitrary-precision rationals,
-rational functions whose denominators stay factored over the binomials
-x_i - x_j and x_i + x_j, and a generic Pfaffian.
+Sparse multivariate polynomials over arbitrary-precision rationals, each
+monomial packed into one int (see _pack), rational functions whose
+denominators stay factored over the binomials x_i - x_j and x_i + x_j,
+and a generic Pfaffian.
 
 Variable indices are 1-based throughout the public API.
 """
@@ -25,6 +26,10 @@ class VariableCountMismatch(ValueError):
     """Operands live in rings with different variable counts."""
 
 
+class ExponentOverflow(ValueError):
+    """A total degree exceeds MAX_DEGREE, the largest a packed monomial holds."""
+
+
 def _coeff(c: Scalar) -> Scalar:
     """Canonical coefficient: an int when c is integral, else a Fraction.
 
@@ -39,34 +44,80 @@ def _coeff(c: Scalar) -> Scalar:
     return c.numerator if c.denominator == 1 else c
 
 
-def grevlex_key(exponents: tuple[int, ...]):
-    """Sort key; larger key = larger monomial in graded reverse lex."""
-    return (sum(exponents), tuple(-e for e in reversed(exponents)))
+# A monomial x_1^e_1 ... x_n^e_n is one int: e_i in the _BITS-bit field at
+# bit _BITS*(i-1), and the total degree in the field above them, at bit
+# _BITS*n.  Every exponent is at most the total degree, so while the degree
+# is at most MAX_DEGREE no field can carry into its neighbour, and the key of
+# a product is the sum of the keys.  Below the degree field, x_n is the most
+# significant exponent, so flipping those bits (m ^ _low(n)) orders keys as
+# graded reverse lex: higher degree first, then smaller e_n, then smaller
+# e_(n-1), and so on.
+_BITS = 10
+_MASK = (1 << _BITS) - 1
+MAX_DEGREE = _MASK
+
+
+def _low(n: int) -> int:
+    """The exponent fields of an n-variable key, below its degree field."""
+    return (1 << _BITS * n) - 1
+
+
+def _overflow(degree: int) -> ExponentOverflow:
+    return ExponentOverflow(f"total degree {degree} exceeds {MAX_DEGREE}, the largest a monomial holds")
+
+
+def _pack(exps: tuple[int, ...], n: int) -> int:
+    """The key of the exponent vector exps, which must have n entries."""
+    if len(exps) != n:
+        raise VariableCountMismatch(f"monomial {exps} has {len(exps)} entries, expected {n}")
+    key = degree = 0
+    for e in reversed(exps):
+        if type(e) is not int:
+            raise TypeError(f"exponent {e!r} in {exps} is not an int")
+        if e < 0:
+            raise ValueError(f"negative exponent in {exps}")
+        key = key << _BITS | e
+        degree += e
+    if degree > MAX_DEGREE:
+        raise _overflow(degree)
+    return key | degree << _BITS * n
+
+
+def _unpack(key: int, n: int) -> tuple[int, ...]:
+    return tuple(key >> _BITS * k & _MASK for k in range(n))
 
 
 class Polynomial:
     """Sparse polynomial in x_1..x_n with rational coefficients.
 
-    The term map never stores zero coefficients, and stores each one in
-    canonical form (see _coeff): an int when it is integral, else a
-    Fraction with denominator > 1.  Instances are treated as immutable;
-    no method mutates self.
+    terms maps packed monomial keys (see _pack) to coefficients.  The map
+    never stores zero coefficients, and stores each one in canonical form
+    (see _coeff): an int when it is integral, else a Fraction with
+    denominator > 1.  Exponent tuples appear only at the edges: the
+    constructor packs them, and leading_term, sorted_terms, coefficient
+    and the serialisers unpack.  Instances are treated as immutable; no
+    method mutates self.
     """
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: Mapping[tuple[int, ...], Scalar]):
-        clean: dict[tuple[int, ...], Scalar] = {}
+        clean: dict[int, Scalar] = {}
         for exps, coeff in terms.items():
-            if len(exps) != n:
-                raise VariableCountMismatch(
-                    f"monomial {exps} has {len(exps)} entries, expected {n}"
-                )
+            key = _pack(tuple(exps), n)
             c = _coeff(coeff)
             if c:
-                clean[tuple(exps)] = c
+                clean[key] = c
         self.n = n
         self.terms = clean
+
+    @staticmethod
+    def _from_keys(n: int, terms: dict[int, Scalar]) -> "Polynomial":
+        """Wrap a packed term map that is already clean (no zero, canonical coefficients)."""
+        out = Polynomial.__new__(Polynomial)
+        out.n = n
+        out.terms = terms
+        return out
 
     # -- constructors ------------------------------------------------
 
@@ -96,27 +147,32 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return not any(self.terms)  # the constant monomial is key 0
 
     def constant_value(self) -> Scalar:
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return self.terms.get((0,) * self.n, 0)
+        return self.terms.get(0, 0)
+
+    def coefficient(self, exps: Iterable[int]) -> Scalar:
+        """The coefficient of x^exps (0 when absent)."""
+        return self.terms.get(_pack(tuple(exps), self.n), 0)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial (reporting only)."""
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(self.terms) >> _BITS * self.n
 
     def degree_in(self, i: int) -> int:
+        if not 1 <= i <= self.n:
+            raise IndexError(f"variable index {i} out of range 1..{self.n}")
         if not self.terms:
             return -1
-        return max(e[i - 1] for e in self.terms)
+        return max(m >> _BITS * (i - 1) & _MASK for m in self.terms)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
+        return len(self.homogeneous_components()) <= 1
 
     def is_symmetric(self) -> bool:
         """Invariant under every adjacent swap x_i <-> x_(i+1), hence under all permutations."""
@@ -126,8 +182,24 @@ class Polynomial:
         """Grevlex-leading (monomial, coefficient); error on zero."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=grevlex_key)
-        return m, self.terms[m]
+        flip = _low(self.n)
+        m = max(self.terms, key=lambda m: m ^ flip)
+        return _unpack(m, self.n), self.terms[m]
+
+    def restricted(self, i: int) -> "Polynomial":
+        """self with x_(i+1), .., x_n set to 0: its terms in x_1..x_i alone."""
+        if not 0 <= i <= self.n:
+            raise IndexError(f"variable count {i} out of range 0..{self.n}")
+        low, bound = _low(self.n), 1 << _BITS * i
+        return Polynomial._from_keys(self.n, {m: c for m, c in self.terms.items() if (m & low) < bound})
+
+    def homogeneous_components(self) -> dict[int, "Polynomial"]:
+        """The nonzero homogeneous parts of self, by degree."""
+        shift = _BITS * self.n
+        parts: dict[int, dict[int, Scalar]] = {}
+        for m, c in self.terms.items():
+            parts.setdefault(m >> shift, {})[m] = c
+        return {d: Polynomial._from_keys(self.n, t) for d, t in parts.items()}
 
     # -- arithmetic --------------------------------------------------
 
@@ -144,42 +216,40 @@ class Polynomial:
                 terms[m] = s if type(s) is int or s.denominator != 1 else s.numerator
             else:
                 terms.pop(m, None)
-        out = Polynomial.__new__(Polynomial)
-        out.n = self.n
-        out.terms = terms
-        return out
+        return Polynomial._from_keys(self.n, terms)
 
     def __neg__(self) -> "Polynomial":
-        out = Polynomial.__new__(Polynomial)
-        out.n = self.n
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return Polynomial._from_keys(self.n, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        terms: dict[tuple[int, ...], Scalar] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
+        a, b = self.terms, other.terms
+        if len(a) > len(b):
+            a, b = b, a  # the shorter operand in the outer loop
+        terms: dict[int, Scalar] = {}
+        if not a:
+            return Polynomial._from_keys(self.n, terms)
+        shift = _BITS * self.n  # the largest key has the largest degree
+        degree = (max(a) >> shift) + (max(b) >> shift)
+        if degree > MAX_DEGREE:
+            raise _overflow(degree)
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = m1 + m2
                 s = terms.get(m, 0) + c1 * c2
                 if s:  # _coeff's rule, inlined: this runs once per term pair
                     terms[m] = s if type(s) is int or s.denominator != 1 else s.numerator
                 else:
                     terms.pop(m, None)
-        out = Polynomial.__new__(Polynomial)
-        out.n = self.n
-        out.terms = terms
-        return out
+        return Polynomial._from_keys(self.n, terms)
 
     def scale(self, c: Scalar) -> "Polynomial":
         c = _coeff(c)
-        out = Polynomial.__new__(Polynomial)
-        out.n = self.n
-        out.terms = {m: _coeff(v * c) for m, v in self.terms.items()} if c else {}
-        return out
+        terms = {m: _coeff(v * c) for m, v in self.terms.items()} if c else {}
+        return Polynomial._from_keys(self.n, terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
@@ -195,8 +265,9 @@ class Polynomial:
         """x_i * d/dx_i."""
         if not 1 <= i <= self.n:
             raise IndexError(f"variable index {i} out of range 1..{self.n}")
-        terms = {m: c * m[i - 1] for m, c in self.terms.items() if m[i - 1]}
-        return Polynomial(self.n, terms)
+        at = _BITS * (i - 1)
+        terms = {m: _coeff(c * e) for m, c in self.terms.items() if (e := m >> at & _MASK)}
+        return Polynomial._from_keys(self.n, terms)
 
     def transposed(self, a: int, b: int) -> "Polynomial":
         """p with x_a and x_b exchanged."""
@@ -204,18 +275,18 @@ class Polynomial:
             raise IndexError(f"variable indices {a}, {b} out of range 1..{self.n}")
         if a == b:
             return self
-        a, b = sorted((a - 1, b - 1))
-        out = Polynomial.__new__(Polynomial)
-        out.n = self.n
-        out.terms = {
-            m[:a] + (m[b],) + m[a + 1 : b] + (m[a],) + m[b + 1 :]: c for m, c in self.terms.items()
-        }
-        return out
+        at, bt = _BITS * (a - 1), _BITS * (b - 1)
+        move = (1 << at) - (1 << bt)  # adding (e_b - e_a) * move swaps the two fields
+        terms = {m + ((m >> bt & _MASK) - (m >> at & _MASK)) * move: c for m, c in self.terms.items()}
+        return Polynomial._from_keys(self.n, terms)
 
     # -- serialization -----------------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
-        return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
+        """(exponents, coefficient) pairs, grevlex-largest first."""
+        flip = _low(self.n)
+        ordered = sorted(self.terms.items(), key=lambda t: t[0] ^ flip, reverse=True)
+        return [(_unpack(m, self.n), c) for m, c in ordered]
 
     def to_text(self) -> str:
         if not self.terms:
@@ -277,12 +348,11 @@ def substitute(p: Polynomial, assignment: Mapping[int, object]) -> Polynomial:
     remaining = [i for i in range(1, p.n + 1) if i not in assignment]
     n_out = len(remaining) + (1 if uses_t else 0)
     pos = {i: k for k, i in enumerate(remaining)}
-    terms: dict[tuple[int, ...], Scalar] = {}
+    terms: dict[int, Scalar] = {}
     for m, c in p.terms.items():
         new = [0] * n_out
         coeff = c
-        for i in range(1, p.n + 1):
-            e = m[i - 1]
+        for i, e in enumerate(_unpack(m, p.n), 1):
             if i in pos:
                 new[pos[i]] = e
             else:
@@ -299,13 +369,13 @@ def substitute(p: Polynomial, assignment: Mapping[int, object]) -> Polynomial:
             if not coeff:
                 break
         if coeff:
-            key = tuple(new)
+            key = _pack(tuple(new), n_out)
             s = terms.get(key, 0) + coeff
             if s:
                 terms[key] = s
             else:
                 del terms[key]
-    return Polynomial(n_out, terms)
+    return Polynomial._from_keys(n_out, {m: _coeff(c) for m, c in terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -358,27 +428,29 @@ def exact_divide(p: Polynomial, f: Factor) -> Polynomial:
     # one per exponent vector outside {i, j} and degree e = e_i + e_j.  Each
     # form is divided on its own by synthetic division, d_(a-1) = c_a +- d_a,
     # and divides iff its remainder c_0 +- d_0 is zero.
-    i, j = f.i - 1, f.j - 1
+    # The key of a form is the packed key with e_j moved into e_i's field.
+    at, bt = _BITS * (f.i - 1), _BITS * (f.j - 1)
+    move = (1 << at) - (1 << bt)
     step = operator.add if f.kind == "diff" else operator.sub
-    forms: dict[tuple[int, ...], dict[int, Scalar]] = {}
+    forms: dict[int, dict[int, Scalar]] = {}
     for m, c in p.terms.items():
-        key = list(m)
-        key[i] += key[j]
-        key[j] = 0
-        forms.setdefault(tuple(key), {})[m[i]] = c
-    quo: dict[tuple[int, ...], Scalar] = {}
+        forms.setdefault(m + (m >> bt & _MASK) * move, {})[m >> at & _MASK] = c
+    # quotient term a - 1 of a form is x_i^(a-1) x_j^(e-a): one degree lower, and
+    # each step down in a moves one unit from e_i's field to e_j's
+    down = -move
+    drop = (1 << at) + (1 << _BITS * p.n)
+    quo: dict[int, Scalar] = {}
     for key, form in forms.items():
-        e = key[i]
-        qm = list(key)
+        qm = key - drop
         d = 0
-        for a in range(e, 0, -1):
+        for a in range(key >> at & _MASK, 0, -1):
             d = step(form.get(a, 0), d)
             if d:
-                qm[i], qm[j] = a - 1, e - a
-                quo[tuple(qm)] = d
+                quo[qm] = d if type(d) is int else _coeff(d)
+            qm += down
         if step(form.get(0, 0), d):
             raise NotDivisible(str(f))
-    return Polynomial(p.n, quo)
+    return Polynomial._from_keys(p.n, quo)
 
 
 class RationalFunction:

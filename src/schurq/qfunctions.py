@@ -18,7 +18,6 @@ from typing import Iterator
 from . import linalg
 from .algebra import (
     Polynomial,
-    Scalar,
     T_MINUS,
     T_PLUS,
     VariableCountMismatch,
@@ -111,19 +110,30 @@ def odd_cycle_types(weight: int) -> Iterator[OddCycleType]:
 
 @lru_cache(maxsize=None)
 def q_series(n: int, maxdeg: int) -> tuple[Polynomial, ...]:
-    """Coefficients q_0..q_maxdeg of prod(1+x_i t)/prod(1-x_i t)."""
+    """Coefficients q_0..q_maxdeg of Q(t) = prod(1+x_i t)/prod(1-x_i t).
+
+    The q_k do not depend on maxdeg, so q_series(n, d) is the cached
+    q_series(n, d - 1) and one new term, and a series is built once however
+    many of its lengths are asked for.  The new term needs only the last
+    one: with p^(i) = p(x_1, .., x_i, 0, .., 0), the factor of x_i in Q(t)
+    gives q_d^(i) - q_d^(i-1) = x_i (q_(d-1)^(i-1) + q_(d-1)^(i)), and
+    summing over i gives q_d = sum_i x_i (q_(d-1)^(i-1) + q_(d-1)^(i)).
+    """
     if n < 1 or maxdeg < 0:
         raise ValueError("need n >= 1 and maxdeg >= 0")
-    coeffs = [Polynomial.constant(n, 1)] + [Polynomial.zero(n) for _ in range(maxdeg)]
+    if maxdeg == 0:
+        return (Polynomial.constant(n, 1),)
+    for d in range(maxdeg - 1):  # ascending, so that no call below recurses more than one level
+        q_series(n, d)
+    qs = q_series(n, maxdeg - 1)
+    upto = [qs[-1]]  # upto[i] = q_(d-1)^(i), each restricted from the next
+    for i in range(n - 1, -1, -1):
+        upto.append(upto[-1].restricted(i))
+    upto.reverse()
+    q = Polynomial.zero(n)
     for i in range(1, n + 1):
-        xi = Polynomial.variable(n, i)
-        # multiply by (1 + x_i t)
-        for k in range(maxdeg, 0, -1):
-            coeffs[k] = coeffs[k] + xi * coeffs[k - 1]
-        # multiply by 1/(1 - x_i t): c_k <- c_k + x_i * c_{k-1} (updated)
-        for k in range(1, maxdeg + 1):
-            coeffs[k] = coeffs[k] + xi * coeffs[k - 1]
-    return tuple(coeffs)
+        q = Polynomial.variable(n, i) * (upto[i] + upto[i - 1]) + q
+    return qs + (q,)
 
 
 @lru_cache(maxsize=None)
@@ -224,14 +234,11 @@ def expand_in_power_sums(p: Polynomial, n: int, maxweight: int) -> dict[OddCycle
     if p.n != n:
         raise VariableCountMismatch(f"{p.n} vs {n} variables")
     result: dict[OddCycleType, Fraction] = {}
-    by_degree: dict[int, dict[tuple[int, ...], Scalar]] = {}
-    for m, c in p.terms.items():
-        by_degree.setdefault(sum(m), {})[m] = c
-    for d, component in sorted(by_degree.items()):
+    for d, component in sorted(p.homogeneous_components().items()):
         nus = list(odd_cycle_types(d))
         basis = [power_sum_product(nu.parts, n) for nu in nus]
         try:
-            coeffs = linalg.coordinates(basis, Polynomial(n, component))
+            coeffs = linalg.coordinates(basis, component)
         except linalg.InconsistentSystem as exc:
             raise NotInSpan(f"degree-{d} component not in the odd span") from exc
         except ValueError as exc:

@@ -87,7 +87,7 @@ def eigen_check(lam: StrictPartition, op: str, n: int) -> EigenReport:
         raise DenominatorLeft(f"{op} Q_{lam} left denominator {image.den}")
     p = image.as_polynomial()
     lead_m, lead_c = f.leading_term()
-    c = Fraction(p.terms.get(lead_m, 0), lead_c)
+    c = Fraction(p.coefficient(lead_m), lead_c)
     residual = p - f.scale(c)
     if residual.is_zero():
         return EigenReport(lam, op, c, True, residual, p)

@@ -1,0 +1,65 @@
+"""CLI output byte for byte, and the packed-monomial range error at the CLI.
+
+The files under data/golden hold the stdout of each command below as
+recorded before monomials were packed into ints.  They cover the paths
+that turn packed keys back into exponent tuples: JSON and text output of
+polynomials, an operator image, an eigenvalue, and an expansion.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from schurq import cli
+from schurq.algebra import MAX_DEGREE
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+
+COMMANDS = {
+    "qk_n3_max6.json": ["qk", "--n", "3", "--max", "6"],
+    "qk_n3_max6.txt": ["qk", "--n", "3", "--max", "6", "--format", "text"],
+    "qfun_421_n4.json": ["qfun", "--lambda", "4,2,1", "--n", "4"],
+    "qfun_421_n4.txt": ["qfun", "--lambda", "4,2,1", "--n", "4", "--format", "text"],
+    "apply_omega3_31_n3.txt": ["apply", "--op", "omega3", "--lambda", "3,1", "--n", "3", "--format", "text"],
+    "eigen_32_omega5_n3.json": ["eigen", "--lambda", "3,2", "--op", "omega5", "--n", "3"],
+    "charmap_311_n3.json": ["char-map", "--nu", "3,1,1", "--n", "3"],
+    "expand_32.txt": ["expand", "--lambda", "3,2", "--format", "text"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_stdout_matches_golden_bytes(name, capsys):
+    assert cli.main(COMMANDS[name]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+class TestRangeErrorAtTheCli:
+    ARGV = ["qk", "--n", "1", "--max", str(MAX_DEGREE + 1), "--force"]
+
+    def test_in_process(self, capsys):
+        assert cli.main(self.ARGV) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: total degree ")
+
+    def test_process_exits_2_without_traceback(self):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "schurq", *self.ARGV],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("top", [300, MAX_DEGREE])
+    def test_in_range_degrees_print_as_before(self, top, capsys):
+        # in one variable q_k = 2 x1^k, which the CLI printed the same way for any k
+        assert cli.main(["qk", "--n", "1", "--max", str(top), "--force", "--format", "text"]) == 0
+        want = ["q0 = 1", "q1 = 2*x1"] + [f"q{k} = 2*x1^{k}" for k in range(2, top + 1)]
+        assert capsys.readouterr().out == "\n".join(want) + "\n"
