@@ -470,13 +470,17 @@ class RationalFunction:
         self.den = d
         self._reduce()
 
-    def _reduce(self) -> None:
-        # The factors are pairwise coprime primes, so cancelling one never
-        # changes whether another divides: one sweep suffices.
+    def _reduce(self, factors: Optional[Iterable[Factor]] = None) -> None:
+        """Cancel the factors (default: all of den) that divide num.
+
+        The factors are pairwise coprime primes, so cancelling one never
+        changes whether another divides: one sweep suffices.
+        """
         if self.num.is_zero():
             self.den = {}
             return
-        for f, m in list(self.den.items()):
+        for f in list(self.den if factors is None else factors):
+            m = self.den[f]
             try:
                 while m:
                     self.num = exact_divide(self.num, f)
@@ -561,6 +565,33 @@ class RationalFunction:
         for f, m in other.den.items():
             den[f] = den.get(f, 0) + m
         return RationalFunction(self.num * other.num, den)
+
+    def times_monomial(self, m: Polynomial) -> "RationalFunction":
+        """self * m for a one-term m.
+
+        A monomial is coprime to every factor, so the product is reduced as
+        it stands and skips _reduce.
+        """
+        if len(m.terms) != 1:
+            raise ValueError(f"{m} is not a monomial")
+        out = RationalFunction.__new__(RationalFunction)
+        out.num = self.num * m
+        out.den = dict(self.den)
+        return out
+
+    def divided_by(self, den: Mapping[Factor, int]) -> "RationalFunction":
+        """self / prod f^m over den, a denominator map such as another value's den.
+
+        num is reduced against self.den, so only a factor new to it can cancel.
+        """
+        out = RationalFunction.__new__(RationalFunction)
+        out.num = self.num
+        out.den = dict(self.den)
+        fresh = [f for f in den if f not in self.den]
+        for f, m in den.items():
+            out.den[f] = out.den.get(f, 0) + m
+        out._reduce(fresh)
+        return out
 
     def scale(self, c: Scalar) -> "RationalFunction":
         c = _coeff(c)

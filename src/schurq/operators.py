@@ -120,6 +120,13 @@ def family_step(
     rows holds the walk's (j, c_ij, d_ij) coefficients; without it every
     component is computed.  With row 1 alone, prev must be the level of a
     symmetric input, and the other components are transposes of the first.
+
+    c_ij and d_ij share their denominator (x_i-x_j)(x_i+x_j), built once per
+    walk with c_ij, and their numerators are monomials.  So each pair of an
+    even step adds one fraction, (c.num prev_i - d.num prev_j) / c.den: a
+    monomial multiple of a reduced value is still reduced, and only the
+    sum is tried against the binomials of c.den.  On an eigenfunction that
+    sum divides, where c prev_i and d prev_j alone do not.
     """
     n = len(prev)
     if rows is None:
@@ -135,7 +142,7 @@ def family_step(
             if level % 2:
                 acc = acc + c * (pi - pj)
             else:
-                acc = acc + c * pi - d * pj
+                acc = acc + (pi.times_monomial(c.num) - pj.times_monomial(d.num)).divided_by(c.den)
         out.append(acc)
     if len(rows) < n:
         return _fill(out[0], n)
@@ -230,10 +237,19 @@ def tilde_family_step(
     rows holds the walk's (j, x_i/(x_i-x_j), x_i/(x_i+x_j)) coefficients,
     as in family_step: with row 1 alone both parts are filled in by
     transposing their first component.
+
+    Over (x_i-x_j)(x_i+x_j) each line's pair terms are one fraction with
+    monomial multipliers.  With s_j = plain_j + barred_j and
+    t_j = barred_j - plain_j they are
+        [x_ix_j (2 plain_i + t_j) - x_i^2 s_j] / (x_i^2-x_j^2)   (plain)
+        [x_i^2 s_j + x_ix_j (t_j - 2 barred_i)] / (x_i^2-x_j^2)  (barred),
+    so, as in the even step of family_step, only their sums are tried
+    against the two binomials.
     """
     n = len(plain)
     if rows is None:
         rows = _rows(n, coeff_minus, coeff_plus, symmetric=False)
+    xs = [Polynomial.variable(n, j) for j in range(1, n + 1)]
     new_plain = []
     new_barred = []
     for i, row in enumerate(rows, 1):
@@ -241,9 +257,15 @@ def tilde_family_step(
         bi = barred[i - 1]
         acc_p = pi.euler(i)
         acc_b = pi + bi - bi.euler(i)
+        pi2, bi2 = pi.scale(2), bi.scale(2)
         for j, cm, cp in row:
-            acc_p = acc_p + cm * (pi - plain[j - 1]) - cp * (pi + barred[j - 1])
-            acc_b = acc_b - cm * (bi - barred[j - 1]) + cp * (bi + plain[j - 1])
+            # cm.num = +-x_i, signed as (x_i-x_j) is to its stored factor, and cp.num = x_i
+            den = {**cm.den, **cp.den}
+            square, mixed = cm.num * cp.num, cm.num * xs[j - 1]
+            s_term = (plain[j - 1] + barred[j - 1]).times_monomial(square)
+            t_j = barred[j - 1] - plain[j - 1]
+            acc_p = acc_p + ((pi2 + t_j).times_monomial(mixed) - s_term).divided_by(den)
+            acc_b = acc_b + (s_term + (t_j - bi2).times_monomial(mixed)).divided_by(den)
         new_plain.append(acc_p)
         new_barred.append(acc_b)
     if len(rows) < n:

@@ -310,6 +310,30 @@ class TestRationalFunction:
         assert d1 * d2 == d2 * d1
         assert (d1 + d2) - d2 == d1
 
+    @given(polynomials(3, max_degree=3, max_terms=4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_monomial_and_denominator_products_skip_no_cancellation(self, p, data):
+        # times_monomial keeps the form without reducing, and divided_by tries
+        # only factors new to the denominator; both must equal the reducing product
+        n = 3
+        factors = [Factor("diff", 1, 2), Factor("sum", 1, 3), Factor("diff", 2, 3), Factor("sum", 1, 2)]
+        mult = st.integers(min_value=0, max_value=2)
+        num = p
+        for f in data.draw(st.lists(st.sampled_from(factors), max_size=3)):
+            num = num * f.as_polynomial(n)  # so that dividing cancels
+        a = RationalFunction(num, {f: data.draw(mult) for f in factors})
+        den = {f: m for f in factors if (m := data.draw(mult))}
+        exps = data.draw(st.tuples(*[st.integers(min_value=0, max_value=2)] * n))
+        m = Polynomial.monomial(n, exps, data.draw(st.sampled_from([1, -2, Fraction(1, 3)])))
+        assert a.times_monomial(m) == a * RationalFunction.from_polynomial(m)
+        assert a.divided_by(den) == a * RationalFunction(Polynomial.constant(n, 1), den)
+
+    def test_times_monomial_refuses_other_polynomials(self):
+        r = RationalFunction.constant(2, 1)
+        for p in (x(2, 1) + x(2, 2), Polynomial.zero(2)):
+            with pytest.raises(ValueError):
+                r.times_monomial(p)
+
 
 class TestPfaffian:
     def test_2x2(self):

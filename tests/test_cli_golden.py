@@ -4,6 +4,8 @@ The files under data/golden hold the stdout of each command below as
 recorded before monomials were packed into ints.  They cover the paths
 that turn packed keys back into exponent tuples: JSON and text output of
 polynomials, an operator image, an eigenvalue, and an expansion.
+apply_omega7_421_n4.txt was recorded while the even operator step still
+added two products per pair; it covers an image through three even levels.
 """
 
 import os
@@ -25,6 +27,7 @@ COMMANDS = {
     "qfun_421_n4.json": ["qfun", "--lambda", "4,2,1", "--n", "4"],
     "qfun_421_n4.txt": ["qfun", "--lambda", "4,2,1", "--n", "4", "--format", "text"],
     "apply_omega3_31_n3.txt": ["apply", "--op", "omega3", "--lambda", "3,1", "--n", "3", "--format", "text"],
+    "apply_omega7_421_n4.txt": ["apply", "--op", "omega7", "--lambda", "4,2,1", "--n", "4", "--format", "text"],
     "eigen_32_omega5_n3.json": ["eigen", "--lambda", "3,2", "--op", "omega5", "--n", "3"],
     "charmap_311_n3.json": ["char-map", "--nu", "3,1,1", "--n", "3"],
     "expand_32.txt": ["expand", "--lambda", "3,2", "--format", "text"],

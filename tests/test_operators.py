@@ -342,6 +342,106 @@ class TestSymmetricPath:
             assert sorted(built) == ["coeff_minus"] * pairs + ["coeff_plus"] * pairs
 
 
+def two_product_even_step(prev, level):
+    """The even step as two products per pair: (D_i - 1) p_i + sum_j c_ij p_i - d_ij p_j."""
+    assert level % 2 == 0
+    n = len(prev)
+    out = []
+    for i in range(1, n + 1):
+        pi = prev[i - 1]
+        acc = pi.euler(i) - pi
+        for j in range(1, n + 1):
+            if j != i:
+                acc = acc + coeff_c(n, i, j) * pi - coeff_d(n, i, j) * prev[j - 1]
+        out.append(acc)
+    return out
+
+
+def two_product_tilde_step(plain, barred):
+    """tilde_family_step as written in its docstring, one product per coefficient."""
+    n = len(plain)
+    new_plain, new_barred = [], []
+    for i in range(1, n + 1):
+        pi, bi = plain[i - 1], barred[i - 1]
+        acc_p = pi.euler(i)
+        acc_b = pi + bi - bi.euler(i)
+        for j in range(1, n + 1):
+            if j != i:
+                cm, cp = coeff_minus(n, i, j), coeff_plus(n, i, j)
+                acc_p = acc_p + cm * (pi - plain[j - 1]) - cp * (pi + barred[j - 1])
+                acc_b = acc_b - cm * (bi - barred[j - 1]) + cp * (bi + plain[j - 1])
+        new_plain.append(acc_p)
+        new_barred.append(acc_b)
+    return new_plain, new_barred
+
+
+N_COMPONENT_INPUTS = pytest.mark.parametrize(
+    "make",
+    [
+        lambda n: Polynomial.monomial(n, (2, 1, 0)),
+        lambda n: delta(n) * RationalFunction.from_polynomial(schur_q(StrictPartition((2, 1)), n)),
+        lambda n: monomial_symmetric((2, 1), n),
+    ],
+    ids=["monomial", "with-denominator", "m21"],
+)
+
+
+class TestEvenStep:
+    def test_eigenfunction_steps_never_miss_a_division(self, monkeypatch):
+        # each pair adds one fraction over (x_i - x_j)(x_i + x_j); on Q_lambda
+        # its numerator divides by both binomials, so a step tries no
+        # division that fails
+        from schurq import algebra
+
+        counts = {"step_calls": 0, "step_misses": 0}
+        in_step = []
+        divide, step = algebra.exact_divide, operators.family_step
+
+        def counted_divide(p, f):
+            counts["step_calls"] += bool(in_step)
+            try:
+                return divide(p, f)
+            except algebra.NotDivisible:
+                counts["step_misses"] += bool(in_step)
+                raise
+
+        def counted_step(*args):
+            in_step.append(True)
+            try:
+                return step(*args)
+            finally:
+                in_step.pop()
+
+        monkeypatch.setattr(algebra, "exact_divide", counted_divide)
+        monkeypatch.setattr(operators, "family_step", counted_step)
+        omega(schur_q(StrictPartition((4, 2, 1)), 4), 5, 4)
+        assert counts["step_calls"] > 0
+        assert counts["step_misses"] == 0
+
+    @N_COMPONENT_INPUTS
+    def test_n_component_step_equals_two_products(self, make):
+        n = 3
+        level1 = [euler_derivative(make(n), i) for i in range(1, n + 1)]
+        level2 = family_step(level1, 2)
+        assert level2 == two_product_even_step(level1, 2)
+        level3 = family_step(level2, 3)
+        assert any(v.den for v in level3)
+        assert family_step(level3, 4) == two_product_even_step(level3, 4)
+
+
+class TestTildeStep:
+    @N_COMPONENT_INPUTS
+    def test_n_component_step_equals_one_product_per_coefficient(self, make):
+        n = 3
+        level1 = [euler_derivative(make(n), i) for i in range(1, n + 1)]
+        pair = level1, list(level1)
+        for _ in range(3):
+            want = two_product_tilde_step(*pair)
+            pair = tilde_family_step(*pair)
+            assert pair == want
+        assert any(v.den for v in pair[0] + pair[1])
+
+
 class TestDelta:
     def test_n1_is_one(self):
         assert delta(1) == RationalFunction.constant(1, 1)
