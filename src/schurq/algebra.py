@@ -474,10 +474,13 @@ class RationalFunction:
         """Cancel the factors (default: all of den) that divide num.
 
         The factors are pairwise coprime primes, so cancelling one never
-        changes whether another divides: one sweep suffices.
+        changes whether another divides: one sweep suffices.  A monomial
+        numerator is coprime to every factor, so it tries none.
         """
         if self.num.is_zero():
             self.den = {}
+            return
+        if len(self.num.terms) == 1:
             return
         for f in list(self.den if factors is None else factors):
             m = self.den[f]

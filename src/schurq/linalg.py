@@ -1,18 +1,19 @@
-"""Dense exact linear algebra over Fraction (Gaussian elimination).
+"""Dense exact linear algebra over the rationals (Gaussian elimination).
 
-Matrices are lists of row lists.  Sizes here are tiny (tens of rows),
-so plain fraction elimination is the right tool.  One elimination
-(_rref) serves solve, rank, nullspace and determinant, and
-coordinates(basis, target) is the one polynomial-span solver: the
-operator matrices on the Q-span (all images of one operator in one
-elimination) and the odd power-sum expansions both go through it.
+Matrices are lists of row lists.  One fraction-free elimination (_rref,
+on int) serves solve, rank, nullspace and determinant, whose results
+hold canonical scalars, and coordinates(basis, target) is the one
+polynomial-span solver: the operator matrices on the Q-span (all images
+of one operator in one elimination) and the odd power-sum expansions
+both go through it.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .algebra import _coeff
+from .algebra import Scalar, _coeff
 
 
 class InconsistentSystem(Exception):
@@ -22,16 +23,23 @@ class InconsistentSystem(Exception):
 def _rref(rows, ncols):
     """Gauss-Jordan elimination, pivoting only in the first ncols columns.
 
-    Returns (R, pivots, factor): R is the reduced row echelon form
+    Returns (R, pivots, factor): pivots[r] is the pivot column of row r
+    of R, the rows R[:len(pivots)] are the reduced row echelon form
     (columns past ncols, such as an appended right-hand side, only
-    follow the row operations), pivots[r] is the pivot column of row r
-    of R, and factor is the product of the pivots times the sign of the
-    row swaps, which is det A when A is square and invertible.
+    follow the row operations), and factor is det A when A is square and
+    invertible.  Rows below the rank are left as unreduced ints.
+
+    Fraction-free (Bareiss): rows are scaled to integers once, and each
+    step sets every other row to (p row - f pivot_row) // prev, p the
+    pivot and prev the one before.  Sylvester's identity makes that exact
+    and leaves every pivot equal to the last, which divides the pivot rows.
     """
-    m = [[Fraction(_coeff(x)) for x in row] for row in rows]
+    m = [[x if type(x) is int else _coeff(x) for x in row] for row in rows]
+    scales = [math.lcm(*(x.denominator for x in row)) for row in m]
+    m = [row if s == 1 else [x.numerator * (s // x.denominator) for x in row] for row, s in zip(m, scales)]
     nrows = len(m)
     pivots: list[int] = []
-    factor = Fraction(1)
+    sign = prev = 1
     for col in range(ncols):
         r = len(pivots)
         if r == nrows:
@@ -41,16 +49,18 @@ def _rref(rows, ncols):
             continue
         if pivot != r:
             m[r], m[pivot] = m[pivot], m[r]
-            factor = -factor
-        factor *= m[r][col]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
+            sign = -sign
+        top = m[r]
+        p = top[col]
         for i in range(nrows):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * c for a, c in zip(m[i], m[r])]
+            f = m[i][col]
+            if i != r and (f or p != prev):
+                m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], top)]
+        prev = p
         pivots.append(col)
-    return m, pivots, factor
+    for r in range(len(pivots)):
+        m[r] = [x // prev if x % prev == 0 else Fraction(x, prev) for x in m[r]]
+    return m, pivots, _coeff(Fraction(sign * prev, math.prod(scales)))
 
 
 def rank(rows) -> int:
@@ -90,29 +100,29 @@ def coordinates(basis, target):
     """
     several = isinstance(target, list)
     targets = target if several else [target]
-    monomials = sorted({m for p in (*basis, *targets) for m in p.terms})
+    # with no monomial at all, one zero row still gives the system len(basis) columns
+    monomials = sorted({m for p in (*basis, *targets) for m in p.terms}) or [None]
     rows = [[p.terms.get(m, 0) for p in basis] for m in monomials]
     x = solve(rows, [[t.terms.get(m, 0) for t in targets] for m in monomials])
     return x if several else [r[0] for r in x]
 
 
-def nullspace(rows) -> list[list[Fraction]]:
+def nullspace(rows) -> list[list[Scalar]]:
     """Basis of the kernel of A."""
     ncols = len(rows[0]) if rows else 0
     m, pivots, _ = _rref(rows, ncols)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+        v = [int(c == fc) for c in range(ncols)]
         for row, col in enumerate(pivots):
             v[col] = -m[row][fc]
         basis.append(v)
     return basis
 
 
-def determinant(rows) -> Fraction:
-    """Determinant of a square matrix by fraction elimination (independent of the Pfaffian)."""
+def determinant(rows) -> Scalar:
+    """Determinant of a square matrix by elimination (independent of the Pfaffian)."""
     if any(len(row) != len(rows) for row in rows):
         raise ValueError("matrix is not square")
     _, pivots, factor = _rref(rows, len(rows))
-    return factor if len(pivots) == len(rows) else Fraction(0)
+    return factor if len(pivots) == len(rows) else 0

@@ -18,6 +18,7 @@ from typing import Iterator
 from . import linalg
 from .algebra import (
     Polynomial,
+    Scalar,
     T_MINUS,
     T_PLUS,
     VariableCountMismatch,
@@ -222,7 +223,7 @@ class NotInSpan(Exception):
     """Polynomial is outside the span of odd power sums."""
 
 
-def expand_in_power_sums(p: Polynomial, n: int, maxweight: int) -> dict[OddCycleType, Fraction]:
+def expand_in_power_sums(p: Polynomial, n: int, maxweight: int) -> dict[OddCycleType, Scalar]:
     """Exact coefficients c_nu with p = sum c_nu p_nu over odd cycle types.
 
     Solved degree by degree against the monomial expansions of the p_nu.
@@ -233,7 +234,7 @@ def expand_in_power_sums(p: Polynomial, n: int, maxweight: int) -> dict[OddCycle
         raise ValueError("degree exceeds maxweight")
     if p.n != n:
         raise VariableCountMismatch(f"{p.n} vs {n} variables")
-    result: dict[OddCycleType, Fraction] = {}
+    result: dict[OddCycleType, Scalar] = {}
     for d, component in sorted(p.homogeneous_components().items()):
         nus = list(odd_cycle_types(d))
         basis = [power_sum_product(nu.parts, n) for nu in nus]

@@ -6,6 +6,9 @@ that turn packed keys back into exponent tuples: JSON and text output of
 polynomials, an operator image, an eigenvalue, and an expansion.
 apply_omega7_421_n4.txt was recorded while the even operator step still
 added two products per pair; it covers an image through three even levels.
+expand_321.json was recorded while linalg still eliminated over Fraction;
+its solve runs over the 462 degree-6 monomials in 6 variables and has
+fractional coordinates.
 """
 
 import os
@@ -31,6 +34,7 @@ COMMANDS = {
     "eigen_32_omega5_n3.json": ["eigen", "--lambda", "3,2", "--op", "omega5", "--n", "3"],
     "charmap_311_n3.json": ["char-map", "--nu", "3,1,1", "--n", "3"],
     "expand_32.txt": ["expand", "--lambda", "3,2", "--format", "text"],
+    "expand_321.json": ["expand", "--lambda", "3,2,1"],
 }
 
 

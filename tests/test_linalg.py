@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from schurq import linalg
-from schurq.algebra import Polynomial
+from schurq import linalg, spectra
+from schurq.algebra import Polynomial, _coeff
 from schurq.linalg import InconsistentSystem, coordinates, determinant, nullspace, rank, solve
 
 
@@ -21,6 +21,40 @@ def matrices(count=200, max_size=6, seed=11):
     rng = random.Random(seed)
     for _ in range(count):
         yield random_matrix(rng, rng.randint(1, max_size), rng.randint(1, max_size))
+
+
+def reference_rref(rows, ncols):
+    """The elimination linalg._rref ran over Fraction before it went fraction-free.
+
+    Same contract: (R, pivots, factor), with every row of R reduced.
+    """
+    m = [[Fraction(_coeff(x)) for x in row] for row in rows]
+    nrows = len(m)
+    pivots: list[int] = []
+    factor = Fraction(1)
+    for col in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if m[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            factor = -factor
+        factor *= m[r][col]
+        inv = 1 / m[r][col]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * c for a, c in zip(m[i], m[r])]
+        pivots.append(col)
+    return m, pivots, factor
+
+
+def is_canonical(x):
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
 
 
 class TestSolve:
@@ -112,6 +146,21 @@ class TestCoordinates:
         with pytest.raises(ValueError, match="underdetermined"):
             coordinates(basis, self.basis[1])
 
+    def test_all_zero_basis_raises(self):
+        # no monomial anywhere: the system still has one column per basis element
+        z = Polynomial.zero(2)
+        with pytest.raises(ValueError, match="underdetermined"):
+            coordinates([z], z)
+        with pytest.raises(ValueError, match="underdetermined"):
+            coordinates([z, z], [z])
+
+    def test_empty_basis(self):
+        z = Polynomial.zero(2)
+        assert coordinates([], z) == []
+        assert coordinates([], [z, z]) == []
+        with pytest.raises(InconsistentSystem):
+            coordinates([], self.basis[0])
+
 
 class TestRankNullspace:
     def test_rank_nullity(self):
@@ -175,3 +224,106 @@ class TestInputChecks:
         with pytest.raises(ValueError):
             solve([[1], [2]], [1, 2, 0])
         assert solve([[1], [2]], [1, 2]) == [1]
+
+
+def differential_cases(count=400, seed=17):
+    """(rows, k): seeded matrices of every shape, pivoting in the first k columns.
+
+    Entries are ints and Fractions, some of them above 10^6.  A case is
+    plain, square, rank-deficient (rows that are combinations of earlier
+    rows) or augmented (right-hand-side columns past k, some consistent).
+    """
+    rng = random.Random(seed)
+    huge = [10**6 + 3, -(10**7) - 9, 2**61 - 1]
+
+    def entry():
+        pick = rng.random()
+        if pick < 0.3:
+            return 0
+        if pick < 0.6:
+            return rng.randint(-9, 9)
+        if pick < 0.85:
+            return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+        return rng.choice(huge) * Fraction(rng.choice([1, -1]), rng.choice([1, 1, 7, 10**6 + 33]))
+
+    def combination(rows):
+        picked = rng.sample(rows, min(len(rows), 2))
+        return [sum(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) * r[c] for r in picked)
+                for c in range(len(rows[0]))]
+
+    for case in range(count):
+        shape = ("plain", "square", "deficient", "augmented")[case % 4]
+        nrows = rng.randint(1, 7)
+        ncols = nrows if shape == "square" else rng.randint(1, 7)
+        rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+        if shape == "deficient" and nrows > 1:
+            for i in range(1, nrows):
+                if rng.random() < 0.6:
+                    rows[i] = combination(rows[:i])
+        k = rng.randint(0, ncols) if shape == "plain" else ncols
+        if shape == "augmented":
+            x = [[entry() for _ in range(ncols)] for _ in range(rng.randint(1, 3))]
+            rhs = [[sum(a * v for a, v in zip(row, xs)) for xs in x] for row in rows]
+            if rng.random() < 0.5:
+                rhs[rng.randrange(nrows)][0] += 1  # usually breaks consistency
+            rows = [[*row, *b] for row, b in zip(rows, rhs)]
+        yield rows, k
+
+
+class TestFractionFreeElimination:
+    def test_agrees_with_fraction_elimination(self):
+        square_full_rank = deficient_rows = 0
+        for rows, k in differential_cases():
+            want, want_pivots, want_factor = reference_rref(rows, k)
+            got, pivots, factor = linalg._rref(rows, k)
+            assert pivots == want_pivots
+            rank_ = len(pivots)
+            assert got[:rank_] == want[:rank_]
+            assert all(is_canonical(x) for row in got[:rank_] for x in row)
+            # below the rank only the zero pattern counts (solve reads it past ncols)
+            assert [[bool(x) for x in row] for row in got[rank_:]] == [[bool(x) for x in row] for row in want[rank_:]]
+            assert len(got) == len(rows)
+            deficient_rows += len(rows) - rank_
+            if k == len(rows) == len(rows[0]) == rank_:
+                assert factor == want_factor and is_canonical(factor)
+                square_full_rank += 1
+        assert square_full_rank > 50 and deficient_rows > 100
+
+    def test_span_matrices_match_fraction_elimination(self, monkeypatch):
+        systems = []
+        original = linalg.coordinates
+
+        def recorded(basis, target):
+            result = original(basis, target)
+            systems.append((basis, target, result))
+            return result
+
+        monkeypatch.setattr(linalg, "coordinates", recorded)
+        assert spectra.uniqueness_sweep(3, 8).passed
+        monkeypatch.undo()
+        assert len(systems) >= 8  # at least one operator matrix per degree
+        monkeypatch.setattr(linalg, "_rref", reference_rref)
+        for basis, target, result in systems:
+            assert coordinates(basis, target) == result
+
+
+class TestCanonicalScalars:
+    def test_no_integral_fraction_comes_out(self):
+        rng = random.Random(23)
+        results = []
+        for rows in matrices():
+            results.append(nullspace(rows))
+            if rank(rows) == len(rows[0]):
+                x = [Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3])) for _ in rows[0]]
+                results.append([solve(rows, apply(rows, x))])
+        assert solve([[2, 0], [0, 1]], [4, 1]) == [2, 1]
+        results.append([solve([[2, 0], [0, 1]], [4, 1])])
+        basis = TestCoordinates.basis
+        results.append(coordinates(basis, [basis[0].scale(4), Polynomial(2, {(1, 0): 3, (0, 1): Fraction(1, 2)})]))
+        checked = 0
+        for matrix in results:
+            for row in matrix:
+                for x in row:
+                    assert is_canonical(x), x
+                    checked += 1
+        assert checked > 500

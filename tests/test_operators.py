@@ -3,7 +3,7 @@ from itertools import islice
 
 import pytest
 
-from schurq.algebra import Factor, Polynomial, RationalFunction
+from schurq.algebra import Factor, NotDivisible, Polynomial, RationalFunction, exact_divide
 from schurq.operators import (
     auxiliary_functions,
     coeff_c,
@@ -208,6 +208,73 @@ class TestCoefficientSigns:
                 assert coeff_d(n, i, j) + coeff_d(n, j, i) == two
                 assert coeff_minus(n, i, j) + coeff_minus(n, j, i) == one
                 assert coeff_plus(n, i, j) + coeff_plus(n, j, i) == one
+
+
+class TestFractionBuilder:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_values_are_reduced_with_their_full_denominator(self, monkeypatch, n):
+        # the constructor tries no division on a monomial numerator, so each
+        # value must be reduced as built: no factor divides the numerator,
+        # which is what trial division in the constructor used to find
+        built = []
+        original = operators._fraction
+
+        def recorded(*args, **kwargs):
+            built.append(original(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(operators, "_fraction", recorded)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i != j:
+                    for coeff in (coeff_c, coeff_d, coeff_minus, coeff_plus):
+                        coeff(n, i, j)
+            auxiliary_functions(i, n)
+        omega3_closed(x(n, 1), n)
+        pairs, triples = n * (n - 1) // 2, n * (n - 1) * (n - 2) // 2
+        assert len(built) == 4 * 2 * pairs + (2 * 2 * pairs + triples) + (2 * pairs + triples)
+        for value in built:
+            assert len(value.num.terms) == 1
+            assert sum(value.den.values()) == value.num.degree()  # each coefficient has degree 0
+            for f in value.den:
+                with pytest.raises(NotDivisible):
+                    exact_divide(value.num, f)
+
+    def test_zero_coefficient(self):
+        value = operators._fraction(3, 0, (1, 2), [(2, 1)], [(1, 2)])
+        assert value.is_zero() and value.den == {}
+        assert value == RationalFunction.zero(3)
+
+    def test_coefficient_rows_make_no_division(self, monkeypatch):
+        from schurq import algebra
+
+        counts = {"divisions": 0, "in_rows": 0, "rows": 0}
+        in_rows = []
+        divide, rows = algebra.exact_divide, operators._rows
+
+        def counted_divide(p, f):
+            counts["divisions"] += 1
+            counts["in_rows"] += bool(in_rows)
+            return divide(p, f)
+
+        def counted_rows(*args, **kwargs):
+            counts["rows"] += 1
+            in_rows.append(True)
+            try:
+                return rows(*args, **kwargs)
+            finally:
+                in_rows.pop()
+
+        monkeypatch.setattr(algebra, "exact_divide", counted_divide)
+        monkeypatch.setattr(operators, "_rows", counted_rows)
+        q = schur_q(StrictPartition((4, 2, 1)), 4)
+        monomial = Polynomial.monomial(3, (2, 1, 0))
+        omega(q, 5, 4)
+        tilde_omega(q, 3, 4)
+        omega(monomial, 3, 3)
+        tilde_omega(monomial, 3, 3)
+        assert counts["rows"] == 4 and counts["divisions"] > 0
+        assert counts["in_rows"] == 0
 
 
 def symmetric_inputs(n, kind, top):
