@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -141,6 +141,24 @@ class Polynomial:
     def monomial(n: int, exps: Iterable[int], coeff: Scalar = 1) -> "Polynomial":
         return Polynomial(n, {tuple(exps): coeff})
 
+    @staticmethod
+    def weighted_complete(n: int, d: int, w: Sequence[int]) -> "Polynomial":
+        """sum over |alpha| <= d of prod_i w[alpha_i] x^alpha, in x_1..x_n.
+
+        The weights w[0..d] are nonzero ints, so every product is a canonical
+        coefficient.  Raising e_i by e adds e to its field and to the degree field.
+        """
+        if d > MAX_DEGREE:
+            raise _overflow(d)
+        if n < 0 or d < 0 or len(w) <= d or any(type(c) is not int or not c for c in w):
+            raise ValueError(f"need n >= 0, d >= 0 and {d + 1} nonzero int weights")
+        top = _BITS * n
+        terms: dict[int, Scalar] = {0: 1}  # the keys in x_1..x_i, i = 0 .. n
+        for i in range(n):
+            unit = (1 << _BITS * i) + (1 << top)
+            terms = {m + e * unit: c * w[e] for m, c in terms.items() for e in range(d - (m >> top) + 1)}
+        return Polynomial._from_keys(n, terms)
+
     # -- predicates --------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -186,13 +204,6 @@ class Polynomial:
         m = max(self.terms, key=lambda m: m ^ flip)
         return _unpack(m, self.n), self.terms[m]
 
-    def restricted(self, i: int) -> "Polynomial":
-        """self with x_(i+1), .., x_n set to 0: its terms in x_1..x_i alone."""
-        if not 0 <= i <= self.n:
-            raise IndexError(f"variable count {i} out of range 0..{self.n}")
-        low, bound = _low(self.n), 1 << _BITS * i
-        return Polynomial._from_keys(self.n, {m: c for m, c in self.terms.items() if (m & low) < bound})
-
     def homogeneous_components(self) -> dict[int, "Polynomial"]:
         """The nonzero homogeneous parts of self, by degree."""
         shift = _BITS * self.n
@@ -207,11 +218,12 @@ class Polynomial:
         if self.n != other.n:
             raise VariableCountMismatch(f"{self.n} vs {other.n} variables")
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def __add__(self, other: "Polynomial", op=operator.add) -> "Polynomial":
+        """self + other; __sub__ runs the same loop with op=operator.sub."""
         self._check(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, 0) + c
+            s = op(terms.get(m, 0), c)
             if s:
                 terms[m] = s if type(s) is int or s.denominator != 1 else s.numerator
             else:
@@ -222,7 +234,7 @@ class Polynomial:
         return Polynomial._from_keys(self.n, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return self.__add__(other, operator.sub)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
@@ -532,10 +544,11 @@ class RationalFunction:
         if self.n != other.n:
             raise VariableCountMismatch(f"{self.n} vs {other.n} variables")
 
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
+    def __add__(self, other: "RationalFunction", op=operator.add) -> "RationalFunction":
+        """self + other; __sub__ runs the same code with op=operator.sub."""
         self._check(other)
         if not self.den and not other.den:
-            return RationalFunction(self.num + other.num, {})
+            return RationalFunction(op(self.num, other.num), {})
         # common denominator = factor-wise max multiplicity
         common: dict[Factor, int] = dict(self.den)
         for f, m in other.den.items():
@@ -551,7 +564,7 @@ class RationalFunction:
                         num = num * fp
             return num
 
-        return RationalFunction(lift(self) + lift(other), common)
+        return RationalFunction(op(lift(self), lift(other)), common)
 
     def __neg__(self) -> "RationalFunction":
         out = RationalFunction.__new__(RationalFunction)
@@ -560,7 +573,7 @@ class RationalFunction:
         return out
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return self + (-other)
+        return self.__add__(other, operator.sub)
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         self._check(other)
@@ -628,13 +641,14 @@ class RationalFunction:
         under D.
         """
         num = self.num.euler(i)
-        grown = Polynomial.constant(self.n, 1)  # product of the binomials raised so far
+        grown = None  # product of the binomials raised so far, once there is one
         den = dict(self.den)
         for f, m in self.den.items():
             if i in (f.i, f.j):
                 fp = f.as_polynomial(self.n)
-                num = num * fp - self.num.scale(m) * fp.euler(i) * grown
-                grown = grown * fp
+                term = self.num.scale(m) * fp.euler(i)
+                num = num * fp - (term if grown is None else term * grown)
+                grown = fp if grown is None else grown * fp
                 den[f] += 1
         return RationalFunction(num, den)
 
@@ -678,12 +692,13 @@ class RationalFunction:
 # ---------------------------------------------------------------------------
 
 
-def pfaffian(rows, zero=0, one=1):
+def pfaffian(rows, one=1):
     """Pfaffian of a skew-symmetric matrix by first-row expansion.
 
-    Entries may be any ring elements supporting +, -, *.  `zero`/`one`
-    default to the scalars 0/1 and must be supplied for other rings
-    (e.g. Polynomial matrices).
+    Entries may be any ring elements supporting +, -, *.  The Pfaffian of
+    a 2x2 block is its upper entry, so the expansion stops there.  `one`
+    is the Pfaffian of the empty matrix: the scalar 1 by default, to be
+    supplied for other rings (e.g. Polynomial matrices).
     """
     size = len(rows)
     if size % 2:
@@ -695,24 +710,22 @@ def pfaffian(rows, zero=0, one=1):
         for b in range(size):
             if not rows[a][b] == -rows[b][a]:
                 raise ValueError("matrix is not skew-symmetric")
+    if not size:
+        return one
 
     cache: dict[tuple[int, ...], object] = {}
 
     def rec(indices: tuple[int, ...]):
-        if not indices:
-            return one
+        first, rest = indices[0], indices[1:]
+        if len(rest) == 1:
+            return rows[first][rest[0]]
         got = cache.get(indices)
         if got is not None:
             return got
-        first = indices[0]
-        total = zero
-        sign = 1
-        for pos in range(1, len(indices)):
-            j = indices[pos]
-            rest = indices[1:pos] + indices[pos + 1 :]
-            term = rows[first][j] * rec(rest)
-            total = total + term if sign > 0 else total - term
-            sign = -sign
+        total = rows[first][rest[0]] * rec(rest[1:])
+        for pos in range(1, len(rest)):
+            term = rows[first][rest[pos]] * rec(rest[:pos] + rest[pos + 1 :])
+            total = total - term if pos % 2 else total + term
         cache[indices] = total
         return total
 

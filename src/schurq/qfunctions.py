@@ -113,28 +113,15 @@ def odd_cycle_types(weight: int) -> Iterator[OddCycleType]:
 def q_series(n: int, maxdeg: int) -> tuple[Polynomial, ...]:
     """Coefficients q_0..q_maxdeg of Q(t) = prod(1+x_i t)/prod(1-x_i t).
 
-    The q_k do not depend on maxdeg, so q_series(n, d) is the cached
-    q_series(n, d - 1) and one new term, and a series is built once however
-    many of its lengths are asked for.  The new term needs only the last
-    one: with p^(i) = p(x_1, .., x_i, 0, .., 0), the factor of x_i in Q(t)
-    gives q_d^(i) - q_d^(i-1) = x_i (q_(d-1)^(i-1) + q_(d-1)^(i)), and
-    summing over i gives q_d = sum_i x_i (q_(d-1)^(i-1) + q_(d-1)^(i)).
+    Each factor (1+x_i t)/(1-x_i t) is 1 + 2 sum_(e>=1) x_i^e t^e, so
+    q_k = sum_(|alpha|=k) 2^#{i: alpha_i > 0} x^alpha (Macdonald, III.8).
+    One pass builds every monomial of degree <= maxdeg once, with its
+    coefficient, and q_k is the degree-k part.
     """
     if n < 1 or maxdeg < 0:
         raise ValueError("need n >= 1 and maxdeg >= 0")
-    if maxdeg == 0:
-        return (Polynomial.constant(n, 1),)
-    for d in range(maxdeg - 1):  # ascending, so that no call below recurses more than one level
-        q_series(n, d)
-    qs = q_series(n, maxdeg - 1)
-    upto = [qs[-1]]  # upto[i] = q_(d-1)^(i), each restricted from the next
-    for i in range(n - 1, -1, -1):
-        upto.append(upto[-1].restricted(i))
-    upto.reverse()
-    q = Polynomial.zero(n)
-    for i in range(1, n + 1):
-        q = Polynomial.variable(n, i) * (upto[i] + upto[i - 1]) + q
-    return qs + (q,)
+    parts = Polynomial.weighted_complete(n, maxdeg, (1,) + (2,) * maxdeg).homogeneous_components()
+    return tuple(parts[k] for k in range(maxdeg + 1))
 
 
 @lru_cache(maxsize=None)
@@ -152,7 +139,7 @@ def q_two(k: int, l: int, n: int) -> Polynomial:
     total = qs[k] * qs[l]
     for p in range(1, l + 1):
         term = (qs[k + p] * qs[l - p]).scale(2)
-        total = total + (term if p % 2 == 0 else -term)
+        total = total - term if p % 2 else total + term
     return total
 
 
@@ -170,7 +157,7 @@ def schur_q(lam: StrictPartition, n: int) -> Polynomial:
     for a, b in combinations(range(len(parts)), 2):
         rows[a][b] = q_two(parts[a], parts[b], n)
         rows[b][a] = -rows[a][b]
-    return pfaffian(rows, zero=zero, one=Polynomial.constant(n, 1))
+    return pfaffian(rows, one=Polynomial.constant(n, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +47,14 @@ class TestPolynomialArithmetic:
     def test_variable_count_mismatch(self):
         with pytest.raises(VariableCountMismatch):
             Polynomial.zero(2) + Polynomial.zero(3)
+        with pytest.raises(VariableCountMismatch):
+            Polynomial.zero(2) - Polynomial.zero(3)
+
+    @given(polynomials(3), polynomials(3))
+    @settings(max_examples=60, deadline=None)
+    def test_difference_is_sum_with_negation(self, a, b):
+        assert (a - b).terms == (a + (-b)).terms
+        assert (a - a).terms == {}
 
     def test_no_zero_coefficients_stored(self):
         p = x(2, 1) - x(2, 1)
@@ -296,6 +305,24 @@ class TestRationalFunction:
         if a == b:
             assert hash(a) == hash(b)
 
+    @given(
+        polynomials(3, max_degree=3, max_terms=4),
+        polynomials(3, max_degree=3, max_terms=4),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_difference_is_sum_with_negation(self, p, q, data):
+        # denominators drawn apart, so that either side may be lifted
+        n = 3
+        factors = [Factor("diff", 1, 2), Factor("sum", 1, 3), Factor("diff", 2, 3)]
+        mult = st.integers(min_value=0, max_value=2)
+        a = RationalFunction(p, {f: data.draw(mult) for f in factors})
+        b = RationalFunction(q, {f: data.draw(mult) for f in factors})
+        diff, total = a - b, a + (-b)
+        assert diff.num.terms == total.num.terms
+        assert diff.den == total.den
+        assert (a - a).is_zero()
+
     def test_equality_refuses_mismatched_variable_counts(self):
         with pytest.raises(VariableCountMismatch):
             RationalFunction.constant(2, 1) == RationalFunction.constant(3, 1)
@@ -335,10 +362,37 @@ class TestRationalFunction:
                 r.times_monomial(p)
 
 
+def leibniz_determinant(rows, zero):
+    """det by the permutation expansion, for entries of any commutative ring."""
+    total = zero
+    for perm in permutations(range(len(rows))):
+        term = rows[0][perm[0]]
+        for i in range(1, len(rows)):
+            term = term * rows[i][perm[i]]
+        inversions = sum(perm[a] > perm[b] for a, b in combinations(range(len(perm)), 2))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
 class TestPfaffian:
     def test_2x2(self):
         a = Fraction(5, 3)
         assert pfaffian([[0, a], [-a, 0]]) == a
+
+    def test_2x2_is_its_entry(self):
+        p = x(2, 1) * x(2, 2) + Polynomial.constant(2, 3)
+        assert pfaffian([[Polynomial.zero(2), p], [-p, Polynomial.zero(2)]]) is p
+
+    @given(st.lists(polynomials(2, max_degree=2, max_terms=3), min_size=6, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_square_equals_determinant_on_polynomials(self, entries):
+        # a 4x4 Pfaffian expands into 2x2 blocks, so the base case runs below the top
+        zero = Polynomial.zero(2)
+        rows = [[zero] * 4 for _ in range(4)]
+        for (a, b), p in zip(combinations(range(4), 2), entries):
+            rows[a][b], rows[b][a] = p, -p
+        pf = pfaffian(rows)
+        assert pf * pf == leibniz_determinant(rows, zero)
 
     def test_4x4_symbolic(self):
         # entries a12..a34 as independent variables
@@ -348,7 +402,7 @@ class TestPfaffian:
         for (i, j), v in names.items():
             rows[i - 1][j - 1] = x(n, v)
             rows[j - 1][i - 1] = -x(n, v)
-        pf = pfaffian(rows, zero=Polynomial.zero(n), one=Polynomial.constant(n, 1))
+        pf = pfaffian(rows, one=Polynomial.constant(n, 1))
         expected = x(n, 1) * x(n, 6) - x(n, 2) * x(n, 5) + x(n, 3) * x(n, 4)
         assert pf == expected
 

@@ -8,7 +8,9 @@ apply_omega7_421_n4.txt was recorded while the even operator step still
 added two products per pair; it covers an image through three even levels.
 expand_321.json was recorded while linalg still eliminated over Fraction;
 its solve runs over the 462 degree-6 monomials in 6 variables and has
-fractional coordinates.
+fractional coordinates.  qfun_4321_n4.json (a 4x4 Pfaffian) and
+qk_n2_max9.txt were recorded while q_series still built each q_k from
+the one before by restriction.
 """
 
 import os
@@ -35,6 +37,8 @@ COMMANDS = {
     "charmap_311_n3.json": ["char-map", "--nu", "3,1,1", "--n", "3"],
     "expand_32.txt": ["expand", "--lambda", "3,2", "--format", "text"],
     "expand_321.json": ["expand", "--lambda", "3,2,1"],
+    "qfun_4321_n4.json": ["qfun", "--lambda", "4,3,2,1", "--n", "4"],
+    "qk_n2_max9.txt": ["qk", "--n", "2", "--max", "9", "--format", "text"],
 }
 
 

@@ -9,6 +9,7 @@ to 6 variables and with exponents up to near the width of a field.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -235,16 +236,14 @@ class TestAgainstReference:
                 p.leading_term()
 
 
-    @given(ring(top=MAX_DEGREE, operands=1), st.data())
+    @given(ring(top=MAX_DEGREE, operands=1))
     @settings(max_examples=60, deadline=None)
-    def test_lookups_and_parts(self, case, data):
+    def test_lookups_and_parts(self, case):
         n, a = case
         p, a = Polynomial(n, a), r_clean(a)
         for m, c in a.items():
             assert p.coefficient(m) == c
         assert p.coefficient((0,) * n) == a.get((0,) * n, 0)
-        i = data.draw(st.integers(0, n))
-        assert as_ref(p.restricted(i)) == {m: c for m, c in a.items() if not any(m[i:])}
         parts = p.homogeneous_components()
         assert sorted(parts) == sorted({sum(m) for m in a})
         for d, part in parts.items():
@@ -253,6 +252,23 @@ class TestAgainstReference:
             assert p.degree_in(k) == max((m[k - 1] for m in a), default=-1)
         with pytest.raises(IndexError):
             p.degree_in(n + 1)  # would read the degree field
+
+
+    @given(
+        st.integers(0, 4),
+        st.integers(0, 6),
+        st.lists(st.integers(-9, 9).filter(bool), min_size=7, max_size=7),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_weighted_complete(self, n, d, weights):
+        want = {}
+        for m in product(range(d + 1), repeat=n):
+            if sum(m) <= d:
+                c = 1
+                for e in m:
+                    c *= weights[e]
+                want[m] = Fraction(c)
+        assert as_ref(Polynomial.weighted_complete(n, d, weights)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +291,16 @@ class TestExponentRange:
 
     def test_range_error_is_a_value_error(self):
         assert issubclass(ExponentOverflow, ValueError)
+
+    def test_weighted_complete_range_and_weights(self):
+        weights = (1,) + (2,) * (MAX_DEGREE + 1)
+        top = Polynomial.weighted_complete(1, MAX_DEGREE, weights)
+        assert top.degree() == MAX_DEGREE and len(top.terms) == MAX_DEGREE + 1
+        with pytest.raises(ExponentOverflow):
+            Polynomial.weighted_complete(6, MAX_DEGREE + 1, weights)
+        for bad in ((1, 0, 2), (1, Fraction(1, 2), 2), (1, 2.0, 2), (1, 2)):
+            with pytest.raises(ValueError):
+                Polynomial.weighted_complete(2, 2, bad)
 
     def test_largest_degree_is_held(self):
         for k in range(3):

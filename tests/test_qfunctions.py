@@ -4,7 +4,15 @@ from itertools import combinations
 import pytest
 
 from schurq import linalg
-from schurq.algebra import Polynomial, T_MINUS, T_PLUS, VariableCountMismatch, substitute
+from schurq.algebra import (
+    MAX_DEGREE,
+    ExponentOverflow,
+    Polynomial,
+    T_MINUS,
+    T_PLUS,
+    VariableCountMismatch,
+    substitute,
+)
 from schurq.qfunctions import (
     NotInSpan,
     NotSymmetric,
@@ -67,7 +75,43 @@ class TestOddCycleType:
         assert OddCycleType((1, 3)).parts == (3, 1)
 
 
+def restricted(p, i):
+    """p with x_(i+1), .., x_n set to 0."""
+    return Polynomial(p.n, {m: c for m, c in p.sorted_terms() if not any(m[i:])})
+
+
+def reference_q_series(n, maxdeg):
+    """q_0..q_maxdeg by the restriction recursion q_series ran before the closed form.
+
+    With p^(i) = p(x_1, .., x_i, 0, .., 0), the factor of x_i in Q(t) gives
+    q_d^(i) - q_d^(i-1) = x_i (q_(d-1)^(i-1) + q_(d-1)^(i)), and summing over
+    i gives q_d = sum_i x_i (q_(d-1)^(i-1) + q_(d-1)^(i)).
+    """
+    qs = [Polynomial.constant(n, 1)]
+    for _ in range(maxdeg):
+        upto = [restricted(qs[-1], i) for i in range(n + 1)]
+        q = Polynomial.zero(n)
+        for i in range(1, n + 1):
+            q = q + Polynomial.variable(n, i) * (upto[i] + upto[i - 1])
+        qs.append(q)
+    return tuple(qs)
+
+
 class TestQSeries:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_restriction_recursion(self, n):
+        # one reference series for every length, so q_series(n, d)[k] is the same for all d >= k
+        want = reference_q_series(n, 10)
+        for d in range(11):
+            assert q_series(n, d) == want[: d + 1]
+
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_degree_past_the_width_raises_at_once(self, n):
+        # in 6 variables the q_k up to MAX_DEGREE would have about 10^15 terms,
+        # so this returns only if the range check comes before any q_k is built
+        with pytest.raises(ExponentOverflow):
+            q_series(n, MAX_DEGREE + 1)
+
     def test_q0_is_one(self):
         for n in (1, 2, 3):
             assert q_series(n, 0)[0] == Polynomial.constant(n, 1)
