@@ -164,11 +164,8 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return not any(self.terms)  # the constant monomial is key 0
-
     def constant_value(self) -> Scalar:
-        if not self.is_constant():
+        if any(self.terms):  # the constant monomial is key 0
             raise ValueError("not a constant polynomial")
         return self.terms.get(0, 0)
 
@@ -188,9 +185,6 @@ class Polynomial:
         if not self.terms:
             return -1
         return max(m >> _BITS * (i - 1) & _MASK for m in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        return len(self.homogeneous_components()) <= 1
 
     def is_symmetric(self) -> bool:
         """Invariant under every adjacent swap x_i <-> x_(i+1), hence under all permutations."""
@@ -482,12 +476,30 @@ class RationalFunction:
         self.den = d
         self._reduce()
 
+    @staticmethod
+    def _reduced(num: Polynomial, den: dict[Factor, int]) -> "RationalFunction":
+        """Wrap a (num, den) pair that is already reduced; den is a map no other value holds."""
+        out = RationalFunction.__new__(RationalFunction)
+        out.num = num
+        out.den = den
+        return out
+
     def _reduce(self, factors: Optional[Iterable[Factor]] = None) -> None:
         """Cancel the factors (default: all of den) that divide num.
 
         The factors are pairwise coprime primes, so cancelling one never
         changes whether another divides: one sweep suffices.  A monomial
         numerator is coprime to every factor, so it tries none.
+
+        Trial division runs where a factor may newly divide num: the
+        constructor tries every factor (its callers are __add__ and
+        __mul__ with denominators, euler, and the operators' coefficients
+        and delta), and divided_by tries only the factors new to
+        self.den.  Every other value is reduced by construction and is
+        built with _reduced: negation, a nonzero scalar multiple and a
+        monomial multiple change no factor's divisibility of num, a
+        transposition permutes the factors up to sign, a zero num takes
+        an empty den, and a value without a denominator has none to cancel.
         """
         if self.num.is_zero():
             self.den = {}
@@ -511,15 +523,15 @@ class RationalFunction:
 
     @staticmethod
     def from_polynomial(p: Polynomial) -> "RationalFunction":
-        return RationalFunction(p, {})
+        return RationalFunction._reduced(p, {})
 
     @staticmethod
     def zero(n: int) -> "RationalFunction":
-        return RationalFunction(Polynomial.zero(n), {})
+        return RationalFunction._reduced(Polynomial.zero(n), {})
 
     @staticmethod
     def constant(n: int, c: Scalar) -> "RationalFunction":
-        return RationalFunction(Polynomial.constant(n, c), {})
+        return RationalFunction._reduced(Polynomial.constant(n, c), {})
 
     # -- predicates --------------------------------------------------
 
@@ -548,7 +560,7 @@ class RationalFunction:
         """self + other; __sub__ runs the same code with op=operator.sub."""
         self._check(other)
         if not self.den and not other.den:
-            return RationalFunction(op(self.num, other.num), {})
+            return RationalFunction._reduced(op(self.num, other.num), {})
         # common denominator = factor-wise max multiplicity
         common: dict[Factor, int] = dict(self.den)
         for f, m in other.den.items():
@@ -567,10 +579,7 @@ class RationalFunction:
         return RationalFunction(op(lift(self), lift(other)), common)
 
     def __neg__(self) -> "RationalFunction":
-        out = RationalFunction.__new__(RationalFunction)
-        out.num = -self.num
-        out.den = dict(self.den)
-        return out
+        return RationalFunction._reduced(-self.num, dict(self.den))
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
         return self.__add__(other, operator.sub)
@@ -583,26 +592,17 @@ class RationalFunction:
         return RationalFunction(self.num * other.num, den)
 
     def times_monomial(self, m: Polynomial) -> "RationalFunction":
-        """self * m for a one-term m.
-
-        A monomial is coprime to every factor, so the product is reduced as
-        it stands and skips _reduce.
-        """
+        """self * m for a one-term m, reduced as it stands (see _reduce)."""
         if len(m.terms) != 1:
             raise ValueError(f"{m} is not a monomial")
-        out = RationalFunction.__new__(RationalFunction)
-        out.num = self.num * m
-        out.den = dict(self.den)
-        return out
+        return RationalFunction._reduced(self.num * m, dict(self.den))
 
     def divided_by(self, den: Mapping[Factor, int]) -> "RationalFunction":
         """self / prod f^m over den, a denominator map such as another value's den.
 
         num is reduced against self.den, so only a factor new to it can cancel.
         """
-        out = RationalFunction.__new__(RationalFunction)
-        out.num = self.num
-        out.den = dict(self.den)
+        out = RationalFunction._reduced(self.num, dict(self.den))
         fresh = [f for f in den if f not in self.den]
         for f, m in den.items():
             out.den[f] = out.den.get(f, 0) + m
@@ -610,13 +610,8 @@ class RationalFunction:
         return out
 
     def scale(self, c: Scalar) -> "RationalFunction":
-        c = _coeff(c)
-        if not c:
-            return RationalFunction.zero(self.n)
-        out = RationalFunction.__new__(RationalFunction)
-        out.num = self.num.scale(c)
-        out.den = dict(self.den)
-        return out
+        num = self.num.scale(c)
+        return RationalFunction._reduced(num, dict(self.den) if num.terms else {})
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
@@ -653,11 +648,7 @@ class RationalFunction:
         return RationalFunction(num, den)
 
     def transposed(self, a: int, b: int) -> "RationalFunction":
-        """self with x_a and x_b exchanged.
-
-        The exchange permutes the denominator factors up to sign, so the
-        result is reduced as it stands and skips _reduce.
-        """
+        """self with x_a and x_b exchanged, reduced as it stands (see _reduce)."""
         swap = {a: b, b: a}
         num = self.num.transposed(a, b)
         den: dict[Factor, int] = {}
@@ -666,10 +657,7 @@ class RationalFunction:
             den[g] = m
             if sign < 0 and m % 2:
                 num = -num
-        out = RationalFunction.__new__(RationalFunction)
-        out.num = num
-        out.den = den
-        return out
+        return RationalFunction._reduced(num, den)
 
     # -- serialization -----------------------------------------------
 
@@ -707,7 +695,7 @@ def pfaffian(rows, one=1):
         if len(r) != size:
             raise ValueError("matrix is not square")
     for a in range(size):
-        for b in range(size):
+        for b in range(a, size):  # x == -y is symmetric: one check per unordered pair
             if not rows[a][b] == -rows[b][a]:
                 raise ValueError("matrix is not skew-symmetric")
     if not size:

@@ -27,7 +27,7 @@ MAX_N = 6
 MAX_DEG = 12
 
 
-class GuardrailError(Exception):
+class GuardrailError(ValueError):
     pass
 
 
@@ -98,9 +98,6 @@ def cmd_eigen(args) -> int:
     return 0
 
 
-SUITES = {name: spec.sweep for name, spec in spectra.SWEEPS.items()}
-
-
 def cmd_verify(args) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
@@ -111,7 +108,7 @@ def cmd_verify(args) -> int:
     elif spectra.SWEEPS[args.suite].desk_max is None:
         raise ValueError(f"suite {args.suite} takes no --max")
     _guard(args, n=args.n, deg=args.max)
-    report = SUITES[args.suite](args.n, args.max)
+    report = spectra.SWEEPS[args.suite].sweep(args.n, args.max)
     if args.format == "json":
         print(json.dumps(report.to_json_obj(), sort_keys=True))
     else:
@@ -192,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eigen)
 
     p = sub.add_parser("verify", help="run an identity sweep")
-    p.add_argument("--suite", choices=sorted(SUITES), required=True)
+    p.add_argument("--suite", choices=sorted(spectra.SWEEPS), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max", type=int, help="default 6; aux35 takes none")
     common(p)
@@ -223,9 +220,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GuardrailError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

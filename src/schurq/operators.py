@@ -33,11 +33,6 @@ def _lift(f: Value) -> RationalFunction:
     return f
 
 
-def euler_derivative(f: Value, i: int) -> RationalFunction:
-    """x_i * d/dx_i applied to f."""
-    return _lift(f).euler(i)
-
-
 def _fraction(n: int, c, xs, diffs=(), sums=()) -> RationalFunction:
     """c * prod_{i in xs} x_i / (prod_diffs (x_i - x_j) * prod_sums (x_i + x_j)).
 

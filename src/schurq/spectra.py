@@ -160,23 +160,28 @@ def rn_eigenvalue(r: RnPolynomial, lam: StrictPartition, n: int) -> Scalar:
 
 
 class Inseparable(Exception):
-    """Witness search bound exhausted (a bug or bound too small)."""
+    """No odd power sum up to 2n - 1 separates: a bug, since that bound always suffices."""
 
 
-def separation_check(
-    lam: StrictPartition, mu: StrictPartition, n: int, max_odd: int = 21
-) -> RnPolynomial:
-    """Find r with r(lambda) != r(mu) among the odd power sums."""
+def separation_check(lam: StrictPartition, mu: StrictPartition, n: int) -> RnPolynomial:
+    """The odd power sum p_r of smallest r with p_r(lambda) != p_r(mu).
+
+    r <= 2n - 1 always suffices (Macdonald, III.8): with a the parts padded
+    to n entries, sum_k q_k t^k = prod (1+a_i t)/(1-a_i t)
+    = exp(2 sum_(r odd) p_r t^r / r), so p_1, p_3, .., p_(2n-1) fix
+    q_0..q_2n.  Two ratios P(t)/P(-t) with deg P <= n that agree up to t^2n
+    are equal, and the zeros -1/a_i of P give the nonzero parts.
+    """
     if lam == mu:
         raise ValueError("partitions must be distinct")
     if lam.length > n or mu.length > n:
         raise ValueError("partition longer than the variable count")
     a = list(lam.parts) + [0] * (n - lam.length)
     b = list(mu.parts) + [0] * (n - mu.length)
-    for r in range(1, max_odd + 1, 2):
+    for r in range(1, 2 * n, 2):
         if sum(x**r for x in a) != sum(x**r for x in b):
             return odd_power_sum_rn(r, n)
-    raise Inseparable(f"no odd power sum up to {max_odd} separates {lam} and {mu}")
+    raise Inseparable(f"no odd power sum up to {2 * n - 1} separates {lam} and {mu}")
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from schurq.algebra import (
@@ -355,6 +355,46 @@ class TestRationalFunction:
         assert a.times_monomial(m) == a * RationalFunction.from_polynomial(m)
         assert a.divided_by(den) == a * RationalFunction(Polynomial.constant(n, 1), den)
 
+    @given(
+        polynomials(3, max_degree=3, max_terms=4),
+        polynomials(3, max_degree=3, max_terms=4),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_every_operation_returns_a_reduced_value(self, p, q, data):
+        # the operations that build their value without trial division must
+        # still return the reduced form that the reducing constructor gives
+        n = 3
+        factors = [Factor("diff", 1, 2), Factor("sum", 1, 3), Factor("diff", 2, 3), Factor("sum", 1, 2)]
+        mult = st.integers(min_value=0, max_value=2)
+
+        def draw(num):
+            for f in data.draw(st.lists(st.sampled_from(factors), max_size=2)):
+                num = num * f.as_polynomial(n)  # so that a product or a sum may cancel
+            return RationalFunction(num, {f: data.draw(mult) for f in factors})
+
+        a, b = draw(p), draw(q)
+        assume(a.den and b.den)
+        exps = data.draw(st.tuples(*[st.integers(min_value=0, max_value=2)] * n))
+        m = Polynomial.monomial(n, exps, data.draw(st.sampled_from([1, -2, Fraction(1, 3)])))
+        c = data.draw(st.sampled_from([0, 1, -3, Fraction(2, 5)]))
+        s, t = data.draw(st.sampled_from(list(combinations(range(1, n + 1), 2))))
+        results = [
+            -a,
+            a.scale(c),
+            a.times_monomial(m),
+            a.transposed(s, t),
+            a.divided_by(b.den),
+            a * b,
+            a + b,
+            RationalFunction.from_polynomial(a.num),
+        ]
+        for r in results:
+            again = RationalFunction(r.num, dict(r.den))
+            assert (again.num, again.den) == (r.num, r.den)
+            assert all(r.den.values())
+            assert not (r.num.is_zero() and r.den)
+
     def test_times_monomial_refuses_other_polynomials(self):
         r = RationalFunction.constant(2, 1)
         for p in (x(2, 1) + x(2, 2), Polynomial.zero(2)):
@@ -416,6 +456,26 @@ class TestPfaffian:
     def test_non_skew_rejected(self):
         with pytest.raises(ValueError):
             pfaffian([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
+
+    @staticmethod
+    def skew_4x4():
+        rows = [[0] * 4 for _ in range(4)]
+        for v, (a, b) in enumerate(combinations(range(4), 2), 1):
+            rows[a][b], rows[b][a] = v, -v
+        return rows
+
+    def test_defect_below_the_diagonal_rejected(self):
+        # the skewness check reads each unordered pair once, from above the diagonal
+        rows = self.skew_4x4()
+        rows[3][1] += 1
+        with pytest.raises(ValueError):
+            pfaffian(rows)
+
+    def test_nonzero_diagonal_rejected(self):
+        rows = self.skew_4x4()
+        rows[2][2] = 1
+        with pytest.raises(ValueError):
+            pfaffian(rows)
 
     @pytest.mark.parametrize("size", [2, 4, 6, 8])
     def test_square_equals_determinant(self, size):

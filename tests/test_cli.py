@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import os
@@ -18,6 +19,11 @@ def run(capsys, argv):
     rc = cli.main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def patch_sweep(monkeypatch, name, sweep):
+    """Run sweep for the suite name, keeping the suite's registered sizes."""
+    monkeypatch.setitem(spectra.SWEEPS, name, dataclasses.replace(spectra.SWEEPS[name], sweep=sweep))
 
 
 class TestBasicCommands:
@@ -95,7 +101,7 @@ class TestVerify:
             report.failures.append("injected failure")
             return report
 
-        monkeypatch.setitem(cli.SUITES, "skew", broken)
+        patch_sweep(monkeypatch, "skew", broken)
         rc, out, _ = run(capsys, ["verify", "--suite", "skew", "--n", "2", "--format", "text"])
         assert rc == 1
         assert "FAIL" in out
@@ -148,20 +154,22 @@ class TestVerify:
             if name == "aux35":
                 continue
             seen.clear()
-            monkeypatch.setitem(cli.SUITES, name, record)
+            patch_sweep(monkeypatch, name, record)
             rc, _, _ = run(capsys, ["verify", "--suite", name, "--n", "2"])
             assert (rc, seen) == (0, {2: 6}), name
 
     def test_readme_lists_every_suite(self):
         readme = (ROOT / "README.md").read_text()
         listing = re.search(r"Verification suites: (.*?)\.", readme, re.S).group(1)
-        assert re.findall(r"`([^`]+)`", listing) == list(spectra.SWEEPS)
+        assert re.findall(r"`([^`]+)`", listing) == sorted(spectra.SWEEPS)
 
     def test_every_registered_sweep_is_a_suite(self):
         parser = cli.build_parser()
         for name in spectra.SWEEPS:
             args = parser.parse_args(["verify", "--suite", name, "--n", "2"])
-            assert cli.SUITES[args.suite] is spectra.SWEEPS[name].sweep
+            assert args.suite == name
+        with pytest.raises(SystemExit):
+            parser.parse_args(["verify", "--suite", "unregistered", "--n", "2"])
 
 
 class TestErrors:
@@ -209,7 +217,7 @@ class TestErrors:
         def broken(n, d):
             raise linalg.InconsistentSystem("injected")
 
-        monkeypatch.setitem(cli.SUITES, "skew", broken)
+        patch_sweep(monkeypatch, "skew", broken)
         rc, out, err = run(capsys, ["verify", "--suite", "skew", "--n", "2"])
         assert rc == 3
         assert out == ""

@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations, count
 
 import pytest
 
@@ -7,7 +8,6 @@ from schurq import linalg, operators, qfunctions, spectra
 from schurq.algebra import Polynomial, RationalFunction, VariableCountMismatch
 from schurq.qfunctions import StrictPartition, power_sum, schur_q, strict_partitions
 from schurq.spectra import (
-    Inseparable,
     NotInRn,
     RnPolynomial,
     eigen_check,
@@ -182,10 +182,20 @@ class TestSeparation:
         with pytest.raises(ValueError):
             separation_check(StrictPartition((2,)), StrictPartition((2,)), 2)
 
-    def test_bound_exhaustion_raises(self):
-        with pytest.raises(Inseparable):
-            # max_odd=1 cannot separate partitions with equal weight
-            separation_check(StrictPartition((3,)), StrictPartition((2, 1)), 2, max_odd=1)
+    def test_bound_2n_minus_1_is_reached(self):
+        # equal weights agree at r = 1, so at n = 2 the witness is r = 3 = 2n - 1
+        w = separation_check(StrictPartition((3,)), StrictPartition((2, 1)), 2)
+        assert w.poly == power_sum(3, 2)
+
+    def test_witness_is_the_smallest_separating_odd_power_sum(self):
+        for n in range(1, 5):
+            parts = [lam for d in range(1, 13) for lam in strict_partitions(d, max_length=n)]
+            for lam, mu in combinations(parts, 2):
+                a = list(lam.parts) + [0] * (n - lam.length)
+                b = list(mu.parts) + [0] * (n - mu.length)
+                r = next(r for r in count(1, 2) if sum(x**r for x in a) != sum(x**r for x in b))
+                assert r <= 2 * n - 1
+                assert separation_check(lam, mu, n).poly == power_sum(r, n)
 
     def test_all_pairs_small(self):
         parts = [
