@@ -18,10 +18,7 @@ def main() -> int:
             start = perf_counter()
             report = spec.sweep(n, spec.desk_max)
             elapsed = perf_counter() - start
-            status = "PASS" if report.passed else "FAIL"
-            print(f"{report.name}: {status} ({report.checked} checks)")
-            for failure in report.failures:
-                print(f"  {failure}")
+            print(report.to_text())
             print(f"{report.name}: {elapsed:.2f} s", file=sys.stderr)
             failed += not report.passed
     return 1 if failed else 0

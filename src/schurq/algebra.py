@@ -623,7 +623,8 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash((self.num, frozenset(self.den.items())))
+        # equal to a Polynomial exactly when den is empty, so hash as one then
+        return hash((self.num, frozenset(self.den.items()))) if self.den else hash(self.num)
 
     # -- calculus ----------------------------------------------------
 

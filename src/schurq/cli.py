@@ -2,6 +2,9 @@
 
 Subcommands: qk, qfun, apply, eigen, verify, char-map, tableaux, expand.
 Output is deterministic: grevlex term order, "p/q" coefficient strings.
+A command with one result prints it through _print, as the value's own
+to_json_obj() or to_text(); qk, tableaux and expand print a list, a count
+or an expansion and format it themselves.
 """
 
 from __future__ import annotations
@@ -10,8 +13,8 @@ import argparse
 import json
 import sys
 
-from . import linalg, operators, spectra
-from .algebra import Polynomial, RationalFunction, format_fraction
+from . import linalg, spectra
+from .algebra import format_fraction
 from .qfunctions import (
     NotInSpan,
     OddCycleType,
@@ -40,22 +43,12 @@ def _guard(args, n: int | None = None, deg: int | None = None) -> None:
         raise GuardrailError(f"degree {deg} exceeds the guardrail {MAX_DEG}; pass --force")
 
 
-def _emit_poly(p: Polynomial, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(p.to_json_obj(), sort_keys=True))
+def _print(args, value) -> None:
+    """Print one result in the form --format asks for, building only that form."""
+    if args.format == "json":
+        print(json.dumps(value.to_json_obj(), sort_keys=True))
     else:
-        print(p.to_text())
-
-
-def _emit_value(v, fmt: str) -> None:
-    if isinstance(v, RationalFunction) and v.is_polynomial():
-        v = v.as_polynomial()
-    if isinstance(v, Polynomial):
-        _emit_poly(v, fmt)
-    elif fmt == "json":
-        print(json.dumps({"rational_function": v.to_text()}, sort_keys=True))
-    else:
-        print(v.to_text())
+        print(value.to_text())
 
 
 def cmd_qk(args) -> int:
@@ -72,29 +65,21 @@ def cmd_qk(args) -> int:
 def cmd_qfun(args) -> int:
     lam = StrictPartition.parse(args.lam)
     _guard(args, n=args.n, deg=lam.weight)
-    _emit_poly(schur_q(lam, args.n), args.format)
+    _print(args, schur_q(lam, args.n))
     return 0
 
 
 def cmd_apply(args) -> int:
     lam = StrictPartition.parse(args.lam)
     _guard(args, n=args.n, deg=lam.weight)
-    f = schur_q(lam, args.n)
-    _emit_value(spectra.apply_operator(args.op, f, args.n), args.format)
+    _print(args, spectra.q_image(args.op, lam, schur_q(lam, args.n), args.n))
     return 0
 
 
 def cmd_eigen(args) -> int:
     lam = StrictPartition.parse(args.lam)
     _guard(args, n=args.n, deg=lam.weight)
-    report = spectra.eigen_check(lam, args.op, args.n)
-    if args.format == "json":
-        print(json.dumps(report.to_json_obj(), sort_keys=True))
-    else:
-        if report.is_eigen:
-            print(f"eigenvalue {format_fraction(report.eigenvalue)}")
-        else:
-            print(f"not an eigenfunction; residual {report.residual.to_text()}")
+    _print(args, spectra.eigen_check(lam, args.op, args.n))
     return 0
 
 
@@ -109,20 +94,14 @@ def cmd_verify(args) -> int:
         raise ValueError(f"suite {args.suite} takes no --max")
     _guard(args, n=args.n, deg=args.max)
     report = spectra.SWEEPS[args.suite].sweep(args.n, args.max)
-    if args.format == "json":
-        print(json.dumps(report.to_json_obj(), sort_keys=True))
-    else:
-        status = "PASS" if report.passed else "FAIL"
-        print(f"{report.name}: {status} ({report.checked} checks)")
-        for failure in report.failures:
-            print(f"  {failure}")
+    _print(args, report)
     return 0 if report.passed else 1
 
 
 def cmd_char_map(args) -> int:
     nu = OddCycleType.parse(args.nu)
     _guard(args, n=args.n, deg=nu.weight)
-    _emit_poly(char_map(nu, args.n), args.format)
+    _print(args, char_map(nu, args.n))
     return 0
 
 
@@ -138,9 +117,11 @@ def cmd_tableaux(args) -> int:
 
 def cmd_expand(args) -> int:
     lam = StrictPartition.parse(args.lam)
+    # Q_lambda has degree |lambda| and is expanded in n = |lambda| variables,
+    # so the variable guardrail (MAX_N < MAX_DEG) bounds the degree too
     n = max(lam.weight, 1)
-    _guard(args, n=n, deg=max(args.max, lam.weight))
-    expansion = expand_in_power_sums(schur_q(lam, n), n, args.max)
+    _guard(args, n=n)
+    expansion = expand_in_power_sums(schur_q(lam, n), n, lam.weight)
     items = sorted(expansion.items(), key=lambda kv: (kv[0].weight, kv[0].parts))
     obj = {str(nu): format_fraction(c) for nu, c in items}
     if args.format == "json":
@@ -208,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="odd power-sum expansion of Q_lambda")
     p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--max", type=int, default=8)
     common(p)
     p.set_defaults(func=cmd_expand)
 

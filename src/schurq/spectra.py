@@ -55,6 +55,14 @@ class DenominatorLeft(Exception):
     """Operator image failed to reduce to a polynomial."""
 
 
+def q_image(op: str, lam: StrictPartition, f: Polynomial, n: int) -> Polynomial:
+    """op applied to f = Q_lam, which every registered operator maps to a polynomial."""
+    image = apply_operator(op, f, n)
+    if not image.is_polynomial():
+        raise DenominatorLeft(f"{op} Q_{lam} left denominator {image.den}")
+    return image.as_polynomial()
+
+
 @dataclass
 class EigenReport:
     partition: StrictPartition
@@ -72,6 +80,11 @@ class EigenReport:
             "isEigen": self.is_eigen,
         }
 
+    def to_text(self) -> str:
+        if self.is_eigen:
+            return f"eigenvalue {format_fraction(self.eigenvalue)}"
+        return f"not an eigenfunction; residual {self.residual.to_text()}"
+
 
 def eigen_check(lam: StrictPartition, op: str, n: int) -> EigenReport:
     """Apply op to Q_lambda and test exact proportionality.
@@ -82,10 +95,7 @@ def eigen_check(lam: StrictPartition, op: str, n: int) -> EigenReport:
     if lam.length > n:
         raise ValueError("partition longer than the variable count")
     f = schur_q(lam, n)
-    image = apply_operator(op, f, n)
-    if not image.is_polynomial():
-        raise DenominatorLeft(f"{op} Q_{lam} left denominator {image.den}")
-    p = image.as_polynomial()
+    p = q_image(op, lam, f, n)
     lead_m, lead_c = f.leading_term()
     c = Fraction(p.coefficient(lead_m), lead_c)
     residual = p - f.scale(c)
@@ -206,6 +216,11 @@ class SweepReport:
             "passed": self.passed,
             "failures": self.failures[:10],
         }
+
+    def to_text(self) -> str:
+        status = "PASS" if self.passed else "FAIL"
+        lines = [f"{self.name}: {status} ({self.checked} checks)"]
+        return "\n".join(lines + [f"  {failure}" for failure in self.failures])
 
 
 UNIQUENESS_OPS = ("omega1", "omega3", "omega5", "omega7")

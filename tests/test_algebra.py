@@ -305,6 +305,14 @@ class TestRationalFunction:
         if a == b:
             assert hash(a) == hash(b)
 
+    @given(polynomials(3))
+    @settings(max_examples=60, deadline=None)
+    def test_a_value_without_denominator_hashes_as_its_numerator(self, p):
+        r = RationalFunction.from_polynomial(p)
+        assert r == p and p == r
+        assert hash(r) == hash(p)
+        assert len({p, r}) == 1
+
     @given(
         polynomials(3, max_degree=3, max_terms=4),
         polynomials(3, max_degree=3, max_terms=4),

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from schurq import cli, linalg, spectra
+from schurq.algebra import Factor, Polynomial, RationalFunction
 from schurq.spectra import SweepReport, SweepSpec, skew_symmetry_sweep
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -63,7 +65,7 @@ class TestBasicCommands:
         assert out.strip() == "2*x1^3 + 2*x2^3"
 
     def test_expand(self, capsys):
-        rc, out, _ = run(capsys, ["expand", "--lambda", "3", "--max", "8"])
+        rc, out, _ = run(capsys, ["expand", "--lambda", "3"])
         assert rc == 0
         assert json.loads(out) == {"3": "2/3", "1,1,1": "4/3"}
 
@@ -97,14 +99,14 @@ class TestVerify:
     def test_seeded_failure_flips_exit_code(self, capsys, monkeypatch):
         def broken(n, d):
             report = SweepReport("injected")
-            report.checked = 1
-            report.failures.append("injected failure")
+            report.checked = 2
+            report.failures += ["injected failure", "second failure"]
             return report
 
         patch_sweep(monkeypatch, "skew", broken)
         rc, out, _ = run(capsys, ["verify", "--suite", "skew", "--n", "2", "--format", "text"])
         assert rc == 1
-        assert "FAIL" in out
+        assert out == "injected: FAIL (2 checks)\n  injected failure\n  second failure\n"
 
     def test_separation_suite(self, capsys):
         argv = ["verify", "--suite", "separation", "--n", "3", "--max", "5", "--format", "text"]
@@ -203,7 +205,7 @@ class TestErrors:
         rc, _, err = run(capsys, ["expand", "--lambda", "7"])
         assert rc == 2
         assert "guardrail" in err
-        rc, out, _ = run(capsys, ["expand", "--lambda", "7", "--max", "7", "--force"])
+        rc, out, _ = run(capsys, ["expand", "--lambda", "7", "--force"])
         assert rc == 0
         assert json.loads(out)["7"] == "2/7"
 
@@ -223,6 +225,45 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: ")
         assert "injected" in err
+
+    def test_apply_denominator_left_exits_3(self, capsys, monkeypatch):
+        # every registered operator maps Q_lambda to a polynomial, so a
+        # leftover denominator is a broken invariant, as in eigen
+        leftover = RationalFunction(Polynomial.constant(2, 1), {Factor("diff", 1, 2): 1})
+        monkeypatch.setattr(spectra, "apply_operator", lambda op, f, n: leftover)
+        rc, out, err = run(capsys, ["apply", "--op", "omega3", "--lambda", "2", "--n", "2"])
+        assert (rc, out) == (3, "")
+        assert err.startswith("error: internal: DenominatorLeft")
+
+
+def readme_cli_examples():
+    """(argv, comment) for each line of README's CLI block."""
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    examples = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        words = shlex.split(command)
+        start = words.index("schurq")
+        assert words[:start] in ([], ["PYTHONPATH=src", "python", "-m"]), line
+        examples.append((words[start + 1:], comment.strip()))
+    return examples
+
+
+class TestReadmeCliBlock:
+    def test_every_example_parses(self):
+        examples = readme_cli_examples()
+        assert len(examples) >= 9
+        parser = cli.build_parser()
+        for argv, _ in examples:
+            parser.parse_args(argv)
+
+    def test_json_comments_are_the_output(self, capsys):
+        shown = [(argv, c) for argv, c in readme_cli_examples() if c.startswith("{")]
+        assert shown
+        for argv, comment in shown:
+            rc, out, _ = run(capsys, argv)
+            assert (rc, out) == (0, comment + "\n"), argv
 
 
 class TestModuleEntryPoint:

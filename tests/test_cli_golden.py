@@ -10,7 +10,9 @@ expand_321.json was recorded while linalg still eliminated over Fraction;
 its solve runs over the 462 degree-6 monomials in 6 variables and has
 fractional coordinates.  qfun_4321_n4.json (a 4x4 Pfaffian) and
 qk_n2_max9.txt were recorded while q_series still built each q_k from
-the one before by restriction.
+the one before by restriction.  The two eigen_31_eulercubes_n3 files
+were recorded while cmd_eigen still formatted its report itself; they
+are the only goldens of a report that is not an eigenfunction.
 """
 
 import os
@@ -39,6 +41,8 @@ COMMANDS = {
     "expand_321.json": ["expand", "--lambda", "3,2,1"],
     "qfun_4321_n4.json": ["qfun", "--lambda", "4,3,2,1", "--n", "4"],
     "qk_n2_max9.txt": ["qk", "--n", "2", "--max", "9", "--format", "text"],
+    "eigen_31_eulercubes_n3.json": ["eigen", "--op", "euler-cubes", "--lambda", "3,1", "--n", "3"],
+    "eigen_31_eulercubes_n3.txt": ["eigen", "--op", "euler-cubes", "--lambda", "3,1", "--n", "3", "--format", "text"],
 }
 
 
