@@ -127,7 +127,7 @@ class Polynomial:
 
     @staticmethod
     def constant(n: int, c: Scalar) -> "Polynomial":
-        return Polynomial(n, {(0,) * n: c})
+        return Polynomial._from_keys(n, {0: c} if (c := _coeff(c)) else {})
 
     @staticmethod
     def variable(n: int, i: int) -> "Polynomial":
@@ -232,16 +232,24 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
+        if len(self.terms) > len(other.terms):
+            self, other = other, self  # the shorter operand in the outer loop
         a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a  # the shorter operand in the outer loop
         terms: dict[int, Scalar] = {}
         if not a:
             return Polynomial._from_keys(self.n, terms)
+        if a == {0: 1}:
+            return other
         shift = _BITS * self.n  # the largest key has the largest degree
         degree = (max(a) >> shift) + (max(b) >> shift)
         if degree > MAX_DEGREE:
             raise _overflow(degree)
+        if len(a) == 1:  # one term shifts every key, so no two products meet
+            ((m1, c1),) = a.items()
+            for m2, c2 in b.items():
+                s = c1 * c2
+                terms[m1 + m2] = s if type(s) is int or s.denominator != 1 else s.numerator
+            return Polynomial._from_keys(self.n, terms)
         for m1, c1 in a.items():
             for m2, c2 in b.items():
                 m = m1 + m2
@@ -469,12 +477,15 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Polynomial, den: Optional[Mapping[Factor, int]] = None):
-        self.num = num
         d = {f: m for f, m in (den or {}).items() if m}
-        if any(m < 0 for m in d.values()):
-            raise ValueError("negative factor multiplicity")
+        for f, m in d.items():
+            if m < 0:
+                raise ValueError("negative factor multiplicity")
+            if f.i < 1 or f.j > num.n:
+                raise VariableCountMismatch(f"factor {f} is outside x1..x{num.n}")
+        self.num = num
         self.den = d
-        self._reduce()
+        self._reduce(list(d))
 
     @staticmethod
     def _reduced(num: Polynomial, den: dict[Factor, int]) -> "RationalFunction":
@@ -484,29 +495,30 @@ class RationalFunction:
         out.den = den
         return out
 
-    def _reduce(self, factors: Optional[Iterable[Factor]] = None) -> None:
-        """Cancel the factors (default: all of den) that divide num.
+    def _reduce(self, factors: Iterable[Factor]) -> "RationalFunction":
+        """Cancel each of factors (all in den) that divides num; return self.
 
-        The factors are pairwise coprime primes, so cancelling one never
-        changes whether another divides: one sweep suffices.  A monomial
-        numerator is coprime to every factor, so it tries none.
-
-        Trial division runs where a factor may newly divide num: the
-        constructor tries every factor (its callers are __add__ and
-        __mul__ with denominators, euler, and the operators' coefficients
-        and delta), and divided_by tries only the factors new to
-        self.den.  Every other value is reduced by construction and is
-        built with _reduced: negation, a nonzero scalar multiple and a
-        monomial multiple change no factor's divisibility of num, a
-        transposition permutes the factors up to sign, a zero num takes
-        an empty den, and a value without a denominator has none to cancel.
+        The factors are pairwise coprime primes, so one sweep suffices.  A
+        zero num takes an empty den even when no factor is tried, and a
+        monomial num, coprime to every factor, tries none.  The factors
+        that can newly divide num, for reduced operands a and b:
+        - in RationalFunction(num, den), the entry for values built outside
+          the arithmetic, every factor;
+        - in a + b, those of equal multiplicity in a.den and b.den: where
+          a's is larger, the lift of b carries f and the lift of a does not;
+        - in a * b, a factor of one side that the other's den lacks, when
+          the other's num has more than one term: f is prime and divides
+          neither reduced num, nor any monomial;
+        - in a.euler(i), those without x_i: modulo one through x_i the new
+          num is +-m num x_i times the other raised factors, which is nonzero;
+        - in -a, a.scale(c) and a.transposed(s, t), none.
         """
-        if self.num.is_zero():
+        if not self.num.terms:
             self.den = {}
-            return
+            return self
         if len(self.num.terms) == 1:
-            return
-        for f in list(self.den if factors is None else factors):
+            return self
+        for f in factors:
             m = self.den[f]
             try:
                 while m:
@@ -518,6 +530,7 @@ class RationalFunction:
                 self.den[f] = m
             else:
                 del self.den[f]
+        return self
 
     # -- constructors ------------------------------------------------
 
@@ -576,7 +589,8 @@ class RationalFunction:
                         num = num * fp
             return num
 
-        return RationalFunction(op(lift(self), lift(other)), common)
+        same = [f for f, m in self.den.items() if other.den.get(f) == m]
+        return RationalFunction._reduced(op(lift(self), lift(other)), common)._reduce(same)
 
     def __neg__(self) -> "RationalFunction":
         return RationalFunction._reduced(-self.num, dict(self.den))
@@ -589,25 +603,10 @@ class RationalFunction:
         den: dict[Factor, int] = dict(self.den)
         for f, m in other.den.items():
             den[f] = den.get(f, 0) + m
-        return RationalFunction(self.num * other.num, den)
-
-    def times_monomial(self, m: Polynomial) -> "RationalFunction":
-        """self * m for a one-term m, reduced as it stands (see _reduce)."""
-        if len(m.terms) != 1:
-            raise ValueError(f"{m} is not a monomial")
-        return RationalFunction._reduced(self.num * m, dict(self.den))
-
-    def divided_by(self, den: Mapping[Factor, int]) -> "RationalFunction":
-        """self / prod f^m over den, a denominator map such as another value's den.
-
-        num is reduced against self.den, so only a factor new to it can cancel.
-        """
-        out = RationalFunction._reduced(self.num, dict(self.den))
-        fresh = [f for f in den if f not in self.den]
-        for f, m in den.items():
-            out.den[f] = out.den.get(f, 0) + m
-        out._reduce(fresh)
-        return out
+        tried = [f for f in self.den if f not in other.den] if len(other.num.terms) > 1 else []
+        if len(self.num.terms) > 1:
+            tried += [f for f in other.den if f not in self.den]
+        return RationalFunction._reduced(self.num * other.num, den)._reduce(tried)
 
     def scale(self, c: Scalar) -> "RationalFunction":
         num = self.num.scale(c)
@@ -646,7 +645,7 @@ class RationalFunction:
                 num = num * fp - (term if grown is None else term * grown)
                 grown = fp if grown is None else grown * fp
                 den[f] += 1
-        return RationalFunction(num, den)
+        return RationalFunction._reduced(num, den)._reduce([f for f in self.den if i not in (f.i, f.j)])
 
     def transposed(self, a: int, b: int) -> "RationalFunction":
         """self with x_a and x_b exchanged, reduced as it stands (see _reduce)."""

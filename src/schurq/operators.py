@@ -3,17 +3,20 @@
 Everything acts on concrete values: the level-k recursion is evaluated
 on the vector of level-(k-1) images rather than composed symbolically.
 Coefficients like 2*x_i*x_j/(x_i^2-x_j^2) are stored with factored
-denominators, so each step reduces exactly.
+denominators, and the steps only add and multiply: the arithmetic keeps
+each value reduced and tries only the factors that can cancel (see
+RationalFunction._reduce).
 
 A level walk (family_levels, tilde_levels) builds its coefficients once,
-at its first step past level 1, and at that step also decides which path
-it takes.  The coefficients permute with their indices, so when the
-input is a symmetric polynomial (no denominator, and num.is_symmetric())
-every level is equivariant: component j is component 1 under the
-transposition x_1 <-> x_j.  Such a walk computes component 1 only and
-fills in the others by transposing it.  Any other input (a monomial, a
-rational function with a denominator) takes the n-component step.  Both
-paths return the full vector of n components, and their values are equal.
+at its first step past level 1, as rows of the values its steps multiply
+by, and at that step also decides which path it takes.  The coefficients
+permute with their indices, so when the input is a symmetric polynomial
+(no denominator, and num.is_symmetric()) every level is equivariant:
+component j is component 1 under the transposition x_1 <-> x_j.  Such a
+walk computes component 1 only and fills in the others by transposing
+it.  Any other input (a monomial, a rational function with a denominator)
+takes the n-component step.  Both paths return the full vector of n
+components, and their values are equal.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ def coeff_plus(n: int, i: int, j: int) -> RationalFunction:
 # One walk's coefficients and its symmetric path
 # ---------------------------------------------------------------------------
 
-Rows = list[list[tuple[int, RationalFunction, RationalFunction]]]
+Rows = list[list[tuple]]
 
 
 def _symmetric(g: RationalFunction) -> bool:
@@ -82,15 +85,22 @@ def _symmetric(g: RationalFunction) -> bool:
     return not g.den and g.num.is_symmetric()
 
 
-def _rows(n: int, first, second, symmetric: bool) -> Rows:
-    """Row i lists (j, first(n, i, j), second(n, i, j)) for every j != i.
+def _rows(n: int, pair, symmetric: bool) -> Rows:
+    """Row i lists (j, *pair(n, i, j)) for every j != i; a symmetric walk gets row 1 alone."""
+    return [[(j, *pair(n, i, j)) for j in range(1, n + 1) if j != i] for i in range(1, 2 if symmetric else n + 1)]
 
-    A symmetric walk computes component 1 only, so it gets row 1 alone.
-    """
-    return [
-        [(j, first(n, i, j), second(n, i, j)) for j in range(1, n + 1) if j != i]
-        for i in range(1, 2 if symmetric else n + 1)
-    ]
+
+def _plain_pair(n: int, i: int, j: int) -> tuple:
+    """(c_ij, c_ij.num, d_ij.num, 1/c_ij.den): c_ij and d_ij share their denominator."""
+    c, d = coeff_c(n, i, j), coeff_d(n, i, j)
+    return c, _lift(c.num), _lift(d.num), RationalFunction(Polynomial.constant(n, 1), c.den)
+
+
+def _tilde_pair(n: int, i: int, j: int) -> tuple:
+    """(cm.num cp.num, cm.num x_j, 1/(cm.den cp.den)); cm.num = +-x_i carries the sign of x_i - x_j."""
+    cm, cp = coeff_minus(n, i, j), coeff_plus(n, i, j)
+    inv = RationalFunction(Polynomial.constant(n, 1), {**cm.den, **cp.den})
+    return _lift(cm.num * cp.num), _lift(cm.num * Polynomial.variable(n, j)), inv
 
 
 def _fill(first: RationalFunction, n: int) -> list[RationalFunction]:
@@ -112,32 +122,30 @@ def family_step(
     Even k: (D_i - 1) prev_i
             + sum_j [2x_ix_j/(x_i^2-x_j^2) prev_i - 2x_i^2/(x_i^2-x_j^2) prev_j].
 
-    rows holds the walk's (j, c_ij, d_ij) coefficients; without it every
+    rows holds the walk's rows (see _plain_pair); without it every
     component is computed.  With row 1 alone, prev must be the level of a
     symmetric input, and the other components are transposes of the first.
 
-    c_ij and d_ij share their denominator (x_i-x_j)(x_i+x_j), built once per
-    walk with c_ij, and their numerators are monomials.  So each pair of an
-    even step adds one fraction, (c.num prev_i - d.num prev_j) / c.den: a
-    monomial multiple of a reduced value is still reduced, and only the
-    sum is tried against the binomials of c.den.  On an eigenfunction that
-    sum divides, where c prev_i and d prev_j alone do not.
+    c_ij and d_ij share their denominator (x_i-x_j)(x_i+x_j) and have
+    monomial numerators, so each pair of an even step adds one fraction,
+    (c.num prev_i - d.num prev_j) / c.den, and only its sum is tried against
+    the binomials: on an eigenfunction it divides, where c prev_i does not.
     """
     n = len(prev)
     if rows is None:
-        rows = _rows(n, coeff_c, coeff_d, symmetric=False)
+        rows = _rows(n, _plain_pair, symmetric=False)
     out = []
     for i, row in enumerate(rows, 1):
         pi = prev[i - 1]
         acc = pi.euler(i)
         if level % 2 == 0:
             acc = acc - pi
-        for j, c, d in row:
+        for j, c, cn, dn, inv in row:
             pj = prev[j - 1]
             if level % 2:
                 acc = acc + c * (pi - pj)
             else:
-                acc = acc + (pi.times_monomial(c.num) - pj.times_monomial(d.num)).divided_by(c.den)
+                acc = acc + (pi * cn - pj * dn) * inv
         out.append(acc)
     if len(rows) < n:
         return _fill(out[0], n)
@@ -149,7 +157,7 @@ def family_levels(f: Value, n: int) -> Iterator[list[RationalFunction]]:
     g = _lift(f)
     values = [g.euler(i) for i in range(1, n + 1)]
     yield values
-    rows = _rows(n, coeff_c, coeff_d, _symmetric(g))
+    rows = _rows(n, _plain_pair, _symmetric(g))
     for level in count(2):
         values = family_step(values, level, rows)
         yield values
@@ -229,9 +237,8 @@ def tilde_family_step(
     the pair consistent with the plus/minus-combination recursions and
     the linear relations tying tilde Omega_k to the odd Omega family.
 
-    rows holds the walk's (j, x_i/(x_i-x_j), x_i/(x_i+x_j)) coefficients,
-    as in family_step: with row 1 alone both parts are filled in by
-    transposing their first component.
+    rows holds the walk's rows (see _tilde_pair), as in family_step: with
+    row 1 alone both parts are filled in by transposing their first one.
 
     Over (x_i-x_j)(x_i+x_j) each line's pair terms are one fraction with
     monomial multipliers.  With s_j = plain_j + barred_j and
@@ -243,24 +250,18 @@ def tilde_family_step(
     """
     n = len(plain)
     if rows is None:
-        rows = _rows(n, coeff_minus, coeff_plus, symmetric=False)
-    xs = [Polynomial.variable(n, j) for j in range(1, n + 1)]
-    new_plain = []
-    new_barred = []
+        rows = _rows(n, _tilde_pair, symmetric=False)
+    new_plain, new_barred = [], []
     for i, row in enumerate(rows, 1):
-        pi = plain[i - 1]
-        bi = barred[i - 1]
+        pi, bi = plain[i - 1], barred[i - 1]
         acc_p = pi.euler(i)
         acc_b = pi + bi - bi.euler(i)
         pi2, bi2 = pi.scale(2), bi.scale(2)
-        for j, cm, cp in row:
-            # cm.num = +-x_i, signed as (x_i-x_j) is to its stored factor, and cp.num = x_i
-            den = {**cm.den, **cp.den}
-            square, mixed = cm.num * cp.num, cm.num * xs[j - 1]
-            s_term = (plain[j - 1] + barred[j - 1]).times_monomial(square)
+        for j, square, mixed, inv in row:
+            s_term = (plain[j - 1] + barred[j - 1]) * square
             t_j = barred[j - 1] - plain[j - 1]
-            acc_p = acc_p + ((pi2 + t_j).times_monomial(mixed) - s_term).divided_by(den)
-            acc_b = acc_b + (s_term + (t_j - bi2).times_monomial(mixed)).divided_by(den)
+            acc_p = acc_p + ((pi2 + t_j) * mixed - s_term) * inv
+            acc_b = acc_b + (s_term + (t_j - bi2) * mixed) * inv
         new_plain.append(acc_p)
         new_barred.append(acc_b)
     if len(rows) < n:
@@ -274,7 +275,7 @@ def tilde_levels(f: Value, n: int) -> Iterator[Pair]:
     plain = [g.euler(i) for i in range(1, n + 1)]
     pair = plain, list(plain)
     yield pair
-    rows = _rows(n, coeff_minus, coeff_plus, _symmetric(g))
+    rows = _rows(n, _tilde_pair, _symmetric(g))
     while True:
         pair = tilde_family_step(*pair, rows)
         yield pair

@@ -348,8 +348,8 @@ class TestRationalFunction:
     @given(polynomials(3, max_degree=3, max_terms=4), st.data())
     @settings(max_examples=60, deadline=None)
     def test_monomial_and_denominator_products_skip_no_cancellation(self, p, data):
-        # times_monomial keeps the form without reducing, and divided_by tries
-        # only factors new to the denominator; both must equal the reducing product
+        # a product by a monomial tries no factor, and a product by 1/den tries
+        # only factors new to the denominator; both must equal the fully reduced value
         n = 3
         factors = [Factor("diff", 1, 2), Factor("sum", 1, 3), Factor("diff", 2, 3), Factor("sum", 1, 2)]
         mult = st.integers(min_value=0, max_value=2)
@@ -360,8 +360,15 @@ class TestRationalFunction:
         den = {f: m for f in factors if (m := data.draw(mult))}
         exps = data.draw(st.tuples(*[st.integers(min_value=0, max_value=2)] * n))
         m = Polynomial.monomial(n, exps, data.draw(st.sampled_from([1, -2, Fraction(1, 3)])))
-        assert a.times_monomial(m) == a * RationalFunction.from_polynomial(m)
-        assert a.divided_by(den) == a * RationalFunction(Polynomial.constant(n, 1), den)
+        products = (
+            (a * RationalFunction.from_polynomial(m), RationalFunction(a.num * m, a.den)),
+            (
+                a * RationalFunction(Polynomial.constant(n, 1), den),
+                RationalFunction(a.num, {f: a.den.get(f, 0) + den.get(f, 0) for f in factors}),
+            ),
+        )
+        for product, reduced in products:
+            assert (product.num, product.den) == (reduced.num, reduced.den)
 
     @given(
         polynomials(3, max_degree=3, max_terms=4),
@@ -387,14 +394,16 @@ class TestRationalFunction:
         m = Polynomial.monomial(n, exps, data.draw(st.sampled_from([1, -2, Fraction(1, 3)])))
         c = data.draw(st.sampled_from([0, 1, -3, Fraction(2, 5)]))
         s, t = data.draw(st.sampled_from(list(combinations(range(1, n + 1), 2))))
+        i = data.draw(st.integers(min_value=1, max_value=n))
         results = [
             -a,
             a.scale(c),
-            a.times_monomial(m),
+            a * RationalFunction.from_polynomial(m),
             a.transposed(s, t),
-            a.divided_by(b.den),
+            a * RationalFunction(Polynomial.constant(n, 1), b.den),
             a * b,
             a + b,
+            a.euler(i),
             RationalFunction.from_polynomial(a.num),
         ]
         for r in results:
@@ -403,11 +412,45 @@ class TestRationalFunction:
             assert all(r.den.values())
             assert not (r.num.is_zero() and r.den)
 
-    def test_times_monomial_refuses_other_polynomials(self):
-        r = RationalFunction.constant(2, 1)
-        for p in (x(2, 1) + x(2, 2), Polynomial.zero(2)):
-            with pytest.raises(ValueError):
-                r.times_monomial(p)
+    def test_arithmetic_tries_only_the_factors_that_can_cancel(self, monkeypatch):
+        from schurq import algebra
+
+        n = 3
+        d12, s13, d23 = Factor("diff", 1, 2), Factor("sum", 1, 3), Factor("diff", 2, 3)
+        tried = []
+        divide = algebra.exact_divide
+
+        def counted_divide(p, f):
+            tried.append(f)
+            return divide(p, f)
+
+        a = RationalFunction(x(n, 1) + x(n, 2) + x(n, 3), {d12: 2, s13: 1})
+        b = RationalFunction(x(n, 2) + x(n, 3).scale(2), {d12: 1, s13: 1, d23: 1})
+        assert (a.den, b.den) == ({d12: 2, s13: 1}, {d12: 1, s13: 1, d23: 1})
+        c = RationalFunction(x(n, 1) + x(n, 2) + x(n, 3), {d12: 1, s13: 1, d23: 2})
+        assert c.den == {d12: 1, s13: 1, d23: 2}
+        m = RationalFunction.from_polynomial(Polynomial.monomial(n, (2, 0, 1), -3))
+        monkeypatch.setattr(algebra, "exact_divide", counted_divide)
+        for value, want in ((lambda: a + b, [s13]), (lambda: c.euler(1), [d23]), (lambda: c * m, [])):
+            tried.clear()
+            value()
+            assert tried == want
+
+    def test_a_product_or_sum_that_cancels_to_zero_has_no_denominator(self):
+        n = 3
+        a = RationalFunction(x(n, 1) + x(n, 2) + x(n, 3), {Factor("diff", 1, 2): 2, Factor("sum", 1, 3): 1})
+        assert len(a.den) == 2
+        zero = RationalFunction.zero(n)
+        for value in (a * zero, zero * a, a - a, a + (-a)):
+            assert value.is_zero() and value.den == {}
+            assert value == zero
+
+    def test_factors_must_lie_in_the_ring(self):
+        n = 3
+        num = x(n, 1) * x(n, 1) - x(n, 2) * x(n, 2)
+        for f in (Factor("diff", 1, 4), Factor("sum", 2, 4), Factor("diff", 1, 5)):
+            with pytest.raises(VariableCountMismatch):
+                RationalFunction(num, {f: 1})
 
 
 def leibniz_determinant(rows, zero):

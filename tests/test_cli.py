@@ -258,6 +258,11 @@ class TestReadmeCliBlock:
         for argv, _ in examples:
             parser.parse_args(argv)
 
+    def test_every_op_is_registered(self):
+        # with test_readme_lists_every_suite, README names only what spectra registers
+        ops = [argv[argv.index("--op") + 1] for argv, _ in readme_cli_examples() if "--op" in argv]
+        assert ops and set(ops) <= set(spectra.OPERATORS)
+
     def test_json_comments_are_the_output(self, capsys):
         shown = [(argv, c) for argv, c in readme_cli_examples() if c.startswith("{")]
         assert shown
