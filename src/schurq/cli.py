@@ -27,6 +27,8 @@ from .qfunctions import (
 )
 
 MAX_N = 6
+# the closed Omega_3 takes 1.3 s on Q_(8,3,1) at n = 5, 56 s on Q_(5,4,2,1) at n = 6
+MAX_N_FOR_OP = {"omega3-closed": 5}
 MAX_DEG = 12
 
 
@@ -37,8 +39,11 @@ class GuardrailError(ValueError):
 def _guard(args, n: int | None = None, deg: int | None = None) -> None:
     if args.force:
         return
-    if n is not None and n > MAX_N:
-        raise GuardrailError(f"n={n} exceeds the guardrail {MAX_N}; pass --force")
+    op = getattr(args, "op", None)
+    max_n = MAX_N_FOR_OP.get(op, MAX_N)
+    if n is not None and n > max_n:
+        scope = f" for --op {op}" if op in MAX_N_FOR_OP else ""
+        raise GuardrailError(f"n={n} exceeds the guardrail {max_n}{scope}; pass --force")
     if deg is not None and deg > MAX_DEG:
         raise GuardrailError(f"degree {deg} exceeds the guardrail {MAX_DEG}; pass --force")
 

@@ -14,9 +14,13 @@ permute with their indices, so when the input is a symmetric polynomial
 (no denominator, and num.is_symmetric()) every level is equivariant:
 component j is component 1 under the transposition x_1 <-> x_j.  Such a
 walk computes component 1 only and fills in the others by transposing
-it.  Any other input (a monomial, a rational function with a denominator)
-takes the n-component step.  Both paths return the full vector of n
-components, and their values are equal.
+it.  Component 1 is fixed by every permutation of x_2..x_n, so x_2 <-> x_j
+maps p_1 to p_1, p_2 to p_j and the (1, 2) coefficients to the (1, j)
+ones: row 1 holds the pair (1, 2) alone, and each step adds its term's
+transposes for j = 3..n (_orbit), exactly.  Any other input (a monomial,
+a rational function with a denominator) takes the n-component step.
+Both paths return the full vector of n components, and their values are
+equal.
 """
 
 from __future__ import annotations
@@ -86,8 +90,10 @@ def _symmetric(g: RationalFunction) -> bool:
 
 
 def _rows(n: int, pair, symmetric: bool) -> Rows:
-    """Row i lists (j, *pair(n, i, j)) for every j != i; a symmetric walk gets row 1 alone."""
-    return [[(j, *pair(n, i, j)) for j in range(1, n + 1) if j != i] for i in range(1, 2 if symmetric else n + 1)]
+    """Row i lists (j, *pair(n, i, j)) for every j != i; a symmetric walk gets row 1 with j = 2 alone."""
+    if symmetric:
+        return [[(2, *pair(n, 1, 2))] if n > 1 else []]
+    return [[(j, *pair(n, i, j)) for j in range(1, n + 1) if j != i] for i in range(1, n + 1)]
 
 
 def _plain_pair(n: int, i: int, j: int) -> tuple:
@@ -101,6 +107,11 @@ def _tilde_pair(n: int, i: int, j: int) -> tuple:
     cm, cp = coeff_minus(n, i, j), coeff_plus(n, i, j)
     inv = RationalFunction(Polynomial.constant(n, 1), {**cm.den, **cp.den})
     return _lift(cm.num * cp.num), _lift(cm.num * Polynomial.variable(n, j)), inv
+
+
+def _orbit(term: RationalFunction, others: range) -> RationalFunction:
+    """A symmetric walk's (1, 2) pair term plus its transposes x_2 <-> x_j, j in others."""
+    return sum((term.transposed(2, j) for j in others), term)
 
 
 def _fill(first: RationalFunction, n: int) -> list[RationalFunction]:
@@ -124,7 +135,9 @@ def family_step(
 
     rows holds the walk's rows (see _plain_pair); without it every
     component is computed.  With row 1 alone, prev must be the level of a
-    symmetric input, and the other components are transposes of the first.
+    symmetric input, and the other components are transposes of the first;
+    the row holds the pair (1, 2) alone, whose term under x_2 <-> x_j is
+    the (1, j) term, since p_1 is fixed by every permutation of x_2..x_n.
 
     c_ij and d_ij share their denominator (x_i-x_j)(x_i+x_j) and have
     monomial numerators, so each pair of an even step adds one fraction,
@@ -134,6 +147,7 @@ def family_step(
     n = len(prev)
     if rows is None:
         rows = _rows(n, _plain_pair, symmetric=False)
+    others = range(3, n + 1) if len(rows) < n else range(0)
     out = []
     for i, row in enumerate(rows, 1):
         pi = prev[i - 1]
@@ -143,9 +157,10 @@ def family_step(
         for j, c, cn, dn, inv in row:
             pj = prev[j - 1]
             if level % 2:
-                acc = acc + c * (pi - pj)
+                term = c * (pi - pj)
             else:
-                acc = acc + (pi * cn - pj * dn) * inv
+                term = (pi * cn - pj * dn) * inv
+            acc = acc + _orbit(term, others)
         out.append(acc)
     if len(rows) < n:
         return _fill(out[0], n)
@@ -238,7 +253,9 @@ def tilde_family_step(
     the linear relations tying tilde Omega_k to the odd Omega family.
 
     rows holds the walk's rows (see _tilde_pair), as in family_step: with
-    row 1 alone both parts are filled in by transposing their first one.
+    row 1 alone both parts are filled in by transposing their first one,
+    and each adds its (1, 2) pair term's transposes x_2 <-> x_j: plain_1
+    and barred_1 are fixed by every permutation of x_2..x_n.
 
     Over (x_i-x_j)(x_i+x_j) each line's pair terms are one fraction with
     monomial multipliers.  With s_j = plain_j + barred_j and
@@ -251,6 +268,7 @@ def tilde_family_step(
     n = len(plain)
     if rows is None:
         rows = _rows(n, _tilde_pair, symmetric=False)
+    others = range(3, n + 1) if len(rows) < n else range(0)
     new_plain, new_barred = [], []
     for i, row in enumerate(rows, 1):
         pi, bi = plain[i - 1], barred[i - 1]
@@ -260,8 +278,8 @@ def tilde_family_step(
         for j, square, mixed, inv in row:
             s_term = (plain[j - 1] + barred[j - 1]) * square
             t_j = barred[j - 1] - plain[j - 1]
-            acc_p = acc_p + ((pi2 + t_j) * mixed - s_term) * inv
-            acc_b = acc_b + (s_term + (t_j - bi2) * mixed) * inv
+            acc_p = acc_p + _orbit(((pi2 + t_j) * mixed - s_term) * inv, others)
+            acc_b = acc_b + _orbit((s_term + (t_j - bi2) * mixed) * inv, others)
         new_plain.append(acc_p)
         new_barred.append(acc_b)
     if len(rows) < n:

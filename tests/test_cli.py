@@ -209,6 +209,29 @@ class TestErrors:
         assert rc == 0
         assert json.loads(out)["7"] == "2/7"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eigen", "--op", "omega3-closed", "--lambda", "5,4,2,1", "--n", "6"],
+            ["apply", "--op", "omega3-closed", "--lambda", "6,4,2", "--n", "6"],
+        ],
+    )
+    def test_omega3_closed_guardrail_below_max_n(self, capsys, monkeypatch, argv):
+        # n = 6 is within MAX_N, but the closed Omega_3 takes about a minute there
+        def not_reached(f, n):
+            raise AssertionError("the guardrail let omega3-closed run at n = 6")
+
+        monkeypatch.setitem(spectra.OPERATORS, "omega3-closed", not_reached)
+        assert int(argv[-1]) <= cli.MAX_N
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (2, "")
+        assert "guardrail 5 for --op omega3-closed" in err
+
+    def test_omega3_closed_admitted_at_n5(self, capsys):
+        rc, out, _ = run(capsys, ["eigen", "--op", "omega3-closed", "--lambda", "2,1", "--n", "5"])
+        assert rc == 0
+        assert json.loads(out)["isEigen"] is True
+
     def test_char_map_needs_a_variable(self, capsys):
         rc, out, err = run(capsys, ["char-map", "--nu", "3", "--n", "0"])
         assert rc == 2
@@ -262,6 +285,11 @@ class TestReadmeCliBlock:
         # with test_readme_lists_every_suite, README names only what spectra registers
         ops = [argv[argv.index("--op") + 1] for argv, _ in readme_cli_examples() if "--op" in argv]
         assert ops and set(ops) <= set(spectra.OPERATORS)
+
+    def test_every_example_is_admitted(self, capsys):
+        for argv, _ in readme_cli_examples():
+            rc, _, err = run(capsys, argv)
+            assert (rc, err) == (0, ""), argv
 
     def test_json_comments_are_the_output(self, capsys):
         shown = [(argv, c) for argv, c in readme_cli_examples() if c.startswith("{")]

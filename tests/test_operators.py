@@ -294,32 +294,61 @@ def n_component_walks(f, n):
     return level1, (level1, level1)
 
 
+def assert_walks_match_n_component_steps(name, f, n, plain_top, tilde_top):
+    """Levels 1..top of both walks of f equal the two-argument steps' by ==, component by component."""
+    values, pair = n_component_walks(f, n)
+    for level, got in enumerate(islice(family_levels(f, n), plain_top), 1):
+        if level > 1:
+            values = family_step(values, level)
+        for i in range(n):
+            assert got[i] == values[i], (name, level, i + 1)
+    for level, got in enumerate(islice(tilde_levels(f, n), tilde_top), 1):
+        if level > 1:
+            pair = tilde_family_step(*pair)
+        for part in (0, 1):
+            for i in range(n):
+                assert got[part][i] == pair[part][i], (name, level, part, i + 1)
+
+
 class TestSymmetricPath:
     @pytest.mark.parametrize(
         "n, kind, top, plain_top, tilde_top",
         [
             *((n, kind, 5, 7, 4) for n in (1, 2, 3) for kind in ("Q", "m")),
             (4, "Q", 5, 7, 4),
-            # the n-component reference walk on m_mu at n = 4 takes minutes past these sizes
             (4, "m", 3, 5, 3),
+            # the orbit step from n = 1 (no pair) and n = 2 (no transpose)
+            # to n = 5; the m_mu components carry denominators.  The
+            # n-component reference walk on m_mu is the slow side: it takes
+            # minutes past |mu| = 3 at n = 4, and (5, "m") is the longest case
+            *((n, "Q", 6, 7 if n <= 4 else 5, 4) for n in (1, 2, 3, 4, 5)),
+            (4, "m", 3, 7, 4),
+            (5, "m", 3, 5, 4),
         ],
     )
     def test_equals_the_n_component_step(self, n, kind, top, plain_top, tilde_top):
-        # the walks take the one-component path on these inputs; the
-        # two-argument steps compute every component
+        # the walks take the one-component path on these inputs, computing
+        # the (1, 2) pair term of component 1 and its transposes; the
+        # two-argument steps compute every component and every pair
         for name, f in symmetric_inputs(n, kind, top):
-            values, pair = n_component_walks(f, n)
-            for level, got in enumerate(islice(family_levels(f, n), plain_top), 1):
-                if level > 1:
-                    values = family_step(values, level)
-                for i in range(n):
-                    assert got[i] == values[i], (name, level, i + 1)
-            for level, got in enumerate(islice(tilde_levels(f, n), tilde_top), 1):
-                if level > 1:
-                    pair = tilde_family_step(*pair)
-                for part in (0, 1):
-                    for i in range(n):
-                        assert got[part][i] == pair[part][i], (name, level, part, i + 1)
+            assert_walks_match_n_component_steps(name, f, n, plain_top, tilde_top)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_symmetric_rows_hold_the_pair_1_2_alone(self, n):
+        for pair in (operators._plain_pair, operators._tilde_pair):
+            rows = operators._rows(n, pair, symmetric=True)
+            assert [[j for j, *_ in row] for row in rows] == [[2] if n > 1 else []]
+
+    def test_fixed_by_the_stabiliser_of_x1_is_not_symmetric(self, monkeypatch):
+        # x_1^2 (x_2 + x_3) is fixed by x_2 <-> x_3, as component 1 of a
+        # symmetric walk is, but it is not symmetric: the orbit rule would be
+        # wrong on it, so the gate must send it to the n-component step
+        n = 3
+        f = Polynomial.monomial(n, (2, 1, 0)) + Polynomial.monomial(n, (2, 0, 1))
+        assert f.transposed(2, 3) == f and not f.is_symmetric()
+        calls = self.count_transposes(monkeypatch)
+        assert_walks_match_n_component_steps("x1^2(x2+x3)", f, n, 5, 5)
+        assert calls == []
 
     @pytest.mark.parametrize("build", [coeff_c, coeff_d, coeff_minus, coeff_plus])
     @pytest.mark.parametrize("power", [1, 2])
@@ -358,10 +387,12 @@ class TestSymmetricPath:
         f = schur_q(StrictPartition((2, 1)), n)
         calls = self.count_transposes(monkeypatch)
         omega(f, 5, n)
-        assert calls == [(1, 2), (1, 3)] * 4  # levels 2..5
+        # levels 2..5: the (1, 3) pair term from the (1, 2) one, then components 2 and 3
+        assert calls == [(2, 3), (1, 2), (1, 3)] * 4
         calls.clear()
         tilde_omega(f, 3, n)
-        assert calls == [(1, 2), (1, 3)] * 4  # levels 2 and 3, plain and barred
+        # levels 2 and 3: the pair terms of plain and barred, then their components
+        assert calls == [(2, 3), (2, 3), (1, 2), (1, 3), (1, 2), (1, 3)] * 2
 
     @pytest.mark.parametrize(
         "make",
@@ -400,7 +431,7 @@ class TestSymmetricPath:
         omega(q, 1, n)
         tilde_omega(q, 1, n)
         assert built == []  # level 1 needs no coefficient
-        for f, pairs in ((q, n - 1), (monomial, n * (n - 1))):
+        for f, pairs in ((q, 1), (monomial, n * (n - 1))):
             built.clear()
             omega(f, 5, n)  # four steps
             assert sorted(built) == ["coeff_c"] * pairs + ["coeff_d"] * pairs
