@@ -11,7 +11,7 @@ Variable indices are 1-based throughout the public API.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -397,23 +397,22 @@ def substitute(p: Polynomial, assignment: Mapping[int, object]) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class Factor:
-    """Denominator atom: x_i - x_j ('diff') or x_i + x_j ('sum'), stored with i < j.
+class Factor(namedtuple("Factor", "kind i j")):
+    """Denominator atom: x_i - x_j ('diff') or x_i + x_j ('sum'), with 1 <= i < j.
 
-    A swapped difference is recorded by the caller negating the overall sign
+    An immutable (kind, i, j) tuple, hashed, compared and ordered as one.  A
+    swapped difference is recorded by the caller negating the overall sign
     (see Factor.ordered).
     """
 
-    kind: str
-    i: int
-    j: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("diff", "sum"):
-            raise ValueError(f"bad factor kind {self.kind!r}")
-        if not self.i < self.j:
-            raise ValueError("factors require i < j")
+    def __new__(cls, kind: str, i: int, j: int):
+        if kind not in ("diff", "sum"):
+            raise ValueError(f"bad factor kind {kind!r}")
+        if not 1 <= i < j:
+            raise ValueError(f"factors require 1 <= i < j, got {i}, {j}")
+        return tuple.__new__(cls, (kind, i, j))
 
     @staticmethod
     def ordered(kind: str, i: int, j: int) -> tuple["Factor", int]:
@@ -423,9 +422,11 @@ class Factor:
         return Factor(kind, j, i), -1 if kind == "diff" else 1
 
     def as_polynomial(self, n: int) -> Polynomial:
-        xi = Polynomial.variable(n, self.i)
-        xj = Polynomial.variable(n, self.j)
-        return xi - xj if self.kind == "diff" else xi + xj
+        if self.j > n:
+            raise IndexError(f"variable index {self.j} out of range 1..{n}")
+        top = 1 << _BITS * n
+        xi, xj = (1 << _BITS * (self.i - 1)) + top, (1 << _BITS * (self.j - 1)) + top
+        return Polynomial._from_keys(n, {xi: 1, xj: -1 if self.kind == "diff" else 1})
 
     def __str__(self) -> str:
         op = "-" if self.kind == "diff" else "+"
@@ -437,32 +438,27 @@ class NotDivisible(Exception):
 
 
 def exact_divide(p: Polynomial, f: Factor) -> Polynomial:
-    """Divide p by the factor polynomial exactly, or raise NotDivisible."""
+    """Divide p by the factor polynomial exactly, or raise NotDivisible; forms are read in place."""
     # binomial x_i -+ x_j: p splits into binary forms sum_a c_a x_i^a x_j^(e-a),
     # one per exponent vector outside {i, j} and degree e = e_i + e_j.  Each
     # form is divided on its own by synthetic division, d_(a-1) = c_a +- d_a,
-    # and divides iff its remainder c_0 +- d_0 is zero.
-    # The key of a form is the packed key with e_j moved into e_i's field.
+    # and divides iff its remainder c_0 +- d_0 is zero.  A form is keyed by its
+    # x_i^e term (e_j moved into e_i's field); c_(a-1) is keyed by c_a's key
+    # minus move, and the quotient term x_i^(a-1) x_j^(e-a) by c_a's minus drop.
     at, bt = _BITS * (f.i - 1), _BITS * (f.j - 1)
     move = (1 << at) - (1 << bt)
     step = operator.add if f.kind == "diff" else operator.sub
-    forms: dict[int, dict[int, Scalar]] = {}
-    for m, c in p.terms.items():
-        forms.setdefault(m + (m >> bt & _MASK) * move, {})[m >> at & _MASK] = c
-    # quotient term a - 1 of a form is x_i^(a-1) x_j^(e-a): one degree lower, and
-    # each step down in a moves one unit from e_i's field to e_j's
-    down = -move
+    terms = p.terms
     drop = (1 << at) + (1 << _BITS * p.n)
     quo: dict[int, Scalar] = {}
-    for key, form in forms.items():
-        qm = key - drop
+    for m in {k + (k >> bt & _MASK) * move for k in terms}:
         d = 0
-        for a in range(key >> at & _MASK, 0, -1):
-            d = step(form.get(a, 0), d)
+        for _ in range(m >> at & _MASK):
+            d = step(terms.get(m, 0), d)
             if d:
-                quo[qm] = d if type(d) is int else _coeff(d)
-            qm += down
-        if step(form.get(0, 0), d):
+                quo[m - drop] = d if type(d) is int else _coeff(d)
+            m -= move
+        if step(terms.get(m, 0), d):
             raise NotDivisible(str(f))
     return Polynomial._from_keys(p.n, quo)
 
@@ -481,7 +477,7 @@ class RationalFunction:
         for f, m in d.items():
             if m < 0:
                 raise ValueError("negative factor multiplicity")
-            if f.i < 1 or f.j > num.n:
+            if f.j > num.n:
                 raise VariableCountMismatch(f"factor {f} is outside x1..x{num.n}")
         self.num = num
         self.den = d

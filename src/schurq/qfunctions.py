@@ -151,6 +151,8 @@ def schur_q(lam: StrictPartition, n: int) -> Polynomial:
     last column into (q_{lambda_i}) and keeps the matrix skew.  Each entry
     is built once: q_two above the diagonal, its negation below, zero on it.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     parts = lam.parts + (0,) * (lam.length % 2)
     zero = Polynomial.zero(n)
     rows = [[zero] * len(parts) for _ in parts]

@@ -177,7 +177,7 @@ class TestExactDivide:
                 exact_divide(p, f)
 
     def test_only_binomial_factors(self):
-        for args in (("var", 1, 2), ("diff", 2, 1), ("sum", 2, 2), ("prod", 1, 2)):
+        for args in (("var", 1, 2), ("diff", 2, 1), ("sum", 2, 2), ("prod", 1, 2), ("diff", 0, 1)):
             with pytest.raises(ValueError):
                 Factor(*args)
 
@@ -223,6 +223,60 @@ class TestExactDivide:
             else:
                 with pytest.raises(NotDivisible):
                     exact_divide(p, f)
+
+
+class TestFactor:
+    def test_equal_factors_are_one_key(self):
+        a, b = Factor("sum", 1, 3), Factor("sum", 1, 3)
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1, b: 2} == {Factor("sum", 1, 3): 2}
+        assert Factor("diff", 1, 3) != a
+
+    def test_order_is_kind_then_indices(self):
+        mixed = [Factor("sum", 1, 2), Factor("diff", 2, 3), Factor("sum", 1, 3), Factor("diff", 1, 3), Factor("diff", 1, 2)]
+        want = [("diff", 1, 2), ("diff", 1, 3), ("diff", 2, 3), ("sum", 1, 2), ("sum", 1, 3)]
+        assert [(f.kind, f.i, f.j) for f in sorted(mixed)] == want
+
+    def test_immutable(self):
+        f = Factor("diff", 1, 2)
+        for name in ("kind", "i", "j", "other"):
+            with pytest.raises(AttributeError):
+                setattr(f, name, 3)
+        assert (f.kind, f.i, f.j) == ("diff", 1, 2)
+
+    def test_repr_and_str(self):
+        assert repr(Factor("diff", 1, 2)) == "Factor(kind='diff', i=1, j=2)"
+        assert repr(Factor("sum", 2, 5)) == "Factor(kind='sum', i=2, j=5)"
+        assert (str(Factor("diff", 1, 2)), str(Factor("sum", 2, 5))) == ("(x1-x2)", "(x2+x5)")
+
+    def test_as_polynomial_is_the_binomial(self):
+        for n in range(2, 6):
+            for i, j in combinations(range(1, n + 1), 2):
+                assert Factor("diff", i, j).as_polynomial(n) == x(n, i) - x(n, j)
+                assert Factor("sum", i, j).as_polynomial(n) == x(n, i) + x(n, j)
+            for f in (Factor("diff", 1, n + 1), Factor("sum", n, n + 1)):
+                with pytest.raises(IndexError):
+                    f.as_polynomial(n)
+
+    def test_sums_and_euler_build_no_checked_polynomial(self, monkeypatch):
+        # the binomials of a lift or a quotient rule are built from packed keys
+        n = 3
+        d12, s13, d23 = Factor("diff", 1, 2), Factor("sum", 1, 3), Factor("diff", 2, 3)
+        a = RationalFunction(x(n, 1) + x(n, 2) + x(n, 3), {d12: 2, s13: 1})
+        b = RationalFunction(x(n, 2) + x(n, 3).scale(2), {d12: 1, d23: 1})
+        calls = []
+        init = Polynomial.__init__
+
+        def counted_init(self, *args):
+            calls.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Polynomial, "__init__", counted_init)
+        total, image = a + b, a.euler(1)
+        assert calls == []
+        monkeypatch.undo()
+        assert total.den == {d12: 2, s13: 1, d23: 1}
+        assert image.den == {d12: 3, s13: 2}
 
 
 class TestRationalFunction:

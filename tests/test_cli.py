@@ -238,6 +238,21 @@ class TestErrors:
         assert out == ""
         assert "need n >= 1" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["qfun", "--lambda=", "--n", "0"],
+            ["apply", "--op", "omega1", "--lambda=", "--n", "0"],
+            ["eigen", "--lambda=", "--op", "omega3", "--n", "0"],
+        ],
+    )
+    def test_q_function_needs_a_variable(self, capsys, argv):
+        # Q_() in no variables was printed as a polynomial, or an eigen check
+        # failed on an internal index error
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (2, "")
+        assert "need n >= 1" in err
+
     def test_internal_error_exits_3(self, capsys, monkeypatch):
         def broken(n, d):
             raise linalg.InconsistentSystem("injected")

@@ -323,7 +323,7 @@ class TestSymmetricPath:
             # minutes past |mu| = 3 at n = 4, and (5, "m") is the longest case
             *((n, "Q", 6, 7 if n <= 4 else 5, 4) for n in (1, 2, 3, 4, 5)),
             (4, "m", 3, 7, 4),
-            (5, "m", 3, 5, 4),
+            pytest.param(5, "m", 3, 5, 4, marks=pytest.mark.slow),
         ],
     )
     def test_equals_the_n_component_step(self, n, kind, top, plain_top, tilde_top):
