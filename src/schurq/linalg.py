@@ -1,11 +1,11 @@
 """Dense exact linear algebra over the rationals (Gaussian elimination).
 
 Matrices are lists of row lists.  One fraction-free elimination (_rref,
-on int) serves solve, rank, nullspace and determinant, whose results
-hold canonical scalars, and coordinates(basis, target) is the one
-polynomial-span solver: the operator matrices on the Q-span (all images
-of one operator in one elimination) and the odd power-sum expansions
-both go through it.
+on int) serves solve, rank, nullspace (which drops all-zero rows first)
+and determinant, whose results hold canonical scalars.  coordinates(basis,
+target) solves on every monomial; it builds the operator matrices on the
+Q-span, one elimination per degree.  The odd power-sum expansions solve
+on dominant monomials only (qfunctions.expand_in_power_sums).
 """
 
 from __future__ import annotations
@@ -108,9 +108,9 @@ def coordinates(basis, target):
 
 
 def nullspace(rows) -> list[list[Scalar]]:
-    """Basis of the kernel of A."""
+    """Basis of the kernel of A; all-zero rows constrain nothing and are not eliminated."""
     ncols = len(rows[0]) if rows else 0
-    m, pivots, _ = _rref(rows, ncols)
+    m, pivots, _ = _rref([row for row in rows if any(row)], ncols)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
         v = [int(c == fc) for c in range(ncols)]

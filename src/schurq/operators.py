@@ -248,9 +248,11 @@ def tilde_family_step(
                 - sum_j x_i/(x_i-x_j) (barred_i - barred_j)
                 + sum_j x_i/(x_i+x_j) (barred_i + plain_j)
 
-    The leading "plain_i + barred_i" in the barred line is what keeps
-    the pair consistent with the plus/minus-combination recursions and
-    the linear relations tying tilde Omega_k to the odd Omega family.
+    In s = plain + barred and t = barred - plain a step is s' = s - O(t),
+    t' = -E(s), with O and E the odd and even family_step.  Level 1 has
+    s = 2 D_i f and t = 0, so s_k is a sum of odd plain levels with Fibonacci
+    coefficients: the tilde relations.  lemma_121_sweep must not compute
+    tilde levels this way, or it would verify its own algebra.
 
     rows holds the walk's rows (see _tilde_pair), as in family_step: with
     row 1 alone both parts are filled in by transposing their first one,

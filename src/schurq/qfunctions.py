@@ -215,7 +215,9 @@ class NotInSpan(Exception):
 def expand_in_power_sums(p: Polynomial, n: int, maxweight: int) -> dict[OddCycleType, Scalar]:
     """Exact coefficients c_nu with p = sum c_nu p_nu over odd cycle types.
 
-    Solved degree by degree against the monomial expansions of the p_nu.
+    Solved degree by degree on the dominant monomials x^mu, mu a partition with
+    at most n parts: p and every p_nu are symmetric, and a symmetric polynomial
+    with no dominant monomial is zero, so the other rows would decide nothing.
     """
     if not p.is_symmetric():
         raise NotSymmetric("input is not symmetric")
@@ -227,8 +229,10 @@ def expand_in_power_sums(p: Polynomial, n: int, maxweight: int) -> dict[OddCycle
     for d, component in sorted(p.homogeneous_components().items()):
         nus = list(odd_cycle_types(d))
         basis = [power_sum_product(nu.parts, n) for nu in nus]
+        dominant = [mu + (0,) * (n - len(mu)) for mu in partitions(d, max_length=n)]
         try:
-            coeffs = linalg.coordinates(basis, component)
+            coeffs = linalg.solve([[b.coefficient(mu) for b in basis] for mu in dominant],
+                                  [component.coefficient(mu) for mu in dominant])
         except linalg.InconsistentSystem as exc:
             raise NotInSpan(f"degree-{d} component not in the odd span") from exc
         except ValueError as exc:

@@ -229,9 +229,9 @@ UNIQUENESS_OPS = ("omega1", "omega3", "omega5", "omega7")
 def uniqueness_sweep(n: int, maxdeg: int) -> SweepReport:
     """Confirm one-dimensional joint eigenspaces on each degree's Q-span.
 
-    Builds exact operator matrices on the Q basis, intersects eigenspace
-    kernels operator by operator until one-dimensional or the operator
-    list is exhausted.
+    Applies operators until their eigenvalues separate the Q_lambda, solves
+    all their images in one span-guarded elimination (an image outside the
+    span raises), and intersects the kernels of M_op - c_op I per eigenvalue tuple.
     """
     report = SweepReport(f"uniqueness(n={n},maxdeg={maxdeg})")
     for d in range(1, maxdeg + 1):
@@ -240,7 +240,7 @@ def uniqueness_sweep(n: int, maxdeg: int) -> SweepReport:
             continue
         size = len(basis)
         polys = [schur_q(lam, n) for lam in basis]
-        matrices = []
+        images = []
         # joint eigenvalue tuple of each Q_lambda over the operators used so far
         keys: dict[StrictPartition, tuple] = {lam: () for lam in basis}
         for op in UNIQUENESS_OPS:
@@ -249,10 +249,12 @@ def uniqueness_sweep(n: int, maxdeg: int) -> SweepReport:
                 if not rep.is_eigen:
                     report.failures.append(f"d={d} {lam}: not an eigenfunction of {op}")
                 keys[lam] += (rep.eigenvalue,)
-            # the operator's matrix on span{Q_lambda}: column c holds the coordinates of image c
-            matrices.append(linalg.coordinates(polys, [rep.image for rep in reports]))
+            images.extend(rep.image for rep in reports)
             if len(set(keys.values())) == size:
                 break
+        # each operator's matrix on span{Q_lambda}: column c holds the coordinates of image c
+        coords = linalg.coordinates(polys, images)
+        matrices = [[row[k:k + size] for row in coords] for k in range(0, len(images), size)]
         groups: dict[tuple, list[StrictPartition]] = {}
         for lam in basis:
             groups.setdefault(keys[lam], []).append(lam)

@@ -170,6 +170,32 @@ class TestRankNullspace:
             for v in kernel:
                 assert all(c == 0 for c in apply(rows, v))
 
+    def test_zero_rows_change_nothing(self):
+        rng = random.Random(13)
+        for rows in matrices():
+            padded = [list(r) for r in rows]
+            for _ in range(rng.randint(1, 3)):
+                padded.insert(rng.randint(0, len(padded)), [rng.choice([0, Fraction(0)])] * len(rows[0]))
+            assert nullspace(padded) == nullspace(rows)
+
+    def test_all_zero_matrix_has_the_unit_basis(self):
+        for k, m in [(1, 1), (1, 3), (3, 2), (4, 4)]:
+            assert nullspace([[0] * m for _ in range(k)]) == [[int(c == r) for c in range(m)] for r in range(m)]
+
+    def test_zero_rows_are_not_eliminated(self, monkeypatch):
+        seen = []
+        original = linalg._rref
+
+        def spy(rows, ncols):
+            seen.extend(rows)
+            return original(rows, ncols)
+
+        monkeypatch.setattr(linalg, "_rref", spy)
+        assert nullspace([[0, 0, 0], [1, 2, 0], [0, 0, 0], [0, 1, 1]]) == [[2, -1, 1]]
+        # a passing sweep's stacked M_op - c I has zero rows (Omega_1's block is all zero)
+        assert spectra.uniqueness_sweep(2, 6).passed
+        assert seen and all(any(row) for row in seen)
+
     def test_known_rank(self):
         assert rank([[1, 2, 3], [2, 4, 6], [1, 0, 1]]) == 2
         assert rank([[0, 0], [0, 0]]) == 0

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, zip_longest
 
 import pytest
 
@@ -160,6 +160,46 @@ class TestTildeFamily:
         assert tilde_omega(f, 2, n) == om1.scale(2)
         assert tilde_omega(f, 3, n) == om3.scale(2) + om1.scale(2)
         assert tilde_omega(f, 4, n) == om3.scale(4) + om1.scale(2)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: monomial_symmetric((1,), n),
+            lambda n: monomial_symmetric((2,), n),
+            lambda n: monomial_symmetric((1, 1), n),
+            lambda n: monomial_symmetric((2, 1), n),
+            lambda n: Polynomial.monomial(n, (2, 1) + (0,) * (n - 2)),
+            lambda n: Polynomial.monomial(n, (0,) * (n - 1) + (3,)),
+        ],
+        ids=["m1", "m2", "m11", "m21", "x1^2x2", "xn^3"],
+    )
+    def test_sum_difference_coordinates(self, n, make):
+        # with s = plain + barred and t = barred - plain one tilde step is
+        #   s' = s - O(t),  t' = -E(s),
+        # O and E the plain family's odd and even steps.  Level 1 has s = 2 D_i f
+        # and t = 0, so s_k = sum_j a_k[j] P_(2j+1) over the odd plain levels P,
+        # with a_(k+1) = a_k + (a_(k-1) raised by one odd index).
+        a = [[2], [2]]  # a[k - 1][j]: the coefficient of P_(2j+1) in s_k
+        while len(a) < 4:
+            a.append([x + y for x, y in zip_longest(a[-1], [0] + a[-2], fillvalue=0)])
+        assert a[2:] == [[2, 2], [2, 4]]  # tilde Omega_3 and tilde Omega_4
+        f = make(n)
+        plain_levels = list(islice(family_levels(f, n), 3))
+        s_prev = t_prev = None
+        for k, (plain, barred) in enumerate(islice(tilde_levels(f, n), 4), 1):
+            s = [p + b for p, b in zip(plain, barred)]
+            t = [b - p for p, b in zip(plain, barred)]
+            if k == 1:
+                assert all(v.is_zero() for v in t)
+            else:
+                assert s == [u - v for u, v in zip(s_prev, family_step(t_prev, 3))], k
+                assert t == [-v for v in family_step(s_prev, 2)], k
+            want = [RationalFunction.zero(n)] * n
+            for c, level in zip(a[k - 1], plain_levels[::2]):
+                want = [w + v.scale(c) for w, v in zip(want, level)]
+            assert s == want, k
+            s_prev, t_prev = s, t
 
     def test_plus_minus_recursions(self):
         # the sum/difference combinations of the pair satisfy:

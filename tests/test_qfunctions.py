@@ -24,6 +24,7 @@ from schurq.qfunctions import (
     monomial_symmetric,
     odd_cycle_types,
     power_sum,
+    power_sum_product,
     q_series,
     q_two,
     schur_q,
@@ -277,6 +278,28 @@ class TestExpandInPowerSums:
         for nu, c in e.items():
             total = total + char_map(nu, 2).scale(c / 2**nu.length)
         assert total == q5
+
+
+class TestExpandOnDominantMonomials:
+    # the expansion solves on dominant monomials only; check it on every monomial
+    @pytest.mark.parametrize("weight", range(1, 7))
+    def test_full_polynomial_and_full_row_solve(self, weight):
+        nus = list(odd_cycle_types(weight))
+        for lam in strict_partitions(weight):
+            for n in (weight, weight + 1):
+                q = schur_q(lam, n)
+                e = expand_in_power_sums(q, n, weight)
+                total = Polynomial.zero(n)
+                for nu, c in e.items():
+                    total = total + power_sum_product(nu.parts, n).scale(c)
+                assert total == q, (lam, n)
+                full = linalg.coordinates([power_sum_product(nu.parts, n) for nu in nus], q)
+                assert e == {nu: c for nu, c in zip(nus, full) if c}, (lam, n)
+
+    @pytest.mark.parametrize("mu, n", [((1, 1), 3), ((2, 2), 4)])
+    def test_symmetric_outside_the_odd_span(self, mu, n):
+        with pytest.raises(NotInSpan):
+            expand_in_power_sums(monomial_symmetric(mu, n), n, sum(mu))
 
 
 class TestSupersymmetry:

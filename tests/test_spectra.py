@@ -248,14 +248,14 @@ class TestComputedOnce:
         assert calls["apply_operator"] == calls["eigen_check"]
 
     def test_uniqueness_solves_each_operator_matrix_once(self, monkeypatch):
-        # one elimination per (degree, operator) matrix, not one per image
+        # one elimination per degree for all its operator matrices, not one per image
         calls = count_calls(monkeypatch, linalg, ["solve"])
         checks = count_calls(monkeypatch, spectra, ["eigen_check"])
         assert uniqueness_sweep(3, 7).passed
         # degrees 1..7 at n = 3: bases of sizes 1, 1, 2, 2, 3, 4, 5; Omega_1 alone
         # separates size 1, Omega_1 and Omega_3 the rest
         assert checks["eigen_check"] == 1 + 1 + 2 * (2 + 2 + 3 + 4 + 5)
-        assert calls["solve"] == 2 + 2 * 5
+        assert calls["solve"] == 7
 
     def test_lemma121_walks_each_family_once(self, monkeypatch):
         calls = count_calls(monkeypatch, operators, ["family_step", "tilde_family_step"])
@@ -297,6 +297,27 @@ class TestSpanGuard:
         monkeypatch.setattr(spectra, "apply_operator", leaky)
         with pytest.raises(linalg.InconsistentSystem):
             uniqueness_sweep(n, 3)
+
+    def test_later_operator_image_outside_span_raises(self, monkeypatch):
+        # degree 3 at n = 2 has two basis elements, so Omega_3 is used too; its
+        # columns share the one elimination with Omega_1's and are guarded alike
+        n = 2
+        leaky_input = schur_q(StrictPartition((2, 1)), n)
+        original = spectra.apply_operator
+        used = []
+
+        def leaky(op, f, n):
+            image = original(op, f, n)
+            used.append(op)
+            if op == "omega3" and f == leaky_input:
+                extra = Polynomial.monomial(n, (f.degree() + 1, 0))
+                image = image + RationalFunction.from_polynomial(extra)
+            return image
+
+        monkeypatch.setattr(spectra, "apply_operator", leaky)
+        with pytest.raises(linalg.InconsistentSystem):
+            uniqueness_sweep(n, 3)
+        assert "omega3" in used
 
     def test_one_element_degree_is_checked(self, monkeypatch):
         # degree 1 has the single basis element Q_(1); an image leaking x1^2
