@@ -2,7 +2,7 @@
 """Run every verification sweep at desk scale and exit nonzero on failure.
 
 One PASS/FAIL line per sweep goes to stdout; each sweep's wall time goes
-to stderr, so stdout stays byte-identical from run to run.
+to stderr in milliseconds, so stdout stays byte-identical from run to run.
 """
 
 import sys
@@ -17,9 +17,9 @@ def main() -> int:
         for n in spec.desk_n:
             start = perf_counter()
             report = spec.sweep(n, spec.desk_max)
-            elapsed = perf_counter() - start
+            elapsed_ms = 1000 * (perf_counter() - start)
             print(report.to_text())
-            print(f"{report.name}: {elapsed:.2f} s", file=sys.stderr)
+            print(f"{report.name}: {elapsed_ms:.1f} ms", file=sys.stderr)
             failed += not report.passed
     return 1 if failed else 0
 

@@ -1,11 +1,11 @@
 """Dense exact linear algebra over the rationals (Gaussian elimination).
 
 Matrices are lists of row lists.  One fraction-free elimination (_rref,
-on int) serves solve, rank, nullspace (which drops all-zero rows first)
-and determinant, whose results hold canonical scalars.  coordinates(basis,
-target) solves on every monomial; it builds the operator matrices on the
-Q-span, one elimination per degree.  The odd power-sum expansions solve
-on dominant monomials only (qfunctions.expand_in_power_sums).
+on int) serves solve and nullspace (which drops all-zero rows first),
+whose results hold canonical scalars.  coordinates(basis, targets) solves
+on every monomial; it builds the operator matrices on the Q-span, one
+elimination per degree.  The odd power-sum expansions solve on dominant
+monomials only (qfunctions.expand_in_power_sums).
 """
 
 from __future__ import annotations
@@ -23,11 +23,10 @@ class InconsistentSystem(Exception):
 def _rref(rows, ncols):
     """Gauss-Jordan elimination, pivoting only in the first ncols columns.
 
-    Returns (R, pivots, factor): pivots[r] is the pivot column of row r
-    of R, the rows R[:len(pivots)] are the reduced row echelon form
-    (columns past ncols, such as an appended right-hand side, only
-    follow the row operations), and factor is det A when A is square and
-    invertible.  Rows below the rank are left as unreduced ints.
+    Returns (R, pivots): pivots[r] is the pivot column of row r of R, and
+    the rows R[:len(pivots)] are the reduced row echelon form (columns
+    past ncols, such as an appended right-hand side, only follow the row
+    operations).  Rows below the rank are left as unreduced ints.
 
     Fraction-free (Bareiss): rows are scaled to integers once, and each
     step sets every other row to (p row - f pivot_row) // prev, p the
@@ -39,7 +38,7 @@ def _rref(rows, ncols):
     m = [row if s == 1 else [x.numerator * (s // x.denominator) for x in row] for row, s in zip(m, scales)]
     nrows = len(m)
     pivots: list[int] = []
-    sign = prev = 1
+    prev = 1
     for col in range(ncols):
         r = len(pivots)
         if r == nrows:
@@ -47,9 +46,7 @@ def _rref(rows, ncols):
         pivot = next((i for i in range(r, nrows) if m[i][col]), None)
         if pivot is None:
             continue
-        if pivot != r:
-            m[r], m[pivot] = m[pivot], m[r]
-            sign = -sign
+        m[r], m[pivot] = m[pivot], m[r]
         top = m[r]
         p = top[col]
         for i in range(nrows):
@@ -60,11 +57,7 @@ def _rref(rows, ncols):
         pivots.append(col)
     for r in range(len(pivots)):
         m[r] = [x // prev if x % prev == 0 else Fraction(x, prev) for x in m[r]]
-    return m, pivots, _coeff(Fraction(sign * prev, math.prod(scales)))
-
-
-def rank(rows) -> int:
-    return len(_rref(rows, len(rows[0]) if rows else 0)[1])
+    return m, pivots
 
 
 def solve(rows, rhs):
@@ -79,7 +72,7 @@ def solve(rows, rhs):
     ncols = len(rows[0]) if rows else 0
     several = bool(rhs) and isinstance(rhs[0], (list, tuple))
     augmented = [[*row, *(b if several else (b,))] for row, b in zip(rows, rhs, strict=True)]
-    m, pivots, _ = _rref(augmented, ncols)
+    m, pivots = _rref(augmented, ncols)
     if any(any(row[ncols:]) for row in m[len(pivots):]):
         raise InconsistentSystem("right-hand side outside the column span")
     if len(pivots) < ncols:
@@ -88,29 +81,25 @@ def solve(rows, rhs):
     return [row[ncols:] if several else row[ncols] for row in m[:ncols]]
 
 
-def coordinates(basis, target):
-    """Coordinates c with target = sum c_k basis[k], for polynomials in one ring.
+def coordinates(basis, targets):
+    """Coordinates of each target in a polynomial basis, all in one elimination.
 
-    target may also be a list of polynomials: then all of them are solved
-    in one elimination, and the result is the matrix whose column c holds
-    the coordinates of target[c].  The rows run over every monomial of
+    Returns the matrix whose column c holds the coordinates x with
+    targets[c] = sum x_k basis[k].  The rows run over every monomial of
     the basis and of the targets, so a target outside the span raises
     InconsistentSystem rather than being truncated, and a dependent basis
     raises ValueError.
     """
-    several = isinstance(target, list)
-    targets = target if several else [target]
     # with no monomial at all, one zero row still gives the system len(basis) columns
     monomials = sorted({m for p in (*basis, *targets) for m in p.terms}) or [None]
     rows = [[p.terms.get(m, 0) for p in basis] for m in monomials]
-    x = solve(rows, [[t.terms.get(m, 0) for t in targets] for m in monomials])
-    return x if several else [r[0] for r in x]
+    return solve(rows, [[t.terms.get(m, 0) for t in targets] for m in monomials])
 
 
 def nullspace(rows) -> list[list[Scalar]]:
     """Basis of the kernel of A; all-zero rows constrain nothing and are not eliminated."""
     ncols = len(rows[0]) if rows else 0
-    m, pivots, _ = _rref([row for row in rows if any(row)], ncols)
+    m, pivots = _rref([row for row in rows if any(row)], ncols)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
         v = [int(c == fc) for c in range(ncols)]
@@ -118,11 +107,3 @@ def nullspace(rows) -> list[list[Scalar]]:
             v[col] = -m[row][fc]
         basis.append(v)
     return basis
-
-
-def determinant(rows) -> Scalar:
-    """Determinant of a square matrix by elimination (independent of the Pfaffian)."""
-    if any(len(row) != len(rows) for row in rows):
-        raise ValueError("matrix is not square")
-    _, pivots, factor = _rref(rows, len(rows))
-    return factor if len(pivots) == len(rows) else 0

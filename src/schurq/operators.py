@@ -251,8 +251,9 @@ def tilde_family_step(
     In s = plain + barred and t = barred - plain a step is s' = s - O(t),
     t' = -E(s), with O and E the odd and even family_step.  Level 1 has
     s = 2 D_i f and t = 0, so s_k is a sum of odd plain levels with Fibonacci
-    coefficients: the tilde relations.  lemma_121_sweep must not compute
-    tilde levels this way, or it would verify its own algebra.
+    coefficients, tilde Omega_k = 2 sum_j C(k-1-j, j) Omega_(2j+1)
+    (spectra.tilde_relation).  lemma_121_sweep must not compute tilde
+    levels this way, or it would verify its own algebra.
 
     rows holds the walk's rows (see _tilde_pair), as in family_step: with
     row 1 alone both parts are filled in by transposing their first one,

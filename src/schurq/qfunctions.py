@@ -3,7 +3,8 @@
 Builds the q_k from the generating series prod(1+x_i t)/prod(1-x_i t),
 the pairs Q_{k,l}, the Pfaffian construction of Q_lambda, power sums,
 the characteristic map on odd cycle types, odd-power-sum expansions,
-the cancellation (supersymmetry) test, and shifted tableau counts.
+the cancellation (supersymmetry) test, and the product formula for
+shifted standard tableaux (the enumeration oracles live in tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -277,26 +278,3 @@ def shifted_tableaux_count(lam: StrictPartition) -> int:
     if value.denominator != 1:
         raise AssertionError(f"product formula not integral for {lam}")
     return int(value)
-
-
-def shifted_tableaux_enumerate(lam: StrictPartition) -> int:
-    """Exhaustive count of shifted standard tableaux (the slow oracle).
-
-    Counts by peeling removable corners: cells whose removal leaves a
-    shifted diagram of a strict partition.
-    """
-
-    @lru_cache(maxsize=None)
-    def count(parts: tuple[int, ...]) -> int:
-        if not parts:
-            return 1
-        total = 0
-        for i, p in enumerate(parts):
-            shrunk = parts[:i] + (p - 1,) + parts[i + 1 :]
-            shrunk = tuple(x for x in shrunk if x > 0)
-            ok = all(shrunk[a] > shrunk[a + 1] for a in range(len(shrunk) - 1))
-            if ok and len(shrunk) in (len(parts), len(parts) - 1):
-                total += count(shrunk)
-        return total
-
-    return count(lam.parts)

@@ -6,9 +6,10 @@ arithmetic, never a tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice, product
+from itertools import chain, combinations, islice, product
 from typing import Callable, Optional
 
 from . import linalg, operators
@@ -209,6 +210,12 @@ class SweepReport:
     def passed(self) -> bool:
         return not self.failures
 
+    def check(self, ok: bool, failure: str) -> None:
+        """Count one check, and record failure unless ok."""
+        self.checked += 1
+        if not ok:
+            self.failures.append(failure)
+
     def to_json_obj(self) -> dict:
         return {
             "suite": self.name,
@@ -269,27 +276,30 @@ def uniqueness_sweep(n: int, maxdeg: int) -> SweepReport:
                     for r in range(size)
                 )
             dim = len(linalg.nullspace(stacked))
-            report.checked += 1
-            if dim != 1:
-                report.failures.append(
-                    f"d={d}: joint eigenspace {key} has dimension {dim} "
-                    f"(members {[str(m) for m in members]})"
-                )
+            report.check(dim == 1, f"d={d}: joint eigenspace {key} has dimension {dim} "
+                                   f"(members {[str(m) for m in members]})")
     return report
 
 
+TILDE_LEVELS = 4  # lemma_121_sweep checks tilde Omega_1 .. tilde Omega_4
+
+
+def tilde_relation(k: int) -> tuple[str, dict[int, int]]:
+    """Lemma 1.21 for tilde Omega_k, named, as {m: the coefficient of Omega_m}.
+
+    tilde Omega_k = 2 sum_j C(k-1-j, j) Omega_(2j+1), the highest Omega first
+    (derived in operators.tilde_family_step's docstring).
+    """
+    combo = {2 * j + 1: 2 * math.comb(k - 1 - j, j) for j in reversed(range((k + 1) // 2))}
+    return f"tilde-omega{k} = " + " + ".join(f"{c} omega{m}" for m, c in combo.items()), combo
+
+
 def lemma_121_sweep(n: int, maxdeg: int) -> SweepReport:
-    """Verify the four linear relations between the two operator families
-    on every monomial symmetric polynomial of degree <= maxdeg."""
+    """Verify tilde_relation(k) for k <= TILDE_LEVELS on every monomial
+    symmetric polynomial of degree <= maxdeg."""
     report = SweepReport(f"lemma121(n={n},maxdeg={maxdeg})")
-    relations = [
-        ("tilde-omega1 = 2 omega1", 1, {1: 2}),
-        ("tilde-omega2 = 2 omega1", 2, {1: 2}),
-        ("tilde-omega3 = 2 omega3 + 2 omega1", 3, {3: 2, 1: 2}),
-        ("tilde-omega4 = 4 omega3 + 2 omega1", 4, {3: 4, 1: 2}),
-    ]
-    top_omega = max(k for _, _, combo in relations for k in combo)
-    top_tilde = max(tk for _, tk, _ in relations)
+    relations = [(k, *tilde_relation(k)) for k in range(1, TILDE_LEVELS + 1)]
+    top_omega = max(m for _, _, combo in relations for m in combo)
     for d in range(0, maxdeg + 1):
         mus = [()] if d == 0 else list(partitions(d, max_length=n))
         for mu in mus:
@@ -298,19 +308,12 @@ def lemma_121_sweep(n: int, maxdeg: int) -> SweepReport:
             zero = RationalFunction.zero(n)
             plain = islice(operators.family_levels(f, n), top_omega)
             images = {k: sum(v, zero) for k, v in enumerate(plain, 1) if k % 2}
-            tilde = islice(operators.tilde_levels(f, n), top_tilde)
+            tilde = islice(operators.tilde_levels(f, n), TILDE_LEVELS)
             tildes = {k: sum(chain.from_iterable(zip(*p)), zero) for k, p in enumerate(tilde, 1)}
-            for name, tk, combo in relations:
-                rhs = RationalFunction.zero(n)
-                for k, coef in combo.items():
-                    rhs = rhs + images[k].scale(coef)
-                report.checked += 1
-                if not tildes[tk] == rhs:
-                    report.failures.append(f"{name} fails on m_{mu}, n={n}")
+            for k, name, combo in relations:
+                rhs = sum((images[m].scale(coef) for m, coef in combo.items()), zero)
+                report.check(tildes[k] == rhs, f"{name} fails on m_{mu}, n={n}")
     return report
-
-
-EIGENFUNCTION_OPS = ("omega1", "omega3", "omega5")
 
 
 def eigenfunction_sweep(n: int, maxweight: int) -> SweepReport:
@@ -318,18 +321,14 @@ def eigenfunction_sweep(n: int, maxweight: int) -> SweepReport:
     report = SweepReport(f"eigenfunctions(n={n},maxweight={maxweight})")
     for d in range(1, maxweight + 1):
         for lam in strict_partitions(d, max_length=n):
-            for op in EIGENFUNCTION_OPS:
+            spectrum = {"omega1": lam.weight, "omega3": hc_eigenvalue_omega3(lam),
+                        "omega5": hc_eigenvalue_omega5(lam)}
+            for op, eigenvalue in spectrum.items():
                 rep = eigen_check(lam, op, n)
-                report.checked += 1
-                if not rep.is_eigen:
-                    report.failures.append(f"{lam}: not eigen under {op}")
-                    continue
-                if op == "omega1" and rep.eigenvalue != lam.weight:
-                    report.failures.append(f"{lam}: omega1 eigenvalue {rep.eigenvalue}")
-                if op == "omega3" and rep.eigenvalue != hc_eigenvalue_omega3(lam):
-                    report.failures.append(f"{lam}: omega3 eigenvalue {rep.eigenvalue}")
-                if op == "omega5" and rep.eigenvalue != hc_eigenvalue_omega5(lam):
-                    report.failures.append(f"{lam}: omega5 eigenvalue {rep.eigenvalue}")
+                if rep.is_eigen:
+                    report.check(rep.eigenvalue == eigenvalue, f"{lam}: {op} eigenvalue {rep.eigenvalue}")
+                else:
+                    report.check(False, f"{lam}: not eigen under {op}")
     return report
 
 
@@ -339,9 +338,7 @@ def skew_symmetry_sweep(n: int, maxindex: int) -> SweepReport:
         for l in range(0, maxindex + 1):
             if k + l == 0:
                 continue
-            report.checked += 1
-            if q_two(k, l, n) != -q_two(l, k, n):
-                report.failures.append(f"Q_{{{k},{l}}} != -Q_{{{l},{k}}} at n={n}")
+            report.check(q_two(k, l, n) == -q_two(l, k, n), f"Q_{{{k},{l}}} != -Q_{{{l},{k}}} at n={n}")
     return report
 
 
@@ -349,9 +346,7 @@ def supersymmetry_sweep(n: int, maxweight: int) -> SweepReport:
     report = SweepReport(f"supersym(n={n},maxweight={maxweight})")
     for d in range(1, maxweight + 1):
         for lam in strict_partitions(d):
-            report.checked += 1
-            if not is_supersymmetric(schur_q(lam, n), n):
-                report.failures.append(f"Q_{lam} not supersymmetric at n={n}")
+            report.check(is_supersymmetric(schur_q(lam, n), n), f"Q_{lam} not supersymmetric at n={n}")
     return report
 
 
@@ -362,9 +357,7 @@ def stability_sweep(n: int, maxweight: int) -> SweepReport:
         for lam in strict_partitions(d):
             big = schur_q(lam, n + 1)
             small = schur_q(lam, n)
-            report.checked += 1
-            if substitute(big, {n + 1: 0}) != small:
-                report.failures.append(f"Q_{lam} unstable at n={n}")
+            report.check(substitute(big, {n + 1: 0}) == small, f"Q_{lam} unstable at n={n}")
     return report
 
 
@@ -381,12 +374,9 @@ def conjugation_sweep(n: int, maxdeg: int) -> SweepReport:
         f = Polynomial.monomial(n, exps)
         lhs = operators.conjugated_apply("omega3-closed", f, n)
         rhs = operators.euler_cubes(f, n)
-        report.checked += 1
-        if not lhs == rhs:
-            report.failures.append(f"conjugation fails on x^{exps}, n={n}")
-    report.checked += 1
-    if not operators.sum_cubes(operators.delta_inverse(n), n).is_zero():
-        report.failures.append(f"(sum D_i^3) delta^-1 != 0 at n={n}")
+        report.check(lhs == rhs, f"conjugation fails on x^{exps}, n={n}")
+    report.check(operators.sum_cubes(operators.delta_inverse(n), n).is_zero(),
+                 f"(sum D_i^3) delta^-1 != 0 at n={n}")
     return report
 
 
@@ -401,30 +391,21 @@ def auxiliary_sweep(n: int) -> SweepReport:
             - (phi * phi).scale(12)
             - phi.euler(i).scale(6)
         )
-        report.checked += 1
-        if not expr.is_zero():
-            report.failures.append(f"auxiliary identity fails at n={n}, i={i}")
+        report.check(expr.is_zero(), f"auxiliary identity fails at n={n}, i={i}")
     return report
 
 
 def separation_sweep(n: int, maxweight: int) -> SweepReport:
     report = SweepReport(f"separation(n={n},maxweight={maxweight})")
-    all_parts = [
-        lam
-        for d in range(1, maxweight + 1)
-        for lam in strict_partitions(d, max_length=n)
-    ]
-    for a in range(len(all_parts)):
-        for b in range(a + 1, len(all_parts)):
-            lam, mu = all_parts[a], all_parts[b]
-            report.checked += 1
-            try:
-                witness = separation_check(lam, mu, n)
-            except Inseparable:
-                report.failures.append(f"no witness for {lam} vs {mu}")
-                continue
-            if rn_eigenvalue(witness, lam, n) == rn_eigenvalue(witness, mu, n):
-                report.failures.append(f"witness fails for {lam} vs {mu}")
+    all_parts = [lam for d in range(1, maxweight + 1) for lam in strict_partitions(d, max_length=n)]
+    for lam, mu in combinations(all_parts, 2):
+        try:
+            witness = separation_check(lam, mu, n)
+        except Inseparable:
+            report.check(False, f"no witness for {lam} vs {mu}")
+            continue
+        report.check(rn_eigenvalue(witness, lam, n) != rn_eigenvalue(witness, mu, n),
+                     f"witness fails for {lam} vs {mu}")
     return report
 
 

@@ -1,0 +1,114 @@
+"""Slow, independent oracles that only the tests need.
+
+Each recomputes something the package computes, by a route that shares
+no code with it: elimination over Fraction for linalg's fraction-free
+_rref (and the determinant that checks the Pfaffian), corner peeling
+for the shifted standard tableau count, and marked shifted tableaux for
+Q_lambda.
+"""
+
+from collections import Counter
+from fractions import Fraction
+from functools import lru_cache
+
+from schurq.algebra import _coeff
+from schurq.qfunctions import StrictPartition
+
+
+def reference_rref(rows, ncols):
+    """Gauss-Jordan elimination over Fraction, the reference for linalg's fraction-free _rref.
+
+    Returns (R, pivots, factor): every row of R is reduced, and factor is
+    det A when A is square and invertible.
+    """
+    m = [[Fraction(_coeff(x)) for x in row] for row in rows]
+    nrows = len(m)
+    pivots: list[int] = []
+    factor = Fraction(1)
+    for col in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if m[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            factor = -factor
+        factor *= m[r][col]
+        inv = 1 / m[r][col]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * c for a, c in zip(m[i], m[r])]
+        pivots.append(col)
+    return m, pivots, factor
+
+
+def rank(rows) -> int:
+    return len(reference_rref(rows, len(rows[0]) if rows else 0)[1])
+
+
+def determinant(rows) -> Fraction:
+    """Determinant of a square matrix by elimination (independent of the Pfaffian)."""
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix is not square")
+    _, pivots, factor = reference_rref(rows, len(rows))
+    return factor if len(pivots) == len(rows) else Fraction(0)
+
+
+def shifted_tableaux_enumerate(lam: StrictPartition) -> int:
+    """Exhaustive count of shifted standard tableaux.
+
+    Counts by peeling removable corners: cells whose removal leaves a
+    shifted diagram of a strict partition.
+    """
+
+    @lru_cache(maxsize=None)
+    def count(parts: tuple[int, ...]) -> int:
+        if not parts:
+            return 1
+        total = 0
+        for i, p in enumerate(parts):
+            shrunk = parts[:i] + (p - 1,) + parts[i + 1 :]
+            shrunk = tuple(x for x in shrunk if x > 0)
+            ok = all(shrunk[a] > shrunk[a + 1] for a in range(len(shrunk) - 1))
+            if ok and len(shrunk) in (len(parts), len(parts) - 1):
+                total += count(shrunk)
+        return total
+
+    return count(lam.parts)
+
+
+def marked_shifted_tableaux(lam: StrictPartition, n: int) -> Counter:
+    """The coefficients of Q_lambda(x_1..x_n), by counting marked shifted tableaux.
+
+    A marked shifted tableau of shape lambda fills row i of the shifted
+    diagram (columns i..i+lambda_i-1) from 1' < 1 < 2' < 2 < .. < n' < n,
+    weakly increasing along rows and columns, with each k at most once
+    in a column and each k' at most once in a row.  Q_lambda is the sum
+    of x^T over them, x^T holding the number of k and k' in exponent k
+    (Macdonald, III.8).  Letters are coded 2k-1 for k' and 2k for k.
+    """
+    cells = [(r, c) for r, part in enumerate(lam.parts) for c in range(r, r + part)]
+    filling: dict[tuple[int, int], int] = {}
+    weight = [0] * n
+    counts: Counter = Counter()
+
+    def fill(index: int) -> None:
+        if index == len(cells):
+            counts[tuple(weight)] += 1
+            return
+        r, c = cells[index]
+        left, up = filling.get((r, c - 1), 0), filling.get((r - 1, c), 0)
+        for letter in range(max(left, up, 1), 2 * n + 1):
+            if letter == (left if letter % 2 else up):
+                continue  # k' twice in a row, or k twice in a column
+            filling[r, c] = letter  # cells are filled in order, so only earlier ones are read
+            weight[(letter - 1) // 2] += 1
+            fill(index + 1)
+            weight[(letter - 1) // 2] -= 1
+
+    fill(0)
+    return counts

@@ -18,10 +18,10 @@ from schurq.algebra import (
     pfaffian,
     substitute,
 )
-from schurq.linalg import determinant
 from schurq.qfunctions import StrictPartition, q_series, schur_q
 
 from conftest import polynomials
+from oracles import determinant
 
 
 def x(n, i):

@@ -338,7 +338,7 @@ class TestRunSweepsScript:
         captured = capsys.readouterr()
         report = skew_symmetry_sweep(2, 4)
         assert captured.out == f"{report.name}: PASS ({report.checked} checks)\n"
-        assert re.fullmatch(re.escape(report.name) + r": \d+\.\d\d s\n", captured.err)
+        assert re.fullmatch(re.escape(report.name) + r": \d+\.\d ms\n", captured.err)
 
 
 class TestEigenTableScript:

@@ -29,9 +29,10 @@ from schurq.qfunctions import (
     q_two,
     schur_q,
     shifted_tableaux_count,
-    shifted_tableaux_enumerate,
     strict_partitions,
 )
+
+from oracles import marked_shifted_tableaux, rank, shifted_tableaux_enumerate
 
 
 class TestStrictPartition:
@@ -188,7 +189,7 @@ class TestSchurQ:
                 continue
             monomials = sorted({m for b in basis for m in b.terms})
             rows = [[b.terms.get(m, Fraction(0)) for b in basis] for m in monomials]
-            assert linalg.rank(rows) == len(basis)
+            assert rank(rows) == len(basis)
 
 
 class TestCharMap:
@@ -293,7 +294,8 @@ class TestExpandOnDominantMonomials:
                 for nu, c in e.items():
                     total = total + power_sum_product(nu.parts, n).scale(c)
                 assert total == q, (lam, n)
-                full = linalg.coordinates([power_sum_product(nu.parts, n) for nu in nus], q)
+                basis = [power_sum_product(nu.parts, n) for nu in nus]
+                full = [row[0] for row in linalg.coordinates(basis, [q])]
                 assert e == {nu: c for nu, c in zip(nus, full) if c}, (lam, n)
 
     @pytest.mark.parametrize("mu, n", [((1, 1), 3), ((2, 2), 4)])
@@ -343,6 +345,21 @@ class TestShiftedTableaux:
         for d in range(1, 9):
             for lam in strict_partitions(d):
                 assert shifted_tableaux_count(lam) == shifted_tableaux_enumerate(lam)
+
+
+class TestMarkedShiftedTableaux:
+    def test_q1_and_q21(self):
+        assert marked_shifted_tableaux(StrictPartition((1,)), 2) == {(1, 0): 2, (0, 1): 2}
+        # Q_(2,1)(x_1, x_2) = 4 x_1 x_2 (x_1 + x_2)
+        assert marked_shifted_tableaux(StrictPartition((2, 1)), 2) == {(2, 1): 4, (1, 2): 4}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_schur_q_counts_marked_shifted_tableaux(self, n):
+        # shares no code with pfaffian or q_two: the coefficient of x^mu is the
+        # number of marked shifted tableaux of shape lambda and weight mu
+        for d in range(0, 9):
+            for lam in strict_partitions(d):
+                assert schur_q(lam, n) == Polynomial(n, marked_shifted_tableaux(lam, n)), lam
 
 
 def test_monomial_symmetric_basis():

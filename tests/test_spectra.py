@@ -1,3 +1,5 @@
+import ast
+import inspect
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, count
@@ -224,6 +226,59 @@ class TestSweeps:
         report = lemma_121_sweep(2, 4)
         assert report.passed
         assert report.checked == 4 * (1 + 1 + 2 + 2 + 3)  # partitions of 0..4, len<=2
+
+
+class TestSweepReport:
+    def test_check_counts_and_records_failures(self):
+        report = spectra.SweepReport("demo")
+        report.check(True, "first")
+        report.check(False, "second")
+        assert (report.checked, report.failures, report.passed) == (2, ["second"], False)
+
+    def test_only_check_counts(self):
+        # every sweep counts through SweepReport.check, never by touching checked itself
+        tree = ast.parse(inspect.getsource(spectra))
+        touched = {
+            node.name
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and sub.attr == "checked"
+        }
+        assert not touched
+
+
+class TestTildeRelationRule:
+    # the four relations lemma_121_sweep once spelled out by hand, as (name, k, combo)
+    HAND_WRITTEN = [
+        ("tilde-omega1 = 2 omega1", 1, {1: 2}),
+        ("tilde-omega2 = 2 omega1", 2, {1: 2}),
+        ("tilde-omega3 = 2 omega3 + 2 omega1", 3, {3: 2, 1: 2}),
+        ("tilde-omega4 = 4 omega3 + 2 omega1", 4, {3: 4, 1: 2}),
+    ]
+
+    def test_rule_reproduces_the_hand_written_relations(self):
+        assert spectra.TILDE_LEVELS == len(self.HAND_WRITTEN)
+        for name, k, combo in self.HAND_WRITTEN:
+            got_name, got_combo = spectra.tilde_relation(k)
+            assert (got_name, got_combo) == (name, combo)
+            assert list(got_combo) == list(combo)  # the highest Omega first, as the name reads
+
+    def test_perturbed_coefficient_fails_every_input(self, monkeypatch):
+        # one more Omega_1 in every relation leaves |mu| m_mu over on each m_mu;
+        # m_() = 1 is killed by every operator, so no coefficient shows on it
+        original = spectra.tilde_relation
+
+        def perturbed(k):
+            name, combo = original(k)
+            return name, {**combo, 1: combo[1] + 1}
+
+        monkeypatch.setattr(spectra, "tilde_relation", perturbed)
+        report = lemma_121_sweep(2, 3)
+        assert report.checked == 4 * 6
+        names = [name for name, _, _ in self.HAND_WRITTEN]
+        inputs = [(1,), (2,), (1, 1), (3,), (2, 1)]
+        assert report.failures == [f"{name} fails on m_{mu}, n=2" for mu in inputs for name in names]
 
 
 def count_calls(monkeypatch, module, names) -> Counter:
