@@ -1,0 +1,124 @@
+#!/usr/bin/env python3
+"""Run alternating parent/change pairs of the benchmark and apply the gain rule.
+
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload span --pairs 10 --seconds 20 --seed-base 901
+
+Pair i runs `python3 perfbench/run.py --workload W --seed B+i --seconds S`
+in both checkouts, the parent first when i is even and the change first
+when it is odd.  Only the last line of each run's standard output, its
+JSON result, is read; this script times nothing itself.  It prints one
+row per run, then for every end-to-end metric of the change's
+BENCHMARK.json both sides' median and quartiles, the change's wins,
+losses and ties, and whether a gain may be claimed: the change wins at
+least nine tenths of the pairs (ties count for neither side), and the
+medians differ in the better direction by more than the parent's
+interquartile range.  The exit status is 1 as soon as a run reports
+correct: false or a failed op, and 2 when a run prints no result.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+WIN_SHARE = 0.9
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile), inclusive method."""
+    if len(values) < 2:
+        return (values[0],) * 3
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarise(parent: list[float], change: list[float], better: str) -> dict:
+    """The gain rule on paired runs: parent[i] and change[i] are pair i."""
+    if len(parent) != len(change) or not parent:
+        raise ValueError("need the same nonzero number of parent and change runs")
+    if better not in ("higher", "lower"):
+        raise ValueError(f"better must be 'higher' or 'lower', not {better!r}")
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    losses = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    pq, cq = quartiles(parent), quartiles(change)
+    gap = sign * (cq[1] - pq[1])
+    return {
+        "parent": pq,
+        "change": cq,
+        "wins": wins,
+        "losses": losses,
+        "ties": len(parent) - wins - losses,
+        "holds": wins >= WIN_SHARE * len(parent) and gap > pq[2] - pq[0],
+    }
+
+
+def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+    """One benchmark run in checkout; its JSON result line."""
+    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+               "--seconds", str(seconds)]
+    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=False)
+    lines = done.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = None
+    if done.returncode or not isinstance(result, dict):
+        raise RuntimeError(f"{checkout}: exit {done.returncode}, no result line\n{done.stderr}")
+    return result
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=int, required=True)
+    parser.add_argument("--seed-base", type=int, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    values: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
+    print(f"workload {args.workload}, {args.pairs} pairs of {args.seconds} s runs, seeds "
+          f"{args.seed_base}..{args.seed_base + args.pairs - 1}")
+    for i in range(args.pairs):
+        seed = args.seed_base + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for position, side in enumerate(order, 1):
+            try:
+                result = run(getattr(args, side), args.workload, seed, args.seconds)
+            except RuntimeError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+            metrics = {name: m["value"] for name, m in result["metrics"].items() if name in better}
+            for name, value in metrics.items():
+                values[side].setdefault(name, []).append(value)
+            cells = " ".join(f"{name}={value:.6g}" for name, value in metrics.items())
+            print(f"pair {i + 1:2d} seed {seed} {side:6s} run {position} failed {result['failed']}/"
+                  f"{result['attempted']} {cells}")
+            if not result["correct"] or result["failed"]:
+                print(f"error: {side} run on seed {seed} reports correct={result['correct']}, "
+                      f"{result['failed']} failed ops", file=sys.stderr)
+                return 1
+
+    print(f"{'metric':12s} {'parent median [q1, q3]':34s} {'change median [q1, q3]':34s} W/L/T gain")
+    for name in better:
+        if name not in values["parent"]:
+            continue
+        s = summarise(values["parent"][name], values["change"][name], better[name])
+        sides = [f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]" for q in (s["parent"], s["change"])]
+        print(f"{name:12s} {sides[0]:34s} {sides[1]:34s} {s['wins']}/{s['losses']}/{s['ties']} "
+              f"{'holds' if s['holds'] else 'no'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -142,22 +142,23 @@ class Polynomial:
         return Polynomial(n, {tuple(exps): coeff})
 
     @staticmethod
-    def weighted_complete(n: int, d: int, w: Sequence[int]) -> "Polynomial":
-        """sum over |alpha| <= d of prod_i w[alpha_i] x^alpha, in x_1..x_n.
+    def weighted_complete(n: int, d: int, w: Sequence[int]) -> tuple["Polynomial", ...]:
+        """The parts of degree 0..d of sum over |alpha| <= d of prod_i w[alpha_i] x^alpha, in x_1..x_n.
 
-        The weights w[0..d] are nonzero ints, so every product is a canonical
-        coefficient.  Raising e_i by e adds e to its field and to the degree field.
+        The weights w[0..d] are nonzero ints, so every product is a canonical coefficient.  Raising e_i
+        by e adds e to its field and to the degree field, so it takes a degree-(k - e) key to degree k.
         """
         if d > MAX_DEGREE:
             raise _overflow(d)
         if n < 0 or d < 0 or len(w) <= d or any(type(c) is not int or not c for c in w):
             raise ValueError(f"need n >= 0, d >= 0 and {d + 1} nonzero int weights")
         top = _BITS * n
-        terms: dict[int, Scalar] = {0: 1}  # the keys in x_1..x_i, i = 0 .. n
+        parts: list[dict[int, Scalar]] = [{0: 1}] + [{} for _ in range(d)]  # by degree, in x_1..x_i
         for i in range(n):
             unit = (1 << _BITS * i) + (1 << top)
-            terms = {m + e * unit: c * w[e] for m, c in terms.items() for e in range(d - (m >> top) + 1)}
-        return Polynomial._from_keys(n, terms)
+            parts = [{m + e * unit: c * w[e] for e in range(k + 1) for m, c in parts[k - e].items()}
+                     for k in range(d + 1)]
+        return tuple(Polynomial._from_keys(n, t) for t in parts)
 
     # -- predicates --------------------------------------------------
 
@@ -187,8 +188,17 @@ class Polynomial:
         return max(m >> _BITS * (i - 1) & _MASK for m in self.terms)
 
     def is_symmetric(self) -> bool:
-        """Invariant under every adjacent swap x_i <-> x_(i+1), hence under all permutations."""
-        return all(self.transposed(i, i + 1) == self for i in range(1, self.n))
+        """Invariant under x_1 <-> x_2 and the cycle x_1 -> x_2 -> .. -> x_n -> x_1, which generate S_n.
+
+        The cycle shifts the exponent fields of a key up by one and wraps e_n round to the field of x_1.
+        """
+        n = self.n
+        if n < 2 or self.transposed(1, 2) != self:
+            return n < 2
+        if n == 2:
+            return True  # the cycle is the swap
+        low, at = _low(n), _BITS * (n - 1)
+        return {m & ~low | m << _BITS & low | m >> at & _MASK: c for m, c in self.terms.items()} == self.terms
 
     def leading_term(self) -> tuple[tuple[int, ...], Scalar]:
         """Grevlex-leading (monomial, coefficient); error on zero."""

@@ -116,19 +116,19 @@ def q_series(n: int, maxdeg: int) -> tuple[Polynomial, ...]:
 
     Each factor (1+x_i t)/(1-x_i t) is 1 + 2 sum_(e>=1) x_i^e t^e, so
     q_k = sum_(|alpha|=k) 2^#{i: alpha_i > 0} x^alpha (Macdonald, III.8).
-    One pass builds every monomial of degree <= maxdeg once, with its
-    coefficient, and q_k is the degree-k part.
+    weighted_complete builds every monomial of degree <= maxdeg once,
+    degree by degree, with its coefficient, so its parts are the q_k.
     """
     if n < 1 or maxdeg < 0:
         raise ValueError("need n >= 1 and maxdeg >= 0")
-    parts = Polynomial.weighted_complete(n, maxdeg, (1,) + (2,) * maxdeg).homogeneous_components()
-    return tuple(parts[k] for k in range(maxdeg + 1))
+    return Polynomial.weighted_complete(n, maxdeg, (1,) + (2,) * maxdeg)
 
 
 @lru_cache(maxsize=None)
 def q_two(k: int, l: int, n: int) -> Polynomial:
     """Q_{k,l} = q_k q_l + 2 sum_p (-1)^p q_{k+p} q_{l-p}; Q_{k,0} = q_k.
 
+    The 2 goes on the factor q_{l-p}, the shorter one when k >= l.
     The alternating sign is what makes Q_{k,l} = -Q_{l,k} for k+l > 0;
     Q_{0,l} = -q_l follows from Q(t)Q(-t) = 1.  Q_{0,0} is 0.
     """
@@ -139,7 +139,7 @@ def q_two(k: int, l: int, n: int) -> Polynomial:
     qs = q_series(n, k + l)
     total = qs[k] * qs[l]
     for p in range(1, l + 1):
-        term = (qs[k + p] * qs[l - p]).scale(2)
+        term = qs[k + p] * qs[l - p].scale(2)
         total = total - term if p % 2 else total + term
     return total
 

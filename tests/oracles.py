@@ -3,8 +3,9 @@
 Each recomputes something the package computes, by a route that shares
 no code with it: elimination over Fraction for linalg's fraction-free
 _rref (and the determinant that checks the Pfaffian), corner peeling
-for the shifted standard tableau count, and marked shifted tableaux for
-Q_lambda.
+for the shifted standard tableau count, marked shifted tableaux for
+Q_lambda, and every adjacent swap on exponent tuples for the symmetry
+test on packed keys.
 """
 
 from collections import Counter
@@ -112,3 +113,13 @@ def marked_shifted_tableaux(lam: StrictPartition, n: int) -> Counter:
 
     fill(0)
     return counts
+
+
+def is_symmetric_by_adjacent_swaps(p) -> bool:
+    """p is fixed by every adjacent swap x_i <-> x_(i+1), which generate S_n; on exponent tuples."""
+    terms = dict(p.sorted_terms())
+    for i in range(p.n - 1):
+        swapped = {m[:i] + (m[i + 1], m[i]) + m[i + 2 :]: c for m, c in terms.items()}
+        if swapped != terms:
+            return False
+    return True

@@ -21,7 +21,7 @@ from schurq.algebra import (
 from schurq.qfunctions import StrictPartition, q_series, schur_q
 
 from conftest import polynomials
-from oracles import determinant
+from oracles import determinant, is_symmetric_by_adjacent_swaps
 
 
 def x(n, i):
@@ -100,6 +100,46 @@ class TestSymmetry:
         for lam in [(1,), (2, 1), (3, 1)]:
             assert schur_q(StrictPartition(lam), 4).is_symmetric()
         assert not x(2, 1).is_symmetric()
+
+    def test_one_generator_alone_is_not_enough(self):
+        n = 3
+        # fixed by the cycle x1 -> x2 -> x3 -> x1, not by x1 <-> x2
+        cyclic = Polynomial(n, {(2, 1, 0): 1, (0, 2, 1): 1, (1, 0, 2): 1})
+        # fixed by x1 <-> x2, not by the cycle
+        swapped = x(n, 1) * x(n, 2) + x(n, 3)
+        for p in (cyclic, swapped):
+            assert not p.is_symmetric() and not is_symmetric_by_adjacent_swaps(p)
+
+    @given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+        polynomials(n, max_degree=4, max_terms=4),
+        st.sampled_from(["none", "swap", "cycle", "fix x1", "all", "all + one term"]),
+        st.tuples(*[st.integers(0, 3)] * n),
+    )))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_every_adjacent_swap(self, case):
+        """On orbit sums over the trivial group, <x1 <-> x2>, the n-cycle's group, the stabiliser of x1 and S_n."""
+        f, group, extra = case
+        n = f.n
+        identity = tuple(range(n))
+        perms = {
+            "none": [identity],
+            "swap": [identity, (1, 0) + identity[2:]] if n > 1 else [identity],
+            "cycle": [identity[r:] + identity[:r] for r in range(n)] or [identity],
+            "fix x1": [identity[:1] + q for q in permutations(identity[1:])],
+            "all": list(permutations(identity)),
+            "all + one term": list(permutations(identity)),
+        }[group]
+        orbit = {}
+        for m, c in f.sorted_terms():
+            for perm in perms:
+                image = tuple(m[perm[i]] for i in range(n))
+                orbit[image] = orbit.get(image, 0) + c
+        p = Polynomial(n, orbit)
+        if group == "all + one term":
+            p = p + Polynomial.monomial(n, extra)
+        assert p.is_symmetric() == is_symmetric_by_adjacent_swaps(p)
+        if group == "all":
+            assert p.is_symmetric()
 
 
 class TestTransposition:

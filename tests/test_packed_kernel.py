@@ -268,7 +268,10 @@ class TestAgainstReference:
                 for e in m:
                     c *= weights[e]
                 want[m] = Fraction(c)
-        assert as_ref(Polynomial.weighted_complete(n, d, weights)) == want
+        parts = Polynomial.weighted_complete(n, d, weights)
+        assert len(parts) == d + 1
+        for k, part in enumerate(parts):
+            assert as_ref(part) == {m: c for m, c in want.items() if sum(m) == k}
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +298,19 @@ class TestExponentRange:
     def test_weighted_complete_range_and_weights(self):
         weights = (1,) + (2,) * (MAX_DEGREE + 1)
         top = Polynomial.weighted_complete(1, MAX_DEGREE, weights)
-        assert top.degree() == MAX_DEGREE and len(top.terms) == MAX_DEGREE + 1
+        assert len(top) == MAX_DEGREE + 1
+        assert [part.sorted_terms() for part in top] == [[((k,), weights[k])] for k in range(MAX_DEGREE + 1)]
+        # in 6 variables the parts up to MAX_DEGREE would have about 10^15 terms,
+        # so these return only if the checks come before any part is built
         with pytest.raises(ExponentOverflow):
             Polynomial.weighted_complete(6, MAX_DEGREE + 1, weights)
         for bad in ((1, 0, 2), (1, Fraction(1, 2), 2), (1, 2.0, 2), (1, 2)):
             with pytest.raises(ValueError):
                 Polynomial.weighted_complete(2, 2, bad)
+        head = (1,) + (2,) * (MAX_DEGREE - 1)
+        for bad in (head + (0,), head + (Fraction(1, 2),), head + (2.0,), head):
+            with pytest.raises(ValueError):
+                Polynomial.weighted_complete(6, MAX_DEGREE, bad)
 
     def test_largest_degree_is_held(self):
         for k in range(3):

@@ -144,6 +144,19 @@ class TestQTwo:
         assert q_two(1, 1, 1).is_zero()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_doubling_the_short_factor_is_doubling_each_product(self, n):
+        for k in range(7):
+            for l in range(7):
+                if not k + l:
+                    continue
+                qs = q_series(n, k + l)
+                want = qs[k] * qs[l]
+                for p in range(1, l + 1):
+                    term = (qs[k + p] * qs[l - p]).scale(2)
+                    want = want - term if p % 2 else want + term
+                assert q_two(k, l, n) == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_skew_symmetry(self, n):
         for k in range(0, 9):
             for l in range(0, 9):
