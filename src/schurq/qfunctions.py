@@ -213,27 +213,63 @@ class NotInSpan(Exception):
     """Polynomial is outside the span of odd power sums."""
 
 
+def _placements(nu: tuple[int, ...], mu: tuple[int, ...], memo: dict) -> int:
+    """The coefficient of x^mu in p_nu, counted without building p_nu.
+
+    p_nu = p_(nu_1) ... p_(nu_r), so the coefficient counts the ways to put
+    each part of nu on a variable with the parts on x_i summing to mu_i.
+    nu's last part goes on one of the variables holding a value v >= nu_r
+    (v's multiplicity of them), and the rest is the count for the shorter
+    nu and the re-sorted remainder; a mu with more parts than nu gets none.
+    mu is weakly decreasing with no zero parts, so the count does not
+    depend on n.  memo is keyed on
+    (prefix of nu, mu): the decreasing odd cycle types of one degree share
+    their prefixes, and the remainders repeat across the mu.
+    """
+    if not nu:
+        return int(not mu)
+    key = (nu, mu)
+    count = memo.get(key)
+    if count is None:
+        count = 0
+        if len(mu) <= len(nu):
+            last, rest = nu[-1], nu[:-1]
+            for i, v in enumerate(mu):
+                if v < last:
+                    break
+                if i and mu[i - 1] == v:
+                    continue
+                left = mu[:i] + mu[i + 1:]
+                if v > last:
+                    left = tuple(sorted(left + (v - last,), reverse=True))
+                count += mu.count(v) * _placements(rest, left, memo)
+        memo[key] = count
+    return count
+
+
 def expand_in_power_sums(p: Polynomial, n: int, maxweight: int) -> dict[OddCycleType, Scalar]:
     """Exact coefficients c_nu with p = sum c_nu p_nu over odd cycle types.
 
     Solved degree by degree on the dominant monomials x^mu, mu a partition with
     at most n parts: p and every p_nu are symmetric, and a symmetric polynomial
     with no dominant monomial is zero, so the other rows would decide nothing.
+    The entry of p_nu on x^mu is a placement count (_placements), one memo per
+    degree, so no p_nu is built.
     """
+    if p.n != n:
+        raise VariableCountMismatch(f"{p.n} vs {n} variables")
     if not p.is_symmetric():
         raise NotSymmetric("input is not symmetric")
     if p.degree() > maxweight:
         raise ValueError("degree exceeds maxweight")
-    if p.n != n:
-        raise VariableCountMismatch(f"{p.n} vs {n} variables")
     result: dict[OddCycleType, Scalar] = {}
     for d, component in sorted(p.homogeneous_components().items()):
         nus = list(odd_cycle_types(d))
-        basis = [power_sum_product(nu.parts, n) for nu in nus]
-        dominant = [mu + (0,) * (n - len(mu)) for mu in partitions(d, max_length=n)]
+        dominant = list(partitions(d, max_length=n))
+        memo: dict = {}
         try:
-            coeffs = linalg.solve([[b.coefficient(mu) for b in basis] for mu in dominant],
-                                  [component.coefficient(mu) for mu in dominant])
+            coeffs = linalg.solve([[_placements(nu.parts, mu, memo) for nu in nus] for mu in dominant],
+                                  [component.coefficient(mu + (0,) * (n - len(mu))) for mu in dominant])
         except linalg.InconsistentSystem as exc:
             raise NotInSpan(f"degree-{d} component not in the odd span") from exc
         except ValueError as exc:

@@ -2,8 +2,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from schurq import linalg
+from schurq import linalg, qfunctions
 from schurq.algebra import (
     MAX_DEGREE,
     ExponentOverflow,
@@ -18,11 +20,13 @@ from schurq.qfunctions import (
     NotSymmetric,
     OddCycleType,
     StrictPartition,
+    _placements,
     char_map,
     expand_in_power_sums,
     is_supersymmetric,
     monomial_symmetric,
     odd_cycle_types,
+    partitions,
     power_sum,
     power_sum_product,
     q_series,
@@ -275,6 +279,11 @@ class TestExpandInPowerSums:
         with pytest.raises(NotSymmetric):
             expand_in_power_sums(Polynomial.variable(2, 1), 2, 1)
 
+    def test_variable_count_checked_first(self):
+        # x_1 is not symmetric either, but the variable count is checked first
+        with pytest.raises(VariableCountMismatch):
+            expand_in_power_sums(Polynomial.variable(2, 1), 3, 1)
+
     def test_not_in_span(self):
         # e_2 = x1 x2 is symmetric but outside the odd power-sum span
         with pytest.raises(NotInSpan):
@@ -315,6 +324,55 @@ class TestExpandOnDominantMonomials:
     def test_symmetric_outside_the_odd_span(self, mu, n):
         with pytest.raises(NotInSpan):
             expand_in_power_sums(monomial_symmetric(mu, n), n, sum(mu))
+
+
+class TestPlacementCount:
+    def test_matches_power_sum_product(self):
+        # the coefficient of x^mu in p_nu, on every dominant mu with at most n parts,
+        # of nu's weight (expand's rows) or of another (where it is 0)
+        for d in range(9):
+            memo = {}
+            for nu in odd_cycle_types(d):
+                for n in range(1, 7):
+                    p = power_sum_product(nu.parts, n)
+                    for w in range(9):
+                        for mu in partitions(w, max_length=n):
+                            exps = mu + (0,) * (n - len(mu))
+                            assert _placements(nu.parts, mu, memo) == p.coefficient(exps), (nu, mu, n)
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_round_trip(self, data):
+        d = data.draw(st.integers(min_value=0, max_value=6), label="degree")
+        n = data.draw(st.integers(min_value=max(d, 1), max_value=7), label="n")
+        coeff = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+        nus = [nu for w in range(d + 1) for nu in odd_cycle_types(w)]
+        cs = data.draw(st.lists(coeff, min_size=len(nus), max_size=len(nus)), label="c")
+        total = Polynomial.zero(n)
+        for nu, c in zip(nus, cs):
+            total = total + power_sum_product(nu.parts, n).scale(c)
+        assert expand_in_power_sums(total, n, d) == {nu: c for nu, c in zip(nus, cs) if c}
+
+    def test_no_product_is_built(self, monkeypatch):
+        q = schur_q(StrictPartition((3, 2, 1)), 6)
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(Polynomial, "__mul__", counted(Polynomial.__mul__))
+        monkeypatch.setattr(qfunctions, "power_sum_product", counted(power_sum_product))
+        e = expand_in_power_sums(q, 6, 6)
+        assert calls == []
+        assert e == {
+            OddCycleType((5, 1)): Fraction(8, 5),
+            OddCycleType((3, 3)): Fraction(-8, 9),
+            OddCycleType((3, 1, 1, 1)): Fraction(-8, 9),
+            OddCycleType((1,) * 6): Fraction(8, 45),
+        }
 
 
 class TestSupersymmetry:
