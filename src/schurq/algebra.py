@@ -707,20 +707,14 @@ def pfaffian(rows, one=1):
     if not size:
         return one
 
-    cache: dict[tuple[int, ...], object] = {}
-
     def rec(indices: tuple[int, ...]):
         first, rest = indices[0], indices[1:]
         if len(rest) == 1:
             return rows[first][rest[0]]
-        got = cache.get(indices)
-        if got is not None:
-            return got
         total = rows[first][rest[0]] * rec(rest[1:])
         for pos in range(1, len(rest)):
             term = rows[first][rest[pos]] * rec(rest[:pos] + rest[pos + 1 :])
             total = total - term if pos % 2 else total + term
-        cache[indices] = total
         return total
 
     return rec(tuple(range(size)))

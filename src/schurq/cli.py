@@ -99,6 +99,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"suite {args.suite} takes no --max")
     _guard(args, n=args.n, deg=args.max)
     report = spectra.SWEEPS[args.suite].sweep(args.n, args.max)
+    if report.passed and not report.checked:
+        raise ValueError(f"suite {args.suite} checked nothing at --n {args.n} --max {args.max}")
     _print(args, report)
     return 0 if report.passed else 1
 

@@ -9,7 +9,9 @@ RationalFunction._reduce).
 
 A level walk (family_levels, tilde_levels) builds its coefficients once,
 at its first step past level 1, as rows of the values its steps multiply
-by, and at that step also decides which path it takes.  The coefficients
+by, and at that step also decides which path it takes.  Each row value
+is one _fraction, and inv = 1/((x_i-x_j)(x_i+x_j)) carries the sign of a
+reversed x_i - x_j, so every pair term is one fraction over inv.  The coefficients
 permute with their indices, so when the input is a symmetric polynomial
 (no denominator, and num.is_symmetric()) every level is equivariant:
 component j is component 1 under the transposition x_1 <-> x_j.  Such a
@@ -57,26 +59,6 @@ def _fraction(n: int, c, xs, diffs=(), sums=()) -> RationalFunction:
     return RationalFunction(Polynomial.monomial(n, exps, c), den)
 
 
-def coeff_c(n: int, i: int, j: int) -> RationalFunction:
-    """2 x_i x_j / (x_i^2 - x_j^2)."""
-    return _fraction(n, 2, (i, j), [(i, j)], [(i, j)])
-
-
-def coeff_d(n: int, i: int, j: int) -> RationalFunction:
-    """2 x_i^2 / (x_i^2 - x_j^2)."""
-    return _fraction(n, 2, (i, i), [(i, j)], [(i, j)])
-
-
-def coeff_minus(n: int, i: int, j: int) -> RationalFunction:
-    """x_i / (x_i - x_j)."""
-    return _fraction(n, 1, (i,), diffs=[(i, j)])
-
-
-def coeff_plus(n: int, i: int, j: int) -> RationalFunction:
-    """x_i / (x_i + x_j)."""
-    return _fraction(n, 1, (i,), sums=[(i, j)])
-
-
 # ---------------------------------------------------------------------------
 # One walk's coefficients and its symmetric path
 # ---------------------------------------------------------------------------
@@ -97,16 +79,13 @@ def _rows(n: int, pair, symmetric: bool) -> Rows:
 
 
 def _plain_pair(n: int, i: int, j: int) -> tuple:
-    """(c_ij, c_ij.num, d_ij.num, 1/c_ij.den): c_ij and d_ij share their denominator."""
-    c, d = coeff_c(n, i, j), coeff_d(n, i, j)
-    return c, _lift(c.num), _lift(d.num), RationalFunction(Polynomial.constant(n, 1), c.den)
+    """(2x_ix_j, 2x_i^2, inv): c_ij and d_ij are these over (x_i-x_j)(x_i+x_j), inv = 1/that."""
+    return _fraction(n, 2, (i, j)), _fraction(n, 2, (i, i)), _fraction(n, 1, (), [(i, j)], [(i, j)])
 
 
 def _tilde_pair(n: int, i: int, j: int) -> tuple:
-    """(cm.num cp.num, cm.num x_j, 1/(cm.den cp.den)); cm.num = +-x_i carries the sign of x_i - x_j."""
-    cm, cp = coeff_minus(n, i, j), coeff_plus(n, i, j)
-    inv = RationalFunction(Polynomial.constant(n, 1), {**cm.den, **cp.den})
-    return _lift(cm.num * cp.num), _lift(cm.num * Polynomial.variable(n, j)), inv
+    """(x_i^2, x_ix_j, inv): x_i/(x_i-x_j) times x_i/(x_i+x_j) and x_j/(x_i+x_j), over inv's denominator."""
+    return _fraction(n, 1, (i, i)), _fraction(n, 1, (i, j)), _fraction(n, 1, (), [(i, j)], [(i, j)])
 
 
 def _orbit(term: RationalFunction, others: range) -> RationalFunction:
@@ -139,10 +118,11 @@ def family_step(
     the row holds the pair (1, 2) alone, whose term under x_2 <-> x_j is
     the (1, j) term, since p_1 is fixed by every permutation of x_2..x_n.
 
-    c_ij and d_ij share their denominator (x_i-x_j)(x_i+x_j) and have
-    monomial numerators, so each pair of an even step adds one fraction,
-    (c.num prev_i - d.num prev_j) / c.den, and only its sum is tried against
-    the binomials: on an eigenfunction it divides, where c prev_i does not.
+    c_ij and d_ij share their denominator, so with inv = 1/((x_i-x_j)(x_i+x_j))
+    (one _fraction, carrying the sign of a reversed x_i - x_j) each pair of
+    either parity adds one fraction, 2x_ix_j (prev_i - prev_j) * inv or
+    (2x_ix_j prev_i - 2x_i^2 prev_j) * inv, and only its sum is tried against
+    the binomials: on an eigenfunction it divides, where c_ij prev_i does not.
     """
     n = len(prev)
     if rows is None:
@@ -154,12 +134,9 @@ def family_step(
         acc = pi.euler(i)
         if level % 2 == 0:
             acc = acc - pi
-        for j, c, cn, dn, inv in row:
+        for j, cn, dn, inv in row:
             pj = prev[j - 1]
-            if level % 2:
-                term = c * (pi - pj)
-            else:
-                term = (pi * cn - pj * dn) * inv
+            term = ((pi - pj) * cn if level % 2 else pi * cn - pj * dn) * inv
             acc = acc + _orbit(term, others)
         out.append(acc)
     if len(rows) < n:

@@ -5,7 +5,9 @@ no code with it: elimination over Fraction for linalg's fraction-free
 _rref (and the determinant that checks the Pfaffian), corner peeling
 for the shifted standard tableau count, marked shifted tableaux for
 Q_lambda, and every adjacent swap on exponent tuples for the symmetry
-test on packed keys.
+test on packed keys.  It also holds the textbook coefficients of the
+operator recursions, c_ij, d_ij and x_i/(x_i -+ x_j), each one reduced
+fraction, against which the steps' pair rows are checked.
 """
 
 from collections import Counter
@@ -13,6 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from schurq.algebra import _coeff
+from schurq.operators import _fraction
 from schurq.qfunctions import StrictPartition
 
 
@@ -123,3 +126,23 @@ def is_symmetric_by_adjacent_swaps(p) -> bool:
         if swapped != terms:
             return False
     return True
+
+
+def coeff_c(n, i, j):
+    """2 x_i x_j / (x_i^2 - x_j^2)."""
+    return _fraction(n, 2, (i, j), [(i, j)], [(i, j)])
+
+
+def coeff_d(n, i, j):
+    """2 x_i^2 / (x_i^2 - x_j^2)."""
+    return _fraction(n, 2, (i, i), [(i, j)], [(i, j)])
+
+
+def coeff_minus(n, i, j):
+    """x_i / (x_i - x_j)."""
+    return _fraction(n, 1, (i,), diffs=[(i, j)])
+
+
+def coeff_plus(n, i, j):
+    """x_i / (x_i + x_j)."""
+    return _fraction(n, 1, (i,), sums=[(i, j)])

@@ -145,12 +145,38 @@ class TestVerify:
             obj = json.loads(out)
             assert rc == 0 and obj["passed"] and obj["checked"] > 0, name
 
+    def test_a_pass_with_no_checks_is_refused(self, capsys):
+        # at --max 0 a suite checks something or exits 2: a PASS over no
+        # checks would say nothing about the identity
+        for name, spec in spectra.SWEEPS.items():
+            sizes = ["--n", "2"] + (["--max", "0"] if spec.desk_max is not None else [])
+            rc, out, err = run(capsys, ["verify", "--suite", name, *sizes])
+            if rc == 0:
+                assert json.loads(out)["checked"] > 0, name
+            else:
+                assert (rc, out) == (2, ""), name
+                assert err.startswith(f"error: suite {name} checked nothing at --n 2 --max 0"), name
+        rc, out, err = run(capsys, ["verify", "--suite", "separation", "--n", "2", "--max", "1"])
+        assert (rc, out, err) == (2, "", "error: suite separation checked nothing at --n 2 --max 1\n")
+
+    def test_a_failure_with_no_checks_still_exits_1(self, capsys, monkeypatch):
+        def failed(n, d):
+            report = SweepReport("injected")
+            report.failures.append("setup failed")
+            return report
+
+        patch_sweep(monkeypatch, "skew", failed)
+        rc, out, _ = run(capsys, ["verify", "--suite", "skew", "--n", "2", "--format", "text"])
+        assert (rc, out) == (1, "injected: FAIL (0 checks)\n  setup failed\n")
+
     def test_default_max_is_6(self, capsys, monkeypatch):
         seen = {}
 
         def record(n, d):
             seen[n] = d
-            return SweepReport("recorded")
+            report = SweepReport("recorded")
+            report.check(True, "")  # a report that checked nothing is refused
+            return report
 
         for name in spectra.SWEEPS:
             if name == "aux35":

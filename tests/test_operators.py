@@ -6,10 +6,6 @@ import pytest
 from schurq.algebra import Factor, NotDivisible, Polynomial, RationalFunction, exact_divide
 from schurq.operators import (
     auxiliary_functions,
-    coeff_c,
-    coeff_d,
-    coeff_minus,
-    coeff_plus,
     conjugated_apply,
     delta,
     delta_inverse,
@@ -32,6 +28,8 @@ from schurq.qfunctions import (
     schur_q,
     strict_partitions,
 )
+
+from oracles import coeff_c, coeff_d, coeff_minus, coeff_plus
 
 
 def x(n, i):
@@ -250,6 +248,24 @@ class TestCoefficientSigns:
                 assert coeff_plus(n, i, j) + coeff_plus(n, j, i) == one
 
 
+class TestPairRows:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_rows_times_inv_are_the_textbook_coefficients(self, n):
+        # the rows with i > j run only on the n-component path; there inv
+        # alone carries the sign of the reversed difference
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i == j:
+                    continue
+                cn, dn, inv = operators._plain_pair(n, i, j)
+                assert cn * inv == coeff_c(n, i, j), (i, j)
+                assert dn * inv == coeff_d(n, i, j), (i, j)
+                square, mixed, tilde_inv = operators._tilde_pair(n, i, j)
+                assert tilde_inv == inv
+                assert square * inv == coeff_minus(n, i, j) * coeff_plus(n, i, j), (i, j)
+                assert mixed * inv == coeff_minus(n, i, j) * coeff_plus(n, j, i), (i, j)
+
+
 class TestFractionBuilder:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_values_are_reduced_with_their_full_denominator(self, monkeypatch, n):
@@ -267,18 +283,24 @@ class TestFractionBuilder:
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 if i != j:
-                    for coeff in (coeff_c, coeff_d, coeff_minus, coeff_plus):
-                        coeff(n, i, j)
+                    operators._plain_pair(n, i, j)
+                    operators._tilde_pair(n, i, j)
+        rows, built = built, []
+        for i in range(1, n + 1):
             auxiliary_functions(i, n)
         omega3_closed(x(n, 1), n)
         pairs, triples = n * (n - 1) // 2, n * (n - 1) * (n - 2) // 2
-        assert len(built) == 4 * 2 * pairs + (2 * 2 * pairs + triples) + (2 * pairs + triples)
-        for value in built:
+        assert len(rows) == 2 * 3 * 2 * pairs
+        assert len(built) == (2 * 2 * pairs + triples) + (2 * pairs + triples)
+        for value in rows + built:
             assert len(value.num.terms) == 1
-            assert sum(value.den.values()) == value.num.degree()  # each coefficient has degree 0
             for f in value.den:
                 with pytest.raises(NotDivisible):
                     exact_divide(value.num, f)
+        for value in built:
+            assert sum(value.den.values()) == value.num.degree()  # each coefficient has degree 0
+        for value in rows:
+            assert not value.den or value.num.degree() == 0  # a monomial numerator, or inv
 
     def test_zero_coefficient(self):
         value = operators._fraction(3, 0, (1, 2), [(2, 1)], [(1, 2)])
@@ -458,7 +480,7 @@ class TestSymmetricPath:
     def test_coefficients_are_built_once_per_walk(self, monkeypatch):
         n = 3
         built = []
-        for name in ("coeff_c", "coeff_d", "coeff_minus", "coeff_plus"):
+        for name in ("_plain_pair", "_tilde_pair"):
             original = getattr(operators, name)
 
             def counted(*args, _name=name, _original=original):
@@ -474,22 +496,29 @@ class TestSymmetricPath:
         for f, pairs in ((q, 1), (monomial, n * (n - 1))):
             built.clear()
             omega(f, 5, n)  # four steps
-            assert sorted(built) == ["coeff_c"] * pairs + ["coeff_d"] * pairs
+            assert built == ["_plain_pair"] * pairs
             built.clear()
             tilde_omega(f, 4, n)  # three steps
-            assert sorted(built) == ["coeff_minus"] * pairs + ["coeff_plus"] * pairs
+            assert built == ["_tilde_pair"] * pairs
 
 
-def two_product_even_step(prev, level):
-    """The even step as two products per pair: (D_i - 1) p_i + sum_j c_ij p_i - d_ij p_j."""
-    assert level % 2 == 0
+def two_product_step(prev, level):
+    """family_step in its textbook form, one product per coefficient.
+
+    Odd level:  D_i p_i + sum_j c_ij (p_i - p_j).
+    Even level: (D_i - 1) p_i + sum_j c_ij p_i - d_ij p_j.
+    """
     n = len(prev)
     out = []
     for i in range(1, n + 1):
         pi = prev[i - 1]
-        acc = pi.euler(i) - pi
+        acc = pi.euler(i) if level % 2 else pi.euler(i) - pi
         for j in range(1, n + 1):
-            if j != i:
+            if j == i:
+                continue
+            if level % 2:
+                acc = acc + coeff_c(n, i, j) * (pi - prev[j - 1])
+            else:
                 acc = acc + coeff_c(n, i, j) * pi - coeff_d(n, i, j) * prev[j - 1]
         out.append(acc)
     return out
@@ -558,13 +587,15 @@ class TestEvenStep:
 
     @N_COMPONENT_INPUTS
     def test_n_component_step_equals_two_products(self, make):
+        # levels 2..5: both parities against the textbook coefficients
         n = 3
-        level1 = [_lift(make(n)).euler(i) for i in range(1, n + 1)]
-        level2 = family_step(level1, 2)
-        assert level2 == two_product_even_step(level1, 2)
-        level3 = family_step(level2, 3)
-        assert any(v.den for v in level3)
-        assert family_step(level3, 4) == two_product_even_step(level3, 4)
+        values = [_lift(make(n)).euler(i) for i in range(1, n + 1)]
+        for level in range(2, 6):
+            want = two_product_step(values, level)
+            values = family_step(values, level)
+            assert values == want, level
+            if level == 3:
+                assert any(v.den for v in values)
 
 
 class TestTildeStep:
