@@ -12,8 +12,11 @@ BENCHMARK.json both sides' median and quartiles, the change's wins,
 losses and ties, and whether a gain may be claimed: the change wins at
 least nine tenths of the pairs (ties count for neither side), and the
 medians differ in the better direction by more than the parent's
-interquartile range.  The exit status is 1 as soon as a run reports
-correct: false or a failed op, and 2 when a run prints no result.
+interquartile range.  Its bound column applies the no-regression rule:
+"WORSE(b)" when the change's median is worse than the parent's by more
+than b times the parent's median, b the metric's `bound`, else "ok(b)".
+The exit status is 1 as soon as a run reports correct: false or a failed
+op, and 2 when a run prints no result.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarise(parent: list[float], change: list[float], better: str) -> dict:
-    """The gain rule on paired runs: parent[i] and change[i] are pair i."""
+def summarise(parent: list[float], change: list[float], better: str, bound: float = 0.0) -> dict:
+    """The gain and no-regression rules on paired runs: parent[i] and change[i] are pair i."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same nonzero number of parent and change runs")
     if better not in ("higher", "lower"):
@@ -54,6 +57,7 @@ def summarise(parent: list[float], change: list[float], better: str) -> dict:
         "losses": losses,
         "ties": len(parent) - wins - losses,
         "holds": wins >= WIN_SHARE * len(parent) and gap > pq[2] - pq[0],
+        "worse": -gap > bound * abs(pq[1]),
     }
 
 
@@ -86,6 +90,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bound = {m["name"]: m.get("bound", 0.0) for m in spec["end_to_end"]}
     values: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
     print(f"workload {args.workload}, {args.pairs} pairs of {args.seconds} s runs, seeds "
           f"{args.seed_base}..{args.seed_base + args.pairs - 1}")
@@ -109,13 +114,15 @@ def main(argv=None) -> int:
                       f"{result['failed']} failed ops", file=sys.stderr)
                 return 1
 
-    print(f"{'metric':12s} {'parent median [q1, q3]':34s} {'change median [q1, q3]':34s} W/L/T gain")
+    print(f"{'metric':12s} {'parent median [q1, q3]':34s} {'change median [q1, q3]':34s} "
+          f"{'bound':12s} W/L/T gain")
     for name in better:
         if name not in values["parent"]:
             continue
-        s = summarise(values["parent"][name], values["change"][name], better[name])
+        s = summarise(values["parent"][name], values["change"][name], better[name], bound[name])
         sides = [f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]" for q in (s["parent"], s["change"])]
-        print(f"{name:12s} {sides[0]:34s} {sides[1]:34s} {s['wins']}/{s['losses']}/{s['ties']} "
+        verdict = f"{'WORSE' if s['worse'] else 'ok'}({bound[name]:g})"
+        print(f"{name:12s} {sides[0]:34s} {sides[1]:34s} {verdict:12s} {s['wins']}/{s['losses']}/{s['ties']} "
               f"{'holds' if s['holds'] else 'no'}")
     return 0
 

@@ -304,6 +304,23 @@ class Polynomial:
         terms = {m + ((m >> bt & _MASK) - (m >> at & _MASK)) * move: c for m, c in self.terms.items()}
         return Polynomial._from_keys(self.n, terms)
 
+    def plus_transposes(self, pairs: Iterable[tuple[int, int]]) -> "Polynomial":
+        """self + the sum over (a, b) in pairs of self.transposed(a, b), built in one term map."""
+        terms = dict(self.terms)
+        for a, b in pairs:
+            if not (1 <= a <= self.n and 1 <= b <= self.n):
+                raise IndexError(f"variable indices {a}, {b} out of range 1..{self.n}")
+            at, bt = _BITS * (a - 1), _BITS * (b - 1)
+            move = (1 << at) - (1 << bt)
+            for m, c in self.terms.items():
+                m += ((m >> bt & _MASK) - (m >> at & _MASK)) * move
+                s = terms.get(m, 0) + c
+                if s:
+                    terms[m] = s if type(s) is int or s.denominator != 1 else s.numerator
+                else:
+                    del terms[m]  # a zero sum means m held -c
+        return Polynomial._from_keys(self.n, terms)
+
     # -- serialization -----------------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:

@@ -15,25 +15,30 @@ reversed x_i - x_j, so every pair term is one fraction over inv.  The coefficien
 permute with their indices, so when the input is a symmetric polynomial
 (no denominator, and num.is_symmetric()) every level is equivariant:
 component j is component 1 under the transposition x_1 <-> x_j.  Such a
-walk computes component 1 only and fills in the others by transposing
-it.  Component 1 is fixed by every permutation of x_2..x_n, so x_2 <-> x_j
+walk computes component 1 only, and its levels (_Level) build component
+j from it when a caller first reads it: a step reads components 1 and 2,
+and omega and tilde_omega sum the orbit of component 1 (_total).
+Component 1 is fixed by every permutation of x_2..x_n, so x_2 <-> x_j
 maps p_1 to p_1, p_2 to p_j and the (1, 2) coefficients to the (1, j)
 ones: row 1 holds the pair (1, 2) alone, and each step adds its term's
-transposes for j = 3..n (_orbit), exactly.  Any other input (a monomial,
-a rational function with a denominator) takes the n-component step.
-Both paths return the full vector of n components, and their values are
-equal.
+transposes for j = 3..n (_orbit), exactly.  An orbit of a value without
+a denominator is summed in one term map (Polynomial.plus_transposes); a
+value with one adds its RationalFunction.transposed images.  Any other
+input (a monomial, a rational function with a denominator) takes the
+n-component step.  Both paths yield levels of n components, and their
+values are equal.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import chain, combinations, count, islice
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Union
 
 from .algebra import Factor, Polynomial, RationalFunction
 
 Value = Union[Polynomial, RationalFunction]
-Pair = tuple[list[RationalFunction], list[RationalFunction]]  # (plain, barred) of the tilde family
+Pair = tuple[Sequence[RationalFunction], Sequence[RationalFunction]]  # (plain, barred) of the tilde family
 
 
 def _lift(f: Value) -> RationalFunction:
@@ -88,14 +93,50 @@ def _tilde_pair(n: int, i: int, j: int) -> tuple:
     return _fraction(n, 1, (i, i)), _fraction(n, 1, (i, j)), _fraction(n, 1, (), [(i, j)], [(i, j)])
 
 
-def _orbit(term: RationalFunction, others: range) -> RationalFunction:
-    """A symmetric walk's (1, 2) pair term plus its transposes x_2 <-> x_j, j in others."""
-    return sum((term.transposed(2, j) for j in others), term)
+def _orbit(value: RationalFunction, pairs: list[tuple[int, int]]) -> RationalFunction:
+    """value plus its transposes x_a <-> x_b, (a, b) in pairs; in one term map when value has no denominator."""
+    if not pairs:
+        return value
+    if not value.den:
+        return RationalFunction._reduced(value.num.plus_transposes(pairs), {})
+    return sum((value.transposed(a, b) for a, b in pairs), value)
 
 
-def _fill(first: RationalFunction, n: int) -> list[RationalFunction]:
-    """Components 1..n of a symmetric walk's level: x_1 <-> x_j applied to component 1."""
-    return [first] + [first.transposed(1, j) for j in range(2, n + 1)]
+class _Level(Sequence):
+    """Components 1..n of a symmetric walk's level: component j is x_1 <-> x_j
+    applied to component 1, built when it is first read, and kept."""
+
+    __slots__ = ("_parts",)
+
+    def __init__(self, first: RationalFunction, n: int):
+        self._parts: list = [first] + [None] * (n - 1)
+
+    def __len__(self) -> int:
+        return len(self._parts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self._parts)))]
+        part = self._parts[i]
+        if part is None:
+            i %= len(self._parts)
+            part = self._parts[i] = self._parts[0].transposed(1, i + 1)
+        return part
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"_Level({list(self)!r})"
+
+
+def _total(level: Sequence[RationalFunction]) -> RationalFunction:
+    """The sum of a level's components; a symmetric level's is the orbit of component 1."""
+    if isinstance(level, _Level):
+        return _orbit(level[0], [(1, j) for j in range(2, len(level) + 1)])
+    return sum(level, RationalFunction.zero(level[0].n))
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +146,7 @@ def _fill(first: RationalFunction, n: int) -> list[RationalFunction]:
 
 def family_step(
     prev: Sequence[RationalFunction], level: int, rows: Rows | None = None
-) -> list[RationalFunction]:
+) -> Sequence[RationalFunction]:
     """Advance the vector (D_i^{(k-1)} f) to level k = level.
 
     Odd k:  D_i prev_i + sum_j 2x_ix_j/(x_i^2-x_j^2) (prev_i - prev_j).
@@ -113,10 +154,13 @@ def family_step(
             + sum_j [2x_ix_j/(x_i^2-x_j^2) prev_i - 2x_i^2/(x_i^2-x_j^2) prev_j].
 
     rows holds the walk's rows (see _plain_pair); without it every
-    component is computed.  With row 1 alone, prev must be the level of a
-    symmetric input, and the other components are transposes of the first;
-    the row holds the pair (1, 2) alone, whose term under x_2 <-> x_j is
-    the (1, j) term, since p_1 is fixed by every permutation of x_2..x_n.
+    component is computed, and the result is a list.  With row 1 alone,
+    prev must be the level of a symmetric input, and the step reads its
+    components 1 and 2 only: the row holds the pair (1, 2) alone, whose
+    term under x_2 <-> x_j is the (1, j) term, since p_1 is fixed by every
+    permutation of x_2..x_n, and _orbit adds those transposes to it.  The
+    result is then a _Level, which builds components 2..n from the first
+    when they are read.
 
     c_ij and d_ij share their denominator, so with inv = 1/((x_i-x_j)(x_i+x_j))
     (one _fraction, carrying the sign of a reversed x_i - x_j) each pair of
@@ -127,7 +171,7 @@ def family_step(
     n = len(prev)
     if rows is None:
         rows = _rows(n, _plain_pair, symmetric=False)
-    others = range(3, n + 1) if len(rows) < n else range(0)
+    others = [(2, j) for j in range(3, n + 1)] if len(rows) < n else []
     out = []
     for i, row in enumerate(rows, 1):
         pi = prev[i - 1]
@@ -140,11 +184,11 @@ def family_step(
             acc = acc + _orbit(term, others)
         out.append(acc)
     if len(rows) < n:
-        return _fill(out[0], n)
+        return _Level(out[0], n)
     return out
 
 
-def family_levels(f: Value, n: int) -> Iterator[list[RationalFunction]]:
+def family_levels(f: Value, n: int) -> Iterator[Sequence[RationalFunction]]:
     """Yield (D_i^{(k)} f)_i for k = 1, 2, ...: D_i f, then one family_step per level."""
     g = _lift(f)
     values = [g.euler(i) for i in range(1, n + 1)]
@@ -159,8 +203,7 @@ def omega(f: Value, k: int, n: int) -> RationalFunction:
     """Omega_k f = sum_i D_i^{(k)} f, for odd k."""
     if k < 1 or k % 2 == 0:
         raise ValueError("omega is defined for odd k >= 1")
-    values = next(islice(family_levels(f, n), k - 1, None))
-    return sum(values, RationalFunction.zero(n))
+    return _total(next(islice(family_levels(f, n), k - 1, None)))
 
 
 def sum_cubes(f: Value, n: int) -> RationalFunction:
@@ -233,9 +276,10 @@ def tilde_family_step(
     levels this way, or it would verify its own algebra.
 
     rows holds the walk's rows (see _tilde_pair), as in family_step: with
-    row 1 alone both parts are filled in by transposing their first one,
-    and each adds its (1, 2) pair term's transposes x_2 <-> x_j: plain_1
-    and barred_1 are fixed by every permutation of x_2..x_n.
+    row 1 alone the step reads components 1 and 2 of both parts, each line
+    adds its (1, 2) pair term's transposes x_2 <-> x_j (_orbit), since
+    plain_1 and barred_1 are fixed by every permutation of x_2..x_n, and
+    both parts are returned as _Levels.
 
     Over (x_i-x_j)(x_i+x_j) each line's pair terms are one fraction with
     monomial multipliers.  With s_j = plain_j + barred_j and
@@ -248,7 +292,7 @@ def tilde_family_step(
     n = len(plain)
     if rows is None:
         rows = _rows(n, _tilde_pair, symmetric=False)
-    others = range(3, n + 1) if len(rows) < n else range(0)
+    others = [(2, j) for j in range(3, n + 1)] if len(rows) < n else []
     new_plain, new_barred = [], []
     for i, row in enumerate(rows, 1):
         pi, bi = plain[i - 1], barred[i - 1]
@@ -263,7 +307,7 @@ def tilde_family_step(
         new_plain.append(acc_p)
         new_barred.append(acc_b)
     if len(rows) < n:
-        return _fill(new_plain[0], n), _fill(new_barred[0], n)
+        return _Level(new_plain[0], n), _Level(new_barred[0], n)
     return new_plain, new_barred
 
 
@@ -284,6 +328,8 @@ def tilde_omega(f: Value, k: int, n: int) -> RationalFunction:
     if k < 1:
         raise ValueError("tilde omega requires k >= 1")
     plain, barred = next(islice(tilde_levels(f, n), k - 1, None))
+    if isinstance(plain, _Level):
+        return _total(_Level(plain[0] + barred[0], n))
     return sum(chain.from_iterable(zip(plain, barred)), RationalFunction.zero(n))
 
 

@@ -77,8 +77,8 @@ class OddCycleType(_Parts):
             raise ValueError(f"parts must be odd and positive: {p}")
 
 
-def partitions(weight: int, max_length: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Ordinary partitions of the given weight (weakly decreasing parts)."""
+def partitions(weight: int, max_length: int | None = None, odd: bool = False) -> Iterator[tuple[int, ...]]:
+    """Ordinary partitions of the given weight (weakly decreasing parts); odd parts only when odd."""
 
     def rec(remaining: int, cap: int, prefix: tuple[int, ...]):
         if remaining == 0:
@@ -86,7 +86,10 @@ def partitions(weight: int, max_length: int | None = None) -> Iterator[tuple[int
             return
         if max_length is not None and len(prefix) >= max_length:
             return
-        for part in range(min(cap, remaining), 0, -1):
+        top = min(cap, remaining)
+        if odd:
+            top -= 1 - top % 2  # the largest odd part <= top
+        for part in range(top, 0, -2 if odd else -1):
             yield from rec(remaining - part, part, prefix + (part,))
 
     yield from rec(weight, weight, ())
@@ -100,9 +103,9 @@ def strict_partitions(weight: int, max_length: int | None = None) -> Iterator[St
 
 
 def odd_cycle_types(weight: int) -> Iterator[OddCycleType]:
-    for parts in partitions(weight):
-        if all(p % 2 for p in parts):
-            yield OddCycleType(parts)
+    """The partitions of weight into odd parts, in the order of partitions(weight)."""
+    for parts in partitions(weight, odd=True):
+        yield OddCycleType(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ def q_image(op: str, lam: StrictPartition, f: Polynomial, n: int) -> Polynomial:
 class EigenReport:
     partition: StrictPartition
     operator: str
-    eigenvalue: Optional[Fraction]
+    eigenvalue: Optional[Scalar]
     is_eigen: bool
     residual: Polynomial
     image: Optional[Polynomial] = field(default=None, repr=False)  # op applied to Q_lambda
@@ -90,8 +90,10 @@ class EigenReport:
 def eigen_check(lam: StrictPartition, op: str, n: int) -> EigenReport:
     """Apply op to Q_lambda and test exact proportionality.
 
-    The candidate scalar is fitted from the grevlex-leading monomial and
-    then verified on every monomial.
+    The candidate scalar c is fitted from the grevlex-leading monomial,
+    as an int when it is integral, and then verified on every monomial:
+    the image must hold exactly the terms of c Q_lambda.  The residual
+    image - c Q_lambda is built only when that fails.
     """
     if lam.length > n:
         raise ValueError("partition longer than the variable count")
@@ -99,10 +101,15 @@ def eigen_check(lam: StrictPartition, op: str, n: int) -> EigenReport:
     p = q_image(op, lam, f, n)
     lead_m, lead_c = f.leading_term()
     c = Fraction(p.coefficient(lead_m), lead_c)
-    residual = p - f.scale(c)
-    if residual.is_zero():
-        return EigenReport(lam, op, c, True, residual, p)
-    return EigenReport(lam, op, None, False, residual, p)
+    c = c.numerator if c.denominator == 1 else c
+    image = p.terms
+    if c:
+        proportional = len(image) == len(f.terms) and all(image.get(m) == v * c for m, v in f.terms.items())
+    else:
+        proportional = not image
+    if proportional:
+        return EigenReport(lam, op, c, True, Polynomial.zero(n), p)
+    return EigenReport(lam, op, None, False, p - f.scale(c), p)
 
 
 def hc_eigenvalue_omega3(lam: StrictPartition) -> Fraction:

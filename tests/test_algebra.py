@@ -158,6 +158,33 @@ class TestTransposition:
         assert p.transposed(2, 4).transposed(2, 4) == p
         assert (p * q).transposed(1, 3) == p.transposed(1, 3) * q.transposed(1, 3)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        polynomials(n, max_degree=4, max_terms=5),
+        st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=2 * n),
+    )))
+    def test_plus_transposes_equals_the_sum_of_transposes(self, case):
+        p, pairs = case
+        want = p
+        for a, b in pairs:
+            want = want + p.transposed(a, b)
+        got = p.plus_transposes(pairs)
+        assert got == want and is_canonical(got)
+
+    def test_plus_transposes_cancels_and_stays_canonical(self):
+        n = 3
+        q = x(n, 1) * x(n, 1) * x(n, 3) + x(n, 2).scale(Fraction(1, 3))
+        antisymmetric = q - q.transposed(1, 2)
+        got = antisymmetric.plus_transposes([(1, 2)])
+        assert got.is_zero() and got.terms == {}
+        halves = Polynomial(n, {(1, 0, 0): Fraction(1, 2), (0, 1, 0): Fraction(-1, 2), (0, 0, 1): Fraction(1, 2)})
+        got = halves.plus_transposes([(1, 3)])
+        assert got == x(n, 1) - x(n, 2) + x(n, 3) and is_canonical(got)
+        assert all(type(c) is int for c in got.terms.values())
+        assert q.plus_transposes([]) == q and q.plus_transposes([(2, 2)]) == q.scale(2)
+        with pytest.raises(IndexError):
+            q.plus_transposes([(1, 2), (0, 1)])
+
     def test_reversed_difference_flips_the_sign_per_odd_multiplicity(self):
         n = 3
         one = Polynomial.constant(n, 1)

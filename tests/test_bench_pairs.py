@@ -44,6 +44,14 @@ class TestSummarise:
         s = summarise(self.PARENT, [x - 0.025 for x in self.PARENT], "lower")
         assert s["wins"] == 10 and s["holds"]
 
+    def test_worse_than_the_bound(self):
+        # the parent's median is 1.02: a bound of 0.2 admits medians up to 1.224
+        assert not summarise(self.PARENT, [x + 0.2 for x in self.PARENT], "lower", 0.2)["worse"]
+        assert summarise(self.PARENT, [x + 0.25 for x in self.PARENT], "lower", 0.2)["worse"]
+        assert summarise(self.PARENT, [x - 0.25 for x in self.PARENT], "higher", 0.2)["worse"]
+        assert not summarise(self.PARENT, [x - 0.25 for x in self.PARENT], "lower", 0.2)["worse"]
+        assert summarise(self.PARENT, [x + 0.01 for x in self.PARENT], "lower")["worse"]  # bound 0
+
     def test_one_pair(self):
         s = summarise([2.0], [1.0], "lower")
         assert s["parent"] == (2.0, 2.0, 2.0) and s["holds"]
@@ -71,8 +79,10 @@ def checkout(tmp_path, name, p50, correct=True, failed=0):
     root = tmp_path / name
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(STUB.format(correct=correct, failed=failed, p50=p50))
-    (root / "BENCHMARK.json").write_text(json.dumps(
-        {"end_to_end": [{"name": "op_p50_ms", "better": "lower"}, {"name": "ops_per_s", "better": "higher"}]}))
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "op_p50_ms", "better": "lower", "bound": 0.2},
+        {"name": "ops_per_s", "better": "higher", "bound": 0.2},
+    ]}))
     return root
 
 
@@ -95,6 +105,13 @@ class TestRuns:
         (summary,) = [line for line in out.out.splitlines() if line.startswith("op_p50_ms")]
         assert summary.split()[-2:] == ["3/0/0", "holds"]
         assert "trace.overhead_s" not in out.out and status == 0
+
+    @pytest.mark.parametrize("p50, verdict, gain", [(0.5, "ok(0.2)", "holds"), (1.5, "WORSE(0.2)", "no")])
+    def test_prints_the_bound_verdict(self, tmp_path, capsys, p50, verdict, gain):
+        status, out = pairs(checkout(tmp_path, "parent", 1.0), checkout(tmp_path, "change", p50), capsys)
+        (summary,) = [line for line in out.out.splitlines() if line.startswith("op_p50_ms")]
+        assert summary.split()[-3:-1] == [verdict, "3/0/0" if gain == "holds" else "0/3/0"]
+        assert summary.split()[-1] == gain and status == 0
 
     @pytest.mark.parametrize("correct, failed", [(False, 0), (True, 1)])
     def test_a_failed_run_exits_nonzero(self, tmp_path, capsys, correct, failed):

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import islice, zip_longest
+from itertools import islice, permutations, zip_longest
 
 import pytest
 
@@ -449,12 +449,14 @@ class TestSymmetricPath:
         f = schur_q(StrictPartition((2, 1)), n)
         calls = self.count_transposes(monkeypatch)
         omega(f, 5, n)
-        # levels 2..5: the (1, 3) pair term from the (1, 2) one, then components 2 and 3
-        assert calls == [(2, 3), (1, 2), (1, 3)] * 4
+        # the steps to levels 3..5 read component 2 of levels 2..4, built by
+        # x_1 <-> x_2; the orbits of Q_lambda's polynomial values are summed
+        # by Polynomial.plus_transposes, so component 3 is never built
+        assert calls == [(1, 2)] * 3
         calls.clear()
         tilde_omega(f, 3, n)
-        # levels 2 and 3: the pair terms of plain and barred, then their components
-        assert calls == [(2, 3), (2, 3), (1, 2), (1, 3), (1, 2), (1, 3)] * 2
+        # the step to level 3 reads component 2 of plain and barred at level 2
+        assert calls == [(1, 2)] * 2
 
     @pytest.mark.parametrize(
         "make",
@@ -500,6 +502,40 @@ class TestSymmetricPath:
             built.clear()
             tilde_omega(f, 4, n)  # three steps
             assert built == ["_tilde_pair"] * pairs
+
+
+class TestLazyLevel:
+    @staticmethod
+    def level_of(f, n, k):
+        level = next(islice(family_levels(f, n), k - 1, None))
+        assert isinstance(level, operators._Level)
+        return level
+
+    @pytest.mark.parametrize("kind", ["Q", "m"])
+    def test_read_in_any_order_equals_the_eager_transposes(self, monkeypatch, kind):
+        # m_(2,1)'s components carry denominators, Q_(3,1)'s do not
+        n = 4
+        f = schur_q(StrictPartition((3, 1)), n) if kind == "Q" else monomial_symmetric((2, 1), n)
+        first = self.level_of(f, n, 3)[0]
+        eager = [first] + [first.transposed(1, j) for j in range(2, n + 1)]
+        calls = TestSymmetricPath.count_transposes(monkeypatch)
+        for order in permutations(range(n)):
+            level = operators._Level(first, n)
+            calls.clear()
+            for i in order + order:
+                assert level[i] == eager[i], (order, i)
+            assert sorted(calls) == [(1, j) for j in range(2, n + 1)]  # each component once
+            assert level[-1] == eager[-1] and level[1:3] == eager[1:3]
+            assert level == eager and eager == level and list(level) == eager
+        assert operators._Level(first, n) != eager[:3] and operators._Level(first, n) != eager[::-1]
+        with pytest.raises(IndexError):
+            operators._Level(first, n)[n]
+
+    def test_levels_compare_with_tuples_and_levels(self):
+        n = 3
+        level = self.level_of(schur_q(StrictPartition((3, 1)), n), n, 3)
+        assert level == tuple(level) and level == operators._Level(level[0], n)
+        assert level != operators._Level(level[1], n)
 
 
 def two_product_step(prev, level):

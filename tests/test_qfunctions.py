@@ -73,6 +73,12 @@ class TestStrictPartition:
 
 
 class TestOddCycleType:
+    def test_generator_equals_the_filtered_partitions(self):
+        # odd_cycle_types builds odd parts only; it keeps the order of partitions(d)
+        for d in range(21):
+            want = [p for p in partitions(d) if all(part % 2 for part in p)]
+            assert [nu.parts for nu in odd_cycle_types(d)] == want, d
+
     def test_rejects_even_part(self):
         with pytest.raises(ValueError):
             OddCycleType((3, 2))

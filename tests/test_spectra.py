@@ -58,6 +58,38 @@ class TestEigenCheck:
         with pytest.raises(ValueError):
             eigen_check(StrictPartition((2, 1)), "omega3", 1)
 
+    @pytest.mark.parametrize("scale", [3, Fraction(3, 2), 0])
+    def test_one_extra_monomial_is_the_residual(self, monkeypatch, scale):
+        # the image matches c Q_lambda on every monomial of Q_lambda, and the
+        # length check must still see the extra constant term
+        lam, n = StrictPartition((2, 1)), 3
+        extra = Polynomial.constant(n, 5)
+        monkeypatch.setattr(spectra, "q_image", lambda op, lam, f, n: f.scale(scale) + extra)
+        rep = eigen_check(lam, "omega3", n)
+        assert not rep.is_eigen and rep.eigenvalue is None
+        assert rep.residual == extra
+
+    def test_non_eigen_reports_keep_their_residuals(self):
+        # the residual of a failed check is image - c Q_lambda, c fitted on the lead monomial
+        failed = 0
+        for d in range(1, 6):
+            for lam in strict_partitions(d, max_length=3):
+                for op in spectra.OPERATORS:
+                    rep = eigen_check(lam, op, 3)
+                    if rep.is_eigen:
+                        assert rep.residual.is_zero()
+                        continue
+                    failed += 1
+                    f = schur_q(lam, 3)
+                    lead_m, lead_c = f.leading_term()
+                    c = Fraction(rep.image.coefficient(lead_m), lead_c)
+                    assert rep.residual == rep.image - f.scale(c) and not rep.residual.is_zero()
+        assert failed > 0
+
+    def test_integral_eigenvalues_are_ints(self):
+        rep = eigen_check(StrictPartition((3,)), "omega3", 2)
+        assert type(rep.eigenvalue) is int and rep.eigenvalue == 18
+
     def test_json_shape(self):
         rep = eigen_check(StrictPartition((3,)), "omega3", 2)
         obj = rep.to_json_obj()
