@@ -1,33 +1,41 @@
 #!/usr/bin/env python3
-"""Print the Omega_1/3/5 spectrum on Q_lambda for all strict partitions."""
+"""Print the Omega_1/3/5 spectrum on Q_lambda for all strict partitions.
+
+Exits 1 when an entry is NOT EIGEN or differs from the closed form
+spectra.omega_eigenvalue, after printing the whole table.
+"""
 
 import argparse
+import sys
 
 from schurq.algebra import format_fraction
 from schurq.qfunctions import strict_partitions
-from schurq.spectra import eigen_check, hc_eigenvalue_omega3
+from schurq.spectra import eigen_check, hc_eigenvalue_omega3, omega_eigenvalue
 
 
-def main() -> None:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=3)
     parser.add_argument("--max", type=int, default=8, help="maximum weight")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     header = f"{'lambda':>10} {'omega1':>8} {'omega3':>8} {'omega5':>10} {'formula3':>10}"
     print(header)
     print("-" * len(header))
+    wrong = 0
     for d in range(1, args.max + 1):
         for lam in strict_partitions(d, max_length=args.n):
             evs = {}
-            for op in ("omega1", "omega3", "omega5"):
-                rep = eigen_check(lam, op, args.n)
-                evs[op] = format_fraction(rep.eigenvalue) if rep.is_eigen else "NOT EIGEN"
+            for k in (1, 3, 5):
+                rep = eigen_check(lam, f"omega{k}", args.n)
+                evs[k] = format_fraction(rep.eigenvalue) if rep.is_eigen else "NOT EIGEN"
+                wrong += not rep.is_eigen or rep.eigenvalue != omega_eigenvalue(lam, k)
             print(
-                f"{str(lam):>10} {evs['omega1']:>8} {evs['omega3']:>8} "
-                f"{evs['omega5']:>10} {format_fraction(hc_eigenvalue_omega3(lam)):>10}"
+                f"{str(lam):>10} {evs[1]:>8} {evs[3]:>8} "
+                f"{evs[5]:>10} {format_fraction(hc_eigenvalue_omega3(lam)):>10}"
             )
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

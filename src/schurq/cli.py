@@ -114,11 +114,16 @@ def cmd_char_map(args) -> int:
 
 def cmd_tableaux(args) -> int:
     lam = StrictPartition.parse(args.lam)
+    _guard(args, deg=lam.weight)
     count = shifted_tableaux_count(lam)
-    if args.format == "json":
-        print(json.dumps({"partition": str(lam), "count": count}, sort_keys=True))
-    else:
-        print(count)
+    # past the guardrail a count can outgrow the int-to-str digit limit; print it in full
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        print(json.dumps({"partition": str(lam), "count": count}, sort_keys=True)
+              if args.format == "json" else count)
+    finally:
+        sys.set_int_max_str_digits(limit)
     return 0
 
 

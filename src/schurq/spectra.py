@@ -1,4 +1,7 @@
-"""Eigenvalue extraction, identity sweeps, and desk-scale uniqueness checks.
+"""Eigenvalue extraction, the Omega spectrum, identity sweeps, and desk-scale uniqueness checks.
+
+omega_eigenvalue is the closed-form eigenvalue of each odd Omega_k on Q_lambda.  Uniqueness
+and separation read the measured joint_spectrum: the operators' eigenvalues tell the Q_lambda apart.
 
 All sweeps are exact: a pass means zero residual in exact rational
 arithmetic, never a tolerance.
@@ -17,7 +20,7 @@ from .algebra import (
     Polynomial,
     RationalFunction,
     Scalar,
-    VariableCountMismatch,
+    _coeff,
     format_fraction,
     substitute,
 )
@@ -25,7 +28,6 @@ from .qfunctions import (
     StrictPartition,
     monomial_symmetric,
     partitions,
-    power_sum,
     q_two,
     schur_q,
     strict_partitions,
@@ -100,8 +102,7 @@ def eigen_check(lam: StrictPartition, op: str, n: int) -> EigenReport:
     f = schur_q(lam, n)
     p = q_image(op, lam, f, n)
     lead_m, lead_c = f.leading_term()
-    c = Fraction(p.coefficient(lead_m), lead_c)
-    c = c.numerator if c.denominator == 1 else c
+    c = _coeff(Fraction(p.coefficient(lead_m), lead_c))
     image = p.terms
     if c:
         proportional = len(image) == len(f.terms) and all(image.get(m) == v * c for m, v in f.terms.items())
@@ -117,89 +118,22 @@ def hc_eigenvalue_omega3(lam: StrictPartition) -> Fraction:
     return Fraction(sum(p**3 for p in lam.parts) - sum(lam.parts) ** 2)
 
 
-def hc_eigenvalue_omega5(lam: StrictPartition) -> Fraction:
-    """p5 - 2 p1 p3 + (2/3) p1^3 + (1/3) p3, with p_r = sum lambda_i^r."""
-    p1, p3, p5 = (sum(p**r for p in lam.parts) for r in (1, 3, 5))
-    return p5 - 2 * p1 * p3 + Fraction(2 * p1**3 + p3, 3)
+def omega_eigenvalue(lam: StrictPartition, k: int) -> Scalar:
+    """The eigenvalue of Omega_k on Q_lambda for odd k = 2m + 1, at any n >= l(lambda).
 
-
-# ---------------------------------------------------------------------------
-# The separating polynomial algebra
-# ---------------------------------------------------------------------------
-
-
-class NotInRn(Exception):
-    """Symmetry or the cancellation property failed at construction."""
-
-
-@dataclass(frozen=True)
-class RnPolynomial:
-    """Symmetric polynomial in t_1..t_n that is s-free after t_i=s, t_j=-s.
-
-    Both properties are verified at construction; the remaining
-    variables are left free during the cancellation check (the stronger
-    reading of the defining substitution).
+    sum_i c_i (lambda_i (lambda_i - 1))^m, with c_i = lambda_i prod_(j != i)
+    (l_i + l_j)(l_i - l_j - 1) / ((l_i - l_j)(l_i + l_j - 1)); an int when integral.
     """
-
-    poly: Polynomial
-
-    def __post_init__(self):
-        p = self.poly
-        if not p.is_symmetric():
-            raise NotInRn("not symmetric")
-        if not is_supersymmetric(p, p.n):
-            raise NotInRn("depends on s after t_i=s, t_j=-s")
-
-    @property
-    def n(self) -> int:
-        return self.poly.n
-
-    def eval_at(self, point) -> Scalar:
-        if len(point) != self.n:
-            raise VariableCountMismatch("point length mismatch")
-        return substitute(self.poly, dict(enumerate(point, 1))).constant_value()
-
-
-def odd_power_sum_rn(r: int, n: int) -> RnPolynomial:
-    """sum t_i^r for odd r, the basic members of the algebra."""
-    if r % 2 == 0:
-        raise ValueError("only odd exponents cancel")
-    return RnPolynomial(power_sum(r, n))
-
-
-def rn_eigenvalue(r: RnPolynomial, lam: StrictPartition, n: int) -> Scalar:
-    """r evaluated at lambda padded with zeros to n entries."""
-    if lam.length > n:
-        raise ValueError("partition longer than the variable count")
-    if r.n != n:
-        raise ValueError("variable count mismatch")
-    point = list(lam.parts) + [0] * (n - lam.length)
-    return r.eval_at(point)
-
-
-class Inseparable(Exception):
-    """No odd power sum up to 2n - 1 separates: a bug, since that bound always suffices."""
-
-
-def separation_check(lam: StrictPartition, mu: StrictPartition, n: int) -> RnPolynomial:
-    """The odd power sum p_r of smallest r with p_r(lambda) != p_r(mu).
-
-    r <= 2n - 1 always suffices (Macdonald, III.8): with a the parts padded
-    to n entries, sum_k q_k t^k = prod (1+a_i t)/(1-a_i t)
-    = exp(2 sum_(r odd) p_r t^r / r), so p_1, p_3, .., p_(2n-1) fix
-    q_0..q_2n.  Two ratios P(t)/P(-t) with deg P <= n that agree up to t^2n
-    are equal, and the zeros -1/a_i of P give the nonzero parts.
-    """
-    if lam == mu:
-        raise ValueError("partitions must be distinct")
-    if lam.length > n or mu.length > n:
-        raise ValueError("partition longer than the variable count")
-    a = list(lam.parts) + [0] * (n - lam.length)
-    b = list(mu.parts) + [0] * (n - mu.length)
-    for r in range(1, 2 * n, 2):
-        if sum(x**r for x in a) != sum(x**r for x in b):
-            return odd_power_sum_rn(r, n)
-    raise Inseparable(f"no odd power sum up to {2 * n - 1} separates {lam} and {mu}")
+    if k < 1 or k % 2 == 0:
+        raise ValueError(f"the Omega spectrum is defined for odd k >= 1, not k={k}")
+    total = Fraction(0)
+    for a in lam.parts:
+        c = Fraction(a)
+        for b in lam.parts:
+            if b != a:
+                c *= Fraction((a + b) * (a - b - 1), (a - b) * (a + b - 1))
+        total += c * (a * (a - 1)) ** (k // 2)
+    return _coeff(total)
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +174,34 @@ class SweepReport:
 UNIQUENESS_OPS = ("omega1", "omega3", "omega5", "omega7")
 
 
+def joint_spectrum(basis: list[StrictPartition], n: int, report: SweepReport) -> tuple[dict, list]:
+    """Each Q_lambda's eigenvalue tuple over UNIQUENESS_OPS, applied in order
+    until the tuples are pairwise distinct (or the operators run out).
+
+    Returns the tuples by lambda and the images made on the way, operator by
+    operator in basis order.  A Q_lambda that is not an eigenfunction of an
+    operator is recorded in report, and None stands for its eigenvalue.
+    """
+    keys: dict[StrictPartition, tuple] = {lam: () for lam in basis}
+    images = []
+    for op in UNIQUENESS_OPS:
+        reports = [eigen_check(lam, op, n) for lam in basis]
+        for lam, rep in zip(basis, reports):
+            if not rep.is_eigen:
+                report.failures.append(f"d={lam.weight} {lam}: not an eigenfunction of {op}")
+            keys[lam] += (rep.eigenvalue,)
+        images.extend(rep.image for rep in reports)
+        if len(set(keys.values())) == len(basis):
+            break
+    return keys, images
+
+
 def uniqueness_sweep(n: int, maxdeg: int) -> SweepReport:
     """Confirm one-dimensional joint eigenspaces on each degree's Q-span.
 
-    Applies operators until their eigenvalues separate the Q_lambda, solves
-    all their images in one span-guarded elimination (an image outside the
-    span raises), and intersects the kernels of M_op - c_op I per eigenvalue tuple.
+    Takes each degree's joint_spectrum, solves all the images it made in
+    one span-guarded elimination (an image outside the span raises), and
+    intersects the kernels of M_op - c_op I per eigenvalue tuple.
     """
     report = SweepReport(f"uniqueness(n={n},maxdeg={maxdeg})")
     for d in range(1, maxdeg + 1):
@@ -254,18 +210,7 @@ def uniqueness_sweep(n: int, maxdeg: int) -> SweepReport:
             continue
         size = len(basis)
         polys = [schur_q(lam, n) for lam in basis]
-        images = []
-        # joint eigenvalue tuple of each Q_lambda over the operators used so far
-        keys: dict[StrictPartition, tuple] = {lam: () for lam in basis}
-        for op in UNIQUENESS_OPS:
-            reports = [eigen_check(lam, op, n) for lam in basis]
-            for lam, rep in zip(basis, reports):
-                if not rep.is_eigen:
-                    report.failures.append(f"d={d} {lam}: not an eigenfunction of {op}")
-                keys[lam] += (rep.eigenvalue,)
-            images.extend(rep.image for rep in reports)
-            if len(set(keys.values())) == size:
-                break
+        keys, images = joint_spectrum(basis, n, report)
         # each operator's matrix on span{Q_lambda}: column c holds the coordinates of image c
         coords = linalg.coordinates(polys, images)
         matrices = [[row[k:k + size] for row in coords] for k in range(0, len(images), size)]
@@ -276,12 +221,8 @@ def uniqueness_sweep(n: int, maxdeg: int) -> SweepReport:
         for key, members in groups.items():
             if None in key:
                 continue  # a member is not an eigenfunction, reported above
-            stacked = []
-            for m, c in zip(matrices, key):
-                stacked.extend(
-                    [m[r][col] - (c if r == col else 0) for col in range(size)]
-                    for r in range(size)
-                )
+            stacked = [[m[r][col] - (c if r == col else 0) for col in range(size)]
+                       for m, c in zip(matrices, key) for r in range(size)]
             dim = len(linalg.nullspace(stacked))
             report.check(dim == 1, f"d={d}: joint eigenspace {key} has dimension {dim} "
                                    f"(members {[str(m) for m in members]})")
@@ -324,16 +265,16 @@ def lemma_121_sweep(n: int, maxdeg: int) -> SweepReport:
 
 
 def eigenfunction_sweep(n: int, maxweight: int) -> SweepReport:
-    """Lemma-level eigenfunction sweep with the explicit omega1, omega3 and omega5 spectra."""
+    """Lemma-level eigenfunction sweep: Omega_1, Omega_3 and Omega_5 against omega_eigenvalue."""
     report = SweepReport(f"eigenfunctions(n={n},maxweight={maxweight})")
     for d in range(1, maxweight + 1):
         for lam in strict_partitions(d, max_length=n):
-            spectrum = {"omega1": lam.weight, "omega3": hc_eigenvalue_omega3(lam),
-                        "omega5": hc_eigenvalue_omega5(lam)}
-            for op, eigenvalue in spectrum.items():
+            for k in (1, 3, 5):
+                op = f"omega{k}"
                 rep = eigen_check(lam, op, n)
                 if rep.is_eigen:
-                    report.check(rep.eigenvalue == eigenvalue, f"{lam}: {op} eigenvalue {rep.eigenvalue}")
+                    report.check(rep.eigenvalue == omega_eigenvalue(lam, k),
+                                 f"{lam}: {op} eigenvalue {rep.eigenvalue}")
                 else:
                     report.check(False, f"{lam}: not eigen under {op}")
     return report
@@ -403,16 +344,18 @@ def auxiliary_sweep(n: int) -> SweepReport:
 
 
 def separation_sweep(n: int, maxweight: int) -> SweepReport:
+    """The Omega eigenvalues tell apart every two Q_lambda with l <= n, |lambda| <= maxweight.
+
+    One joint_spectrum over all of them, then one check per pair: the two
+    eigenvalue tuples differ.  Omega_1, .., Omega_(2n-1) fix p_1, .., p_(2n-1)
+    of lambda, which determine lambda (Macdonald, III.8), so UNIQUENESS_OPS
+    suffice for l <= 4; Omega_1 and Omega_3 alone first tie at weight 15.
+    """
     report = SweepReport(f"separation(n={n},maxweight={maxweight})")
     all_parts = [lam for d in range(1, maxweight + 1) for lam in strict_partitions(d, max_length=n)]
+    keys, _ = joint_spectrum(all_parts, n, report)
     for lam, mu in combinations(all_parts, 2):
-        try:
-            witness = separation_check(lam, mu, n)
-        except Inseparable:
-            report.check(False, f"no witness for {lam} vs {mu}")
-            continue
-        report.check(rn_eigenvalue(witness, lam, n) != rn_eigenvalue(witness, mu, n),
-                     f"witness fails for {lam} vs {mu}")
+        report.check(keys[lam] != keys[mu], f"{lam} vs {mu}: equal eigenvalues {keys[lam]}")
     return report
 
 

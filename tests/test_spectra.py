@@ -10,15 +10,20 @@ from schurq import linalg, operators, qfunctions, spectra
 from schurq.algebra import Polynomial, RationalFunction, VariableCountMismatch
 from schurq.qfunctions import StrictPartition, power_sum, schur_q, strict_partitions
 from schurq.spectra import (
-    NotInRn,
-    RnPolynomial,
     eigen_check,
     hc_eigenvalue_omega3,
     lemma_121_sweep,
+    omega_eigenvalue,
+    uniqueness_sweep,
+)
+
+from oracles import (
+    NotInRn,
+    RnPolynomial,
+    hc_eigenvalue_omega5,
     odd_power_sum_rn,
     rn_eigenvalue,
     separation_check,
-    uniqueness_sweep,
 )
 
 
@@ -110,15 +115,52 @@ class TestHcEigenvalue:
     def test_omega5_values(self):
         for lam in ((1,), (2,), (3,), (2, 1), (3, 1)):
             lam = StrictPartition(lam)
-            assert spectra.hc_eigenvalue_omega5(lam) == eigen_check(lam, "omega5", 2).eigenvalue
+            assert hc_eigenvalue_omega5(lam) == eigen_check(lam, "omega5", 2).eigenvalue
 
     def test_eigenfunction_sweep_checks_omega5(self, monkeypatch):
         assert spectra.eigenfunction_sweep(2, 3).passed
-        right = spectra.hc_eigenvalue_omega5
-        monkeypatch.setattr(spectra, "hc_eigenvalue_omega5", lambda lam: right(lam) + 1)
+        right = spectra.omega_eigenvalue
+        monkeypatch.setattr(spectra, "omega_eigenvalue", lambda lam, k: right(lam, k) + (k == 5))
         report = spectra.eigenfunction_sweep(2, 3)
         assert not report.passed
         assert all("omega5 eigenvalue" in failure for failure in report.failures)
+
+
+class TestOmegaEigenvalue:
+    def test_equals_eigen_check(self):
+        checked = 0
+        for n, maxweight in ((2, 8), (3, 8), (4, 7)):
+            for d in range(1, maxweight + 1):
+                for lam in strict_partitions(d, max_length=n):
+                    for k in (1, 3, 5, 7):
+                        rep = eigen_check(lam, f"omega{k}", n)
+                        assert rep.is_eigen and rep.eigenvalue == omega_eigenvalue(lam, k), (n, lam, k)
+                        checked += 1
+        assert checked == 4 * (20 + 24 + 18)
+
+    def test_equals_harish_chandra_formulas(self):
+        # pure arithmetic: every strict lambda with |lambda| <= 30
+        checked = 0
+        for d in range(1, 31):
+            for lam in strict_partitions(d):
+                assert omega_eigenvalue(lam, 1) == lam.weight
+                assert omega_eigenvalue(lam, 3) == hc_eigenvalue_omega3(lam), lam
+                assert omega_eigenvalue(lam, 5) == hc_eigenvalue_omega5(lam), lam
+                checked += 1
+        assert checked == 2034
+
+    @pytest.mark.parametrize("k", [0, 2, -1])
+    def test_refuses_even_and_nonpositive_k(self, k):
+        with pytest.raises(ValueError):
+            omega_eigenvalue(StrictPartition((2, 1)), k)
+
+    def test_integral_values_are_ints(self):
+        # the c_i can be fractions, 10/3 and 5/3 for lambda = (4, 1), but the sums are integral
+        assert omega_eigenvalue(StrictPartition((3,)), 3) == 18
+        for d in range(1, 13):
+            for lam in strict_partitions(d):
+                for k in (1, 3, 5, 7):
+                    assert type(omega_eigenvalue(lam, k)) is int, (lam, k)
 
 
 class TestRnPolynomial:
@@ -239,6 +281,23 @@ class TestSeparation:
             for b in range(a + 1, len(parts)):
                 w = separation_check(parts[a], parts[b], 3)
                 assert rn_eigenvalue(w, parts[a], 3) != rn_eigenvalue(w, parts[b], 3)
+
+
+class TestSeparationByOperators:
+    def test_one_operator_fails(self, monkeypatch):
+        assert spectra.separation_sweep(3, 5).passed
+        monkeypatch.setattr(spectra, "UNIQUENESS_OPS", ("omega1",))
+        report = spectra.separation_sweep(3, 5)
+        assert not report.passed
+        assert report.checked == 36  # the 9 strict lambda with l <= 3, |lambda| <= 5, in pairs
+        assert any(failure.startswith("3 vs 2,1:") for failure in report.failures)
+
+    def test_checks_every_pair_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, spectra, ["eigen_check"])
+        report = spectra.separation_sweep(3, 8)
+        assert report.passed and report.checked == 24 * 23 // 2
+        # one joint spectrum over the 24 lambda: Omega_1 and Omega_3 separate them
+        assert calls["eigen_check"] == 2 * 24
 
 
 class TestSweeps:
