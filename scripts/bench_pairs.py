@@ -14,7 +14,11 @@ least nine tenths of the pairs (ties count for neither side), and the
 medians differ in the better direction by more than the parent's
 interquartile range.  Its bound column applies the no-regression rule:
 "WORSE(b)" when the change's median is worse than the parent's by more
-than b times the parent's median, b the metric's `bound`, else "ok(b)".
+than b times the parent's median, b the metric's `bound`; otherwise
+"unresolved(b)" when the parent's interquartile range is wider than b
+times its median and not every change run reads better than every
+parent run, since a spread wider than the bound cannot show that nothing
+moved; else "ok(b)".
 The exit status is 1 as soon as a run reports correct: false or a failed
 op, and 2 when a run prints no result.
 """
@@ -50,6 +54,7 @@ def summarise(parent: list[float], change: list[float], better: str, bound: floa
     losses = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     pq, cq = quartiles(parent), quartiles(change)
     gap = sign * (cq[1] - pq[1])
+    every_run_better = min(sign * c for c in change) > max(sign * p for p in parent)
     return {
         "parent": pq,
         "change": cq,
@@ -58,6 +63,7 @@ def summarise(parent: list[float], change: list[float], better: str, bound: floa
         "ties": len(parent) - wins - losses,
         "holds": wins >= WIN_SHARE * len(parent) and gap > pq[2] - pq[0],
         "worse": -gap > bound * abs(pq[1]),
+        "unresolved": pq[2] - pq[0] > bound * abs(pq[1]) and not every_run_better,
     }
 
 
@@ -115,14 +121,15 @@ def main(argv=None) -> int:
                 return 1
 
     print(f"{'metric':12s} {'parent median [q1, q3]':34s} {'change median [q1, q3]':34s} "
-          f"{'bound':12s} W/L/T gain")
+          f"{'bound':16s} W/L/T gain")
     for name in better:
         if name not in values["parent"]:
             continue
         s = summarise(values["parent"][name], values["change"][name], better[name], bound[name])
         sides = [f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]" for q in (s["parent"], s["change"])]
-        verdict = f"{'WORSE' if s['worse'] else 'ok'}({bound[name]:g})"
-        print(f"{name:12s} {sides[0]:34s} {sides[1]:34s} {verdict:12s} {s['wins']}/{s['losses']}/{s['ties']} "
+        verdict = "WORSE" if s["worse"] else "unresolved" if s["unresolved"] else "ok"
+        verdict = f"{verdict}({bound[name]:g})"
+        print(f"{name:12s} {sides[0]:34s} {sides[1]:34s} {verdict:16s} {s['wins']}/{s['losses']}/{s['ties']} "
               f"{'holds' if s['holds'] else 'no'}")
     return 0
 

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands: qk, qfun, apply, eigen, verify, char-map, tableaux, expand.
+COMMANDS declares every subcommand: its help line, its flags (specs in
+FLAGS) and its handler.  The parser is built from it once, at import.
 Output is deterministic: grevlex term order, "p/q" coefficient strings.
 A command with one result prints it through _print, as the value's own
 to_json_obj() or to_text(); qk, tableaux and expand print a list, a count
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import linalg, spectra
@@ -67,24 +69,26 @@ def cmd_qk(args) -> int:
     return 0
 
 
-def cmd_qfun(args) -> int:
+def _lambda(args) -> StrictPartition:
+    """--lambda parsed and guarded: the first step of qfun, apply and eigen."""
     lam = StrictPartition.parse(args.lam)
     _guard(args, n=args.n, deg=lam.weight)
-    _print(args, schur_q(lam, args.n))
+    return lam
+
+
+def cmd_qfun(args) -> int:
+    _print(args, schur_q(_lambda(args), args.n))
     return 0
 
 
 def cmd_apply(args) -> int:
-    lam = StrictPartition.parse(args.lam)
-    _guard(args, n=args.n, deg=lam.weight)
+    lam = _lambda(args)
     _print(args, spectra.q_image(args.op, lam, schur_q(lam, args.n), args.n))
     return 0
 
 
 def cmd_eigen(args) -> int:
-    lam = StrictPartition.parse(args.lam)
-    _guard(args, n=args.n, deg=lam.weight)
-    _print(args, spectra.eigen_check(lam, args.op, args.n))
+    _print(args, spectra.eigen_check(_lambda(args), args.op, args.n))
     return 0
 
 
@@ -144,74 +148,59 @@ def cmd_expand(args) -> int:
     return 0
 
 
+# every flag is required but the one whose key ends in "?"
+FLAGS = {
+    "--lambda": {"dest": "lam"},
+    "--nu": {},
+    "--op": {"choices": sorted(spectra.OPERATORS)},
+    "--suite": {"choices": sorted(spectra.SWEEPS)},
+    "--n": {"type": int},
+    "--max": {"type": int},
+    "--max?": {"type": int, "help": "default 6; aux35 takes none"},
+}
+
+COMMANDS = {
+    "qk": ("generating-series coefficients q_0..q_K", "--n --max", cmd_qk),
+    "qfun": ("the Q-function of a strict partition", "--lambda --n", cmd_qfun),
+    "apply": ("apply an operator to Q_lambda", "--op --lambda --n", cmd_apply),
+    "eigen": ("eigenvalue report for Q_lambda", "--lambda --op --n", cmd_eigen),
+    "verify": ("run an identity sweep", "--suite --n --max?", cmd_verify),
+    "char-map": ("characteristic map of an odd cycle type", "--nu --n", cmd_char_map),
+    "tableaux": ("shifted standard tableau count", "--lambda", cmd_tableaux),
+    "expand": ("odd power-sum expansion of Q_lambda", "--lambda", cmd_expand),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schurq",
         description="Exact Schur Q-functions, radial operators, and identity sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (summary, flags, handler) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag in flags.split():
+            p.add_argument(flag.rstrip("?"), required=not flag.endswith("?"), **FLAGS[flag])
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--force", action="store_true", help="override size guardrails")
-
-    p = sub.add_parser("qk", help="generating-series coefficients q_0..q_K")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_qk)
-
-    p = sub.add_parser("qfun", help="the Q-function of a strict partition")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_qfun)
-
-    p = sub.add_parser("apply", help="apply an operator to Q_lambda")
-    p.add_argument("--op", choices=sorted(spectra.OPERATORS), required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_apply)
-
-    p = sub.add_parser("eigen", help="eigenvalue report for Q_lambda")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--op", choices=sorted(spectra.OPERATORS), required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_eigen)
-
-    p = sub.add_parser("verify", help="run an identity sweep")
-    p.add_argument("--suite", choices=sorted(spectra.SWEEPS), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max", type=int, help="default 6; aux35 takes none")
-    common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("char-map", help="characteristic map of an odd cycle type")
-    p.add_argument("--nu", required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_char_map)
-
-    p = sub.add_parser("tableaux", help="shifted standard tableau count")
-    p.add_argument("--lambda", dest="lam", required=True)
-    common(p)
-    p.set_defaults(func=cmd_tableaux)
-
-    p = sub.add_parser("expand", help="odd power-sum expansion of Q_lambda")
-    p.add_argument("--lambda", dest="lam", required=True)
-    common(p)
-    p.set_defaults(func=cmd_expand)
-
+        p.set_defaults(func=handler)
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: exit as a shell reports SIGPIPE, and point
+        # stdout at devnull so the flush at interpreter exit stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -52,6 +52,17 @@ class TestSummarise:
         assert not summarise(self.PARENT, [x - 0.25 for x in self.PARENT], "lower", 0.2)["worse"]
         assert summarise(self.PARENT, [x + 0.01 for x in self.PARENT], "lower")["worse"]  # bound 0
 
+    def test_unresolved_when_the_spread_is_wider_than_the_bound(self):
+        # the parent's quartiles are 0.0175 apart: wider than 0.01 of its median 1.02
+        s = summarise(self.PARENT, [x + 0.005 for x in self.PARENT], "lower", 0.01)
+        assert s["unresolved"] and not s["worse"]
+        assert not summarise(self.PARENT, [x + 0.005 for x in self.PARENT], "lower", 0.2)["unresolved"]
+        assert summarise(self.PARENT, [x - 0.005 for x in self.PARENT], "higher", 0.01)["unresolved"]
+        # every run of the change better than every run of the parent settles it
+        assert summarise(self.PARENT, [x - 0.03 for x in self.PARENT], "lower", 0.01)["unresolved"]
+        assert not summarise(self.PARENT, [x - 0.05 for x in self.PARENT], "lower", 0.01)["unresolved"]
+        assert not summarise(self.PARENT, [x + 0.05 for x in self.PARENT], "higher", 0.01)["unresolved"]
+
     def test_one_pair(self):
         s = summarise([2.0], [1.0], "lower")
         assert s["parent"] == (2.0, 2.0, 2.0) and s["holds"]
@@ -70,15 +81,16 @@ import json, sys
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
 print("metrics above the result line")
 print(json.dumps({{"correct": {correct}, "attempted": 10, "failed": {failed},
-                   "metrics": {{"op_p50_ms": {{"value": {p50} + seed / 1000, "unit": "ms"}},
+                   "metrics": {{"op_p50_ms": {{"value": {p50} + seed / 1000 + seed % 3 * {spread}, "unit": "ms"}},
                                "trace.overhead_s": {{"value": 1.0, "unit": "s"}}}}}}))
 """
 
 
-def checkout(tmp_path, name, p50, correct=True, failed=0):
+def checkout(tmp_path, name, p50, correct=True, failed=0, spread=0):
     root = tmp_path / name
     (root / "perfbench").mkdir(parents=True)
-    (root / "perfbench" / "run.py").write_text(STUB.format(correct=correct, failed=failed, p50=p50))
+    (root / "perfbench" / "run.py").write_text(STUB.format(correct=correct, failed=failed, p50=p50,
+                                                          spread=spread))
     (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
         {"name": "op_p50_ms", "better": "lower", "bound": 0.2},
         {"name": "ops_per_s", "better": "higher", "bound": 0.2},
@@ -112,6 +124,14 @@ class TestRuns:
         (summary,) = [line for line in out.out.splitlines() if line.startswith("op_p50_ms")]
         assert summary.split()[-3:-1] == [verdict, "3/0/0" if gain == "holds" else "0/3/0"]
         assert summary.split()[-1] == gain and status == 0
+
+    @pytest.mark.parametrize("p50, verdict", [(1.3, "unresolved(0.2)"), (2.5, "WORSE(0.2)"), (0.5, "ok(0.2)")])
+    def test_a_parent_spread_wider_than_the_bound(self, tmp_path, capsys, p50, verdict):
+        # the parent reads 1.507, 2.008 and 1.009 on seeds 7, 8 and 9: quartiles 0.4995 apart
+        parent = checkout(tmp_path, "parent", 1.0, spread=0.5)
+        status, out = pairs(parent, checkout(tmp_path, "change", p50), capsys)
+        (summary,) = [line for line in out.out.splitlines() if line.startswith("op_p50_ms")]
+        assert summary.split()[-3] == verdict and status == 0
 
     @pytest.mark.parametrize("correct, failed", [(False, 0), (True, 1)])
     def test_a_failed_run_exits_nonzero(self, tmp_path, capsys, correct, failed):

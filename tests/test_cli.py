@@ -375,6 +375,41 @@ class TestModuleEntryPoint:
         assert proc.returncode == rc == 0
         assert proc.stdout == expected
 
+    def test_closed_stdout_exits_141_without_traceback(self):
+        # about 812 KB of output, more than any pipe buffer holds
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "schurq", "qk", "--n", "6", "--max", "12"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert (head, err) == (b'[{"n": 6, ', b"")
+
+    def test_closed_stdout_before_a_buffered_write_exits_141(self):
+        # a short output waits in the stdout buffer, which main flushes itself
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(ROOT / "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "schurq", "qfun", "--lambda", "2,1", "--n", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), err) == (141, b"")
+
+    def test_main_builds_no_parser(self, capsys, monkeypatch):
+        def refuse():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        assert cli.main(["qfun", "--lambda", "2,1", "--n", "2"]) == 0
+        assert capsys.readouterr().out
+
 
 class TestRunSweepsScript:
     def test_wall_time_goes_to_stderr(self, capsys, monkeypatch):

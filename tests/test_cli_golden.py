@@ -13,6 +13,9 @@ qk_n2_max9.txt were recorded while q_series still built each q_k from
 the one before by restriction.  The two eigen_31_eulercubes_n3 files
 were recorded while cmd_eigen still formatted its report itself; they
 are the only goldens of a report that is not an eigenfunction.
+The help_<command>.txt files hold `--help` of the top level and of each
+subcommand at COLUMNS=80, recorded while build_parser still declared each
+subcommand's flags by hand.
 """
 
 import os
@@ -50,6 +53,18 @@ COMMANDS = {
 def test_stdout_matches_golden_bytes(name, capsys):
     assert cli.main(COMMANDS[name]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+HELP = ["schurq", "qk", "qfun", "apply", "eigen", "verify", "char-map", "tableaux", "expand"]
+
+
+@pytest.mark.parametrize("name", HELP)
+def test_help_matches_golden_bytes(name, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"] if name == "schurq" else [name, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"help_{name}.txt").read_bytes()
 
 
 class TestRangeErrorAtTheCli:
