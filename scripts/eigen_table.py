@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print the Omega_1/3/5 spectrum on Q_lambda for all strict partitions.
+"""Print the Omega_1/3/5 spectrum on Q_lambda for all strict partitions,
+read from one walk of each Q_lambda's operator levels.
 
 Exits 1 when an entry is NOT EIGEN or differs from the closed form
 spectra.omega_eigenvalue, after printing the whole table.
@@ -10,7 +11,7 @@ import sys
 
 from schurq.algebra import format_fraction
 from schurq.qfunctions import strict_partitions
-from schurq.spectra import eigen_check, hc_eigenvalue_omega3, omega_eigenvalue
+from schurq.spectra import hc_eigenvalue_omega3, omega_checks, omega_eigenvalue
 
 
 def main(argv=None) -> int:
@@ -26,8 +27,7 @@ def main(argv=None) -> int:
     for d in range(1, args.max + 1):
         for lam in strict_partitions(d, max_length=args.n):
             evs = {}
-            for k in (1, 3, 5):
-                rep = eigen_check(lam, f"omega{k}", args.n)
+            for k, rep in omega_checks(lam, args.n, 5).items():
                 evs[k] = format_fraction(rep.eigenvalue) if rep.is_eigen else "NOT EIGEN"
                 wrong += not rep.is_eigen or rep.eigenvalue != omega_eigenvalue(lam, k)
             print(

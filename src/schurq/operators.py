@@ -17,7 +17,8 @@ permute with their indices, so when the input is a symmetric polynomial
 component j is component 1 under the transposition x_1 <-> x_j.  Such a
 walk computes component 1 only, and its levels (_Level) build component
 j from it when a caller first reads it: a step reads components 1 and 2,
-and omega and tilde_omega sum the orbit of component 1 (_total).
+and the level sums (omega, omegas, tilde_omega, tilde_omegas) add the
+orbit of component 1 (_total).
 Component 1 is fixed by every permutation of x_2..x_n, so x_2 <-> x_j
 maps p_1 to p_1, p_2 to p_j and the (1, 2) coefficients to the (1, j)
 ones: row 1 holds the pair (1, 2) alone, and each step adds its term's
@@ -35,13 +36,16 @@ from collections.abc import Sequence
 from itertools import chain, combinations, count, islice
 from typing import Iterator, Union
 
-from .algebra import Factor, Polynomial, RationalFunction
+from .algebra import Factor, Polynomial, RationalFunction, VariableCountMismatch
 
 Value = Union[Polynomial, RationalFunction]
 Pair = tuple[Sequence[RationalFunction], Sequence[RationalFunction]]  # (plain, barred) of the tilde family
 
 
-def _lift(f: Value) -> RationalFunction:
+def _lift(f: Value, n: int | None = None) -> RationalFunction:
+    """f as a RationalFunction, refused unless it is a function of the operators' n variables (f.n by default)."""
+    if n is not None and f.n != n:
+        raise VariableCountMismatch(f"{f.n} vs {n} variables")
     if isinstance(f, Polynomial):
         return RationalFunction.from_polynomial(f)
     return f
@@ -190,7 +194,7 @@ def family_step(
 
 def family_levels(f: Value, n: int) -> Iterator[Sequence[RationalFunction]]:
     """Yield (D_i^{(k)} f)_i for k = 1, 2, ...: D_i f, then one family_step per level."""
-    g = _lift(f)
+    g = _lift(f, n)
     values = [g.euler(i) for i in range(1, n + 1)]
     yield values
     rows = _rows(n, _plain_pair, _symmetric(g))
@@ -206,9 +210,14 @@ def omega(f: Value, k: int, n: int) -> RationalFunction:
     return _total(next(islice(family_levels(f, n), k - 1, None)))
 
 
+def omegas(f: Value, n: int) -> Iterator[RationalFunction]:
+    """Yield Omega_1 f, Omega_3 f, ... from one family_levels walk, each level summed when it is read."""
+    return map(_total, islice(family_levels(f, n), 0, None, 2))
+
+
 def sum_cubes(f: Value, n: int) -> RationalFunction:
     """(sum_i D_i^3) f."""
-    g = _lift(f)
+    g = _lift(f, n)
     total = RationalFunction.zero(n)
     for i in range(1, n + 1):
         total = total + g.euler(i).euler(i).euler(i)
@@ -230,7 +239,7 @@ def omega3_closed(f: Value, n: int) -> RationalFunction:
         x_i^2 x_j x_k / ((x_i^2-x_j^2)(x_i^2-x_k^2)) D_i   (i the member)
     - (sum D_i)^2, applied as Omega_1 twice.
     """
-    g = _lift(f)
+    g = _lift(f, n)
     eul = [g.euler(i) for i in range(1, n + 1)]
     eul2 = [eul[i - 1].euler(i) for i in range(1, n + 1)]
     eul3 = [eul2[i - 1].euler(i) for i in range(1, n + 1)]
@@ -313,7 +322,7 @@ def tilde_family_step(
 
 def tilde_levels(f: Value, n: int) -> Iterator[Pair]:
     """Yield (plain, barred) for k = 1, 2, ...: (D_i f, D_i f), then one step per level."""
-    g = _lift(f)
+    g = _lift(f, n)
     plain = [g.euler(i) for i in range(1, n + 1)]
     pair = plain, list(plain)
     yield pair
@@ -323,14 +332,24 @@ def tilde_levels(f: Value, n: int) -> Iterator[Pair]:
         yield pair
 
 
+def _tilde_total(pair: Pair) -> RationalFunction:
+    """sum_i (plain_i + barred_i); a symmetric level's is the orbit of plain_1 + barred_1."""
+    plain, barred = pair
+    if isinstance(plain, _Level):
+        return _total(_Level(plain[0] + barred[0], len(plain)))
+    return sum(chain.from_iterable(zip(plain, barred)), RationalFunction.zero(plain[0].n))
+
+
 def tilde_omega(f: Value, k: int, n: int) -> RationalFunction:
     """tilde Omega_k f = sum_i (plain_i + barred_i) at level k."""
     if k < 1:
         raise ValueError("tilde omega requires k >= 1")
-    plain, barred = next(islice(tilde_levels(f, n), k - 1, None))
-    if isinstance(plain, _Level):
-        return _total(_Level(plain[0] + barred[0], n))
-    return sum(chain.from_iterable(zip(plain, barred)), RationalFunction.zero(n))
+    return _tilde_total(next(islice(tilde_levels(f, n), k - 1, None)))
+
+
+def tilde_omegas(f: Value, n: int) -> Iterator[RationalFunction]:
+    """Yield tilde Omega_1 f, tilde Omega_2 f, ... from one tilde_levels walk, each summed when it is read."""
+    return map(_tilde_total, tilde_levels(f, n))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +381,7 @@ def conjugated_apply(op: str, f: Value, n: int) -> RationalFunction:
     """delta^{-1} . op(delta . f), evaluated exactly; op is "omega3-closed" (Lemma 1.23(i))."""
     if op != "omega3-closed":
         raise ValueError(f"unknown conjugatable operator {op!r}")
-    g = delta(n) * _lift(f)
+    g = delta(n) * _lift(f, n)
     return delta_inverse(n) * omega3_closed(g, n)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations, islice, product
+from itertools import combinations, product
 from typing import Callable, Optional
 
 from . import linalg, operators
@@ -60,7 +60,11 @@ class DenominatorLeft(Exception):
 
 def q_image(op: str, lam: StrictPartition, f: Polynomial, n: int) -> Polynomial:
     """op applied to f = Q_lam, which every registered operator maps to a polynomial."""
-    image = apply_operator(op, f, n)
+    return _polynomial(op, lam, apply_operator(op, f, n))
+
+
+def _polynomial(op: str, lam: StrictPartition, image: RationalFunction) -> Polynomial:
+    """The image of Q_lam under op as a Polynomial; DenominatorLeft when it keeps a denominator."""
     if not image.is_polynomial():
         raise DenominatorLeft(f"{op} Q_{lam} left denominator {image.den}")
     return image.as_polynomial()
@@ -100,7 +104,20 @@ def eigen_check(lam: StrictPartition, op: str, n: int) -> EigenReport:
     if lam.length > n:
         raise ValueError("partition longer than the variable count")
     f = schur_q(lam, n)
-    p = q_image(op, lam, f, n)
+    return _fit(lam, op, f, q_image(op, lam, f, n))
+
+
+def omega_checks(lam: StrictPartition, n: int, top: int) -> dict[int, EigenReport]:
+    """eigen_check of Omega_k on Q_lambda for odd k <= top, by k, read from one walk of its levels."""
+    if lam.length > n:
+        raise ValueError("partition longer than the variable count")
+    f = schur_q(lam, n)
+    return {k: _fit(lam, f"omega{k}", f, _polynomial(f"omega{k}", lam, image))
+            for k, image in zip(range(1, top + 1, 2), operators.omegas(f, n))}
+
+
+def _fit(lam: StrictPartition, op: str, f: Polynomial, p: Polynomial) -> EigenReport:
+    """The report of eigen_check on the image p = op(f), f = Q_lambda."""
     lead_m, lead_c = f.leading_term()
     c = _coeff(Fraction(p.coefficient(lead_m), lead_c))
     image = p.terms
@@ -109,7 +126,7 @@ def eigen_check(lam: StrictPartition, op: str, n: int) -> EigenReport:
     else:
         proportional = not image
     if proportional:
-        return EigenReport(lam, op, c, True, Polynomial.zero(n), p)
+        return EigenReport(lam, op, c, True, Polynomial.zero(f.n), p)
     return EigenReport(lam, op, None, False, p - f.scale(c), p)
 
 
@@ -248,16 +265,13 @@ def lemma_121_sweep(n: int, maxdeg: int) -> SweepReport:
     report = SweepReport(f"lemma121(n={n},maxdeg={maxdeg})")
     relations = [(k, *tilde_relation(k)) for k in range(1, TILDE_LEVELS + 1)]
     top_omega = max(m for _, _, combo in relations for m in combo)
+    zero = RationalFunction.zero(n)
     for d in range(0, maxdeg + 1):
-        mus = [()] if d == 0 else list(partitions(d, max_length=n))
-        for mu in mus:
-            f = Polynomial.constant(n, 1) if not mu else monomial_symmetric(mu, n)
-            # one pass of each family, summing only the levels the relations use
-            zero = RationalFunction.zero(n)
-            plain = islice(operators.family_levels(f, n), top_omega)
-            images = {k: sum(v, zero) for k, v in enumerate(plain, 1) if k % 2}
-            tilde = islice(operators.tilde_levels(f, n), TILDE_LEVELS)
-            tildes = {k: sum(chain.from_iterable(zip(*p)), zero) for k, p in enumerate(tilde, 1)}
+        for mu in partitions(d, max_length=n):
+            f = monomial_symmetric(mu, n)
+            # one walk of each family, as far as the relations read
+            images = dict(zip(range(1, top_omega + 1, 2), operators.omegas(f, n)))
+            tildes = dict(zip(range(1, TILDE_LEVELS + 1), operators.tilde_omegas(f, n)))
             for k, name, combo in relations:
                 rhs = sum((images[m].scale(coef) for m, coef in combo.items()), zero)
                 report.check(tildes[k] == rhs, f"{name} fails on m_{mu}, n={n}")
@@ -269,14 +283,12 @@ def eigenfunction_sweep(n: int, maxweight: int) -> SweepReport:
     report = SweepReport(f"eigenfunctions(n={n},maxweight={maxweight})")
     for d in range(1, maxweight + 1):
         for lam in strict_partitions(d, max_length=n):
-            for k in (1, 3, 5):
-                op = f"omega{k}"
-                rep = eigen_check(lam, op, n)
+            for k, rep in omega_checks(lam, n, 5).items():
                 if rep.is_eigen:
                     report.check(rep.eigenvalue == omega_eigenvalue(lam, k),
-                                 f"{lam}: {op} eigenvalue {rep.eigenvalue}")
+                                 f"{lam}: {rep.operator} eigenvalue {rep.eigenvalue}")
                 else:
-                    report.check(False, f"{lam}: not eigen under {op}")
+                    report.check(False, f"{lam}: not eigen under {rep.operator}")
     return report
 
 

@@ -15,7 +15,10 @@ were recorded while cmd_eigen still formatted its report itself; they
 are the only goldens of a report that is not an eigenfunction.
 The help_<command>.txt files hold `--help` of the top level and of each
 subcommand at COLUMNS=80, recorded while build_parser still declared each
-subcommand's flags by hand.
+subcommand's flags by hand.  run_sweeps.txt holds the stdout of
+scripts/run_sweeps.py, every desk-scale suite's PASS line and check
+count, recorded while lemma121 still summed its levels in spectra and
+lemma123ii walked each Omega_k from level 1.
 """
 
 import os
@@ -56,6 +59,16 @@ def test_stdout_matches_golden_bytes(name, capsys):
 
 
 HELP = ["schurq", "qk", "qfun", "apply", "eigen", "verify", "char-map", "tableaux", "expand"]
+
+
+def test_run_sweeps_stdout_matches_golden_bytes():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_sweeps.py")],
+        capture_output=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / "run_sweeps.txt").read_bytes()
 
 
 @pytest.mark.parametrize("name", HELP)

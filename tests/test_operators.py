@@ -29,6 +29,8 @@ from schurq.qfunctions import (
     strict_partitions,
 )
 
+from schurq.algebra import VariableCountMismatch
+
 from oracles import coeff_c, coeff_d, coeff_minus, coeff_plus
 
 
@@ -88,6 +90,69 @@ class TestLevelIterators:
             if level > 1:
                 pair = tilde_family_step(*pair)
             assert got == pair
+
+
+def _inputs(n):
+    """Q_lambda, m_mu, the constant 1 and a non-symmetric monomial, in n variables."""
+    return {
+        "Q_31": schur_q(StrictPartition((3, 1)), n),
+        "m_21": monomial_symmetric((2, 1), n),
+        "1": Polynomial.constant(n, 1),
+        "x^e": Polynomial.monomial(n, (2, 1) + (0,) * (n - 2)),
+    }
+
+
+class TestLevelSums:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("name", ["Q_31", "m_21", "1", "x^e"])
+    def test_omegas_are_the_odd_omegas(self, n, name):
+        f = _inputs(n)[name]
+        assert list(islice(operators.omegas(f, n), 4)) == [omega(f, k, n) for k in (1, 3, 5, 7)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("name", ["Q_31", "m_21", "1", "x^e"])
+    def test_tilde_omegas_are_the_tilde_omegas(self, n, name):
+        f = _inputs(n)[name]
+        assert list(islice(operators.tilde_omegas(f, n), 4)) == [tilde_omega(f, k, n) for k in (1, 2, 3, 4)]
+
+    def test_a_level_is_summed_when_it_is_read(self, monkeypatch):
+        calls = []
+        real = operators._total
+        monkeypatch.setattr(operators, "_total", lambda level: calls.append(level) or real(level))
+        walk = operators.omegas(schur_q(StrictPartition((2, 1)), 3), 3)
+        assert calls == []
+        next(walk), next(walk)
+        assert len(calls) == 2
+
+
+class TestVariableCount:
+    # x1*x2*x3 has 3 variables; Omega_1 in 2 of them once returned 2*x1*x2*x3
+    F = Polynomial.monomial(3, (1, 1, 1))
+    CALLS = {
+        "omega": lambda f, n: omega(f, 1, n),
+        "omegas": lambda f, n: next(operators.omegas(f, n)),
+        "tilde_omega": lambda f, n: tilde_omega(f, 1, n),
+        "tilde_omegas": lambda f, n: next(operators.tilde_omegas(f, n)),
+        "family_levels": lambda f, n: next(family_levels(f, n)),
+        "tilde_levels": lambda f, n: next(tilde_levels(f, n)),
+        "sum_cubes": sum_cubes,
+        "omega3_closed": omega3_closed,
+    }
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_other_variable_counts_are_refused(self, name, n):
+        with pytest.raises(VariableCountMismatch):
+            self.CALLS[name](self.F, n)
+        with pytest.raises(VariableCountMismatch):
+            self.CALLS[name](RationalFunction.from_polynomial(self.F), n)
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_own_variable_count_is_accepted(self, name):
+        assert self.CALLS[name](self.F, 3) is not None
+
+    def test_omega1_is_the_degree_in_three_variables(self):
+        assert omega(self.F, 1, 3) == RationalFunction.from_polynomial(self.F.scale(3))
 
 
 class TestOmega:

@@ -106,6 +106,25 @@ class TestEigenCheck:
         }
 
 
+class TestOmegaChecks:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_reports_equal_eigen_check(self, n):
+        for d in range(1, 6):
+            for lam in strict_partitions(d, max_length=n):
+                want = {k: eigen_check(lam, f"omega{k}", n) for k in (1, 3, 5)}
+                assert spectra.omega_checks(lam, n, 5) == want
+
+    def test_partition_too_long(self):
+        with pytest.raises(ValueError, match="longer than the variable count"):
+            spectra.omega_checks(StrictPartition((2, 1)), 1, 5)
+
+    def test_an_image_with_a_denominator_is_refused(self, monkeypatch):
+        leaky = RationalFunction.from_polynomial(Polynomial.constant(2, 1)) * operators.delta(2)
+        monkeypatch.setattr(operators, "omegas", lambda f, n: iter([leaky]))
+        with pytest.raises(spectra.DenominatorLeft):
+            spectra.omega_checks(StrictPartition((1,)), 2, 5)
+
+
 class TestHcEigenvalue:
     def test_values(self):
         assert hc_eigenvalue_omega3(StrictPartition((1,))) == 0
@@ -411,6 +430,25 @@ class TestComputedOnce:
         assert report.checked == 4 * inputs
         assert calls["family_step"] == 2 * inputs  # levels 2 and 3
         assert calls["tilde_family_step"] == 3 * inputs  # levels 2, 3 and 4
+
+    def test_eigenfunction_sweep_walks_each_q_lambda_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, operators, ["family_step"])
+        assert spectra.eigenfunction_sweep(3, 5).passed
+        # 9 strict lambda with |lambda| <= 5, l <= 3; Omega_1, 3, 5 from levels 1..5 of one walk
+        assert calls["family_step"] == 9 * 4
+
+    def test_lemma121_fills_no_component_past_2(self, monkeypatch):
+        # the steps read components 1 and 2 of a symmetric level, and its sums read the orbit of 1
+        levels = []
+        init = operators._Level.__init__
+
+        def recording(self, first, n):
+            init(self, first, n)
+            levels.append(self)
+
+        monkeypatch.setattr(operators._Level, "__init__", recording)
+        assert lemma_121_sweep(4, 3).passed
+        assert levels and all(part is None for level in levels for part in level._parts[2:])
 
     @pytest.mark.parametrize(
         "parts, entries",
