@@ -27,7 +27,7 @@ def main(argv=None) -> int:
     for d in range(1, args.max + 1):
         for lam in strict_partitions(d, max_length=args.n):
             evs = {}
-            for k, rep in omega_checks(lam, args.n, 5).items():
+            for k, rep in omega_checks(lam, args.n).items():
                 evs[k] = format_fraction(rep.eigenvalue) if rep.is_eigen else "NOT EIGEN"
                 wrong += not rep.is_eigen or rep.eigenvalue != omega_eigenvalue(lam, k)
             print(

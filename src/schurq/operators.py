@@ -43,7 +43,10 @@ Pair = tuple[Sequence[RationalFunction], Sequence[RationalFunction]]  # (plain, 
 
 
 def _lift(f: Value, n: int | None = None) -> RationalFunction:
-    """f as a RationalFunction, refused unless it is a function of the operators' n variables (f.n by default)."""
+    """f as a RationalFunction, refused unless it has the operators' n variables.
+
+    Every operator passes n; n=None skips the check for the tests that call _lift(f).
+    """
     if n is not None and f.n != n:
         raise VariableCountMismatch(f"{f.n} vs {n} variables")
     if isinstance(f, Polynomial):

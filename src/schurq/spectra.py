@@ -101,19 +101,22 @@ def eigen_check(lam: StrictPartition, op: str, n: int) -> EigenReport:
     the image must hold exactly the terms of c Q_lambda.  The residual
     image - c Q_lambda is built only when that fails.
     """
-    if lam.length > n:
-        raise ValueError("partition longer than the variable count")
-    f = schur_q(lam, n)
+    f = _q(lam, n)
     return _fit(lam, op, f, q_image(op, lam, f, n))
 
 
-def omega_checks(lam: StrictPartition, n: int, top: int) -> dict[int, EigenReport]:
-    """eigen_check of Omega_k on Q_lambda for odd k <= top, by k, read from one walk of its levels."""
+def omega_checks(lam: StrictPartition, n: int) -> dict[int, EigenReport]:
+    """eigen_check of Omega_1, Omega_3 and Omega_5 on Q_lambda, by k, read from one walk of its levels."""
+    f = _q(lam, n)
+    return {k: _fit(lam, f"omega{k}", f, _polynomial(f"omega{k}", lam, image))
+            for k, image in zip((1, 3, 5), operators.omegas(f, n))}
+
+
+def _q(lam: StrictPartition, n: int) -> Polynomial:
+    """Q_lambda in n variables; ValueError when lambda is longer than n."""
     if lam.length > n:
         raise ValueError("partition longer than the variable count")
-    f = schur_q(lam, n)
-    return {k: _fit(lam, f"omega{k}", f, _polynomial(f"omega{k}", lam, image))
-            for k, image in zip(range(1, top + 1, 2), operators.omegas(f, n))}
+    return schur_q(lam, n)
 
 
 def _fit(lam: StrictPartition, op: str, f: Polynomial, p: Polynomial) -> EigenReport:
@@ -283,7 +286,7 @@ def eigenfunction_sweep(n: int, maxweight: int) -> SweepReport:
     report = SweepReport(f"eigenfunctions(n={n},maxweight={maxweight})")
     for d in range(1, maxweight + 1):
         for lam in strict_partitions(d, max_length=n):
-            for k, rep in omega_checks(lam, n, 5).items():
+            for k, rep in omega_checks(lam, n).items():
                 if rep.is_eigen:
                     report.check(rep.eigenvalue == omega_eigenvalue(lam, k),
                                  f"{lam}: {rep.operator} eigenvalue {rep.eigenvalue}")

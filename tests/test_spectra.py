@@ -112,17 +112,17 @@ class TestOmegaChecks:
         for d in range(1, 6):
             for lam in strict_partitions(d, max_length=n):
                 want = {k: eigen_check(lam, f"omega{k}", n) for k in (1, 3, 5)}
-                assert spectra.omega_checks(lam, n, 5) == want
+                assert spectra.omega_checks(lam, n) == want
 
     def test_partition_too_long(self):
         with pytest.raises(ValueError, match="longer than the variable count"):
-            spectra.omega_checks(StrictPartition((2, 1)), 1, 5)
+            spectra.omega_checks(StrictPartition((2, 1)), 1)
 
     def test_an_image_with_a_denominator_is_refused(self, monkeypatch):
         leaky = RationalFunction.from_polynomial(Polynomial.constant(2, 1)) * operators.delta(2)
         monkeypatch.setattr(operators, "omegas", lambda f, n: iter([leaky]))
         with pytest.raises(spectra.DenominatorLeft):
-            spectra.omega_checks(StrictPartition((1,)), 2, 5)
+            spectra.omega_checks(StrictPartition((1,)), 2)
 
 
 class TestHcEigenvalue:
