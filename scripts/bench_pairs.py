@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Run alternating parent/change pairs of the benchmark and apply the gain rule.
 
-    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload span --pairs 10 --seconds 20 --seed-base 901
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload span --workload eigen --pairs 10 --seconds 20 --seed-base 901
 
-Pair i runs `python3 perfbench/run.py --workload W --seed B+i --seconds S`
-in both checkouts, the parent first when i is even and the change first
-when it is odd.  Only the last line of each run's standard output, its
-JSON result, is read; this script times nothing itself.  It prints one
-row per run, then for every end-to-end metric of the change's
-BENCHMARK.json both sides' median and quartiles, the change's wins,
+--workload may be given more than once; the workloads run one after
+another, each with the same pairs and seeds.  Pair i of workload W runs
+`python3 perfbench/run.py --workload W --seed B+i --seconds S` in both
+checkouts, the parent first when i is even and the change first when it
+is odd.  Only the last line of each run's standard output, its JSON
+result, is read; this script times nothing itself.  For each workload it
+prints one row per run, then one summary table: for every end-to-end
+metric of the change's BENCHMARK.json both sides' median and quartiles, the change's wins,
 losses and ties, and whether a gain may be claimed: the change wins at
 least nine tenths of the pairs (ties count for neither side), and the
 medians differ in the better direction by more than the parent's
@@ -19,8 +21,11 @@ than b times the parent's median, b the metric's `bound`; otherwise
 times its median and not every change run reads better than every
 parent run, since a spread wider than the bound cannot show that nothing
 moved; else "ok(b)".
-The exit status is 1 as soon as a run reports correct: false or a failed
-op, and 2 when a run prints no result.
+A workload stops at its first run that reports correct: false or a
+failed op, or prints no result, and prints no summary table; the next
+workload still runs.  The exit status covers every run: 2 when any run
+printed no result, else 1 when any run reported correct: false or a
+failed op, else 0.
 """
 
 from __future__ import annotations
@@ -82,11 +87,51 @@ def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     return result
 
 
+def workload(args, name: str, better: dict, bound: dict) -> int:
+    """Run the pairs of one workload and print its rows and summary table; its exit status."""
+    values: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
+    print(f"workload {name}, {args.pairs} pairs of {args.seconds} s runs, seeds "
+          f"{args.seed_base}..{args.seed_base + args.pairs - 1}")
+    for i in range(args.pairs):
+        seed = args.seed_base + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for position, side in enumerate(order, 1):
+            try:
+                result = run(getattr(args, side), name, seed, args.seconds)
+            except RuntimeError as exc:
+                print(f"error: {name}: {exc}", file=sys.stderr)
+                return 2
+            metrics = {metric: m["value"] for metric, m in result["metrics"].items() if metric in better}
+            for metric, value in metrics.items():
+                values[side].setdefault(metric, []).append(value)
+            cells = " ".join(f"{metric}={value:.6g}" for metric, value in metrics.items())
+            print(f"pair {i + 1:2d} seed {seed} {side:6s} run {position} failed {result['failed']}/"
+                  f"{result['attempted']} {cells}")
+            if not result["correct"] or result["failed"]:
+                print(f"error: {name}: {side} run on seed {seed} reports correct={result['correct']}, "
+                      f"{result['failed']} failed ops", file=sys.stderr)
+                return 1
+
+    print(f"{'metric':12s} {'parent median [q1, q3]':34s} {'change median [q1, q3]':34s} "
+          f"{'bound':16s} W/L/T gain")
+    for metric in better:
+        if metric not in values["parent"]:
+            continue
+        s = summarise(values["parent"][metric], values["change"][metric], better[metric], bound[metric])
+        sides = [f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]" for q in (s["parent"], s["change"])]
+        verdict = "WORSE" if s["worse"] else "unresolved" if s["unresolved"] else "ok"
+        verdict = f"{verdict}({bound[metric]:g})"
+        print(f"{metric:12s} {sides[0]:34s} {sides[1]:34s} {verdict:16s} {s['wins']}/{s['losses']}/{s['ties']} "
+              f"{'holds' if s['holds'] else 'no'}")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True,
+                        help="a workload to run; give it more than once for several")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=int, required=True)
     parser.add_argument("--seed-base", type=int, required=True)
@@ -97,41 +142,7 @@ def main(argv=None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bound = {m["name"]: m.get("bound", 0.0) for m in spec["end_to_end"]}
-    values: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
-    print(f"workload {args.workload}, {args.pairs} pairs of {args.seconds} s runs, seeds "
-          f"{args.seed_base}..{args.seed_base + args.pairs - 1}")
-    for i in range(args.pairs):
-        seed = args.seed_base + i
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for position, side in enumerate(order, 1):
-            try:
-                result = run(getattr(args, side), args.workload, seed, args.seconds)
-            except RuntimeError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            metrics = {name: m["value"] for name, m in result["metrics"].items() if name in better}
-            for name, value in metrics.items():
-                values[side].setdefault(name, []).append(value)
-            cells = " ".join(f"{name}={value:.6g}" for name, value in metrics.items())
-            print(f"pair {i + 1:2d} seed {seed} {side:6s} run {position} failed {result['failed']}/"
-                  f"{result['attempted']} {cells}")
-            if not result["correct"] or result["failed"]:
-                print(f"error: {side} run on seed {seed} reports correct={result['correct']}, "
-                      f"{result['failed']} failed ops", file=sys.stderr)
-                return 1
-
-    print(f"{'metric':12s} {'parent median [q1, q3]':34s} {'change median [q1, q3]':34s} "
-          f"{'bound':16s} W/L/T gain")
-    for name in better:
-        if name not in values["parent"]:
-            continue
-        s = summarise(values["parent"][name], values["change"][name], better[name], bound[name])
-        sides = [f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]" for q in (s["parent"], s["change"])]
-        verdict = "WORSE" if s["worse"] else "unresolved" if s["unresolved"] else "ok"
-        verdict = f"{verdict}({bound[name]:g})"
-        print(f"{name:12s} {sides[0]:34s} {sides[1]:34s} {verdict:16s} {s['wins']}/{s['losses']}/{s['ties']} "
-              f"{'holds' if s['holds'] else 'no'}")
-    return 0
+    return max([workload(args, name, better, bound) for name in args.workload])
 
 
 if __name__ == "__main__":

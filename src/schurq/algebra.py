@@ -83,8 +83,13 @@ def _pack(exps: tuple[int, ...], n: int) -> int:
     return key | degree << _BITS * n
 
 
+def _shifts(n: int) -> range:
+    """The bit offsets of the exponent fields of an n-variable key, x_1's first."""
+    return range(0, _BITS * n, _BITS)
+
+
 def _unpack(key: int, n: int) -> tuple[int, ...]:
-    return tuple(key >> _BITS * k & _MASK for k in range(n))
+    return tuple([key >> s & _MASK for s in _shifts(n)])
 
 
 class Polynomial:
@@ -94,9 +99,11 @@ class Polynomial:
     never stores zero coefficients, and stores each one in canonical form
     (see _coeff): an int when it is integral, else a Fraction with
     denominator > 1.  Exponent tuples appear only at the edges: the
-    constructor packs them, and leading_term, sorted_terms, coefficient
-    and the serialisers unpack.  Instances are treated as immutable; no
-    method mutates self.
+    constructor and coefficient pack them, and leading_term and
+    sorted_terms unpack the keys they return; to_json_obj and to_text
+    read exponents straight from the ordered keys.  substitute maps each
+    key to its image key.  Instances are treated as immutable; no method
+    mutates self.
     """
 
     __slots__ = ("n", "terms")
@@ -204,8 +211,7 @@ class Polynomial:
         """Grevlex-leading (monomial, coefficient); error on zero."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        flip = _low(self.n)
-        m = max(self.terms, key=lambda m: m ^ flip)
+        m = max(self.terms, key=_low(self.n).__xor__)
         return _unpack(m, self.n), self.terms[m]
 
     def homogeneous_components(self) -> dict[int, "Polynomial"]:
@@ -322,45 +328,36 @@ class Polynomial:
         return Polynomial._from_keys(self.n, terms)
 
     # -- serialization -----------------------------------------------
+    # A canonical coefficient (see _coeff) prints under str as format_fraction prints it.
+
+    def _ordered(self) -> list[int]:
+        """The keys of self, grevlex-largest first."""
+        return sorted(self.terms, key=_low(self.n).__xor__, reverse=True)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
         """(exponents, coefficient) pairs, grevlex-largest first."""
-        flip = _low(self.n)
-        ordered = sorted(self.terms.items(), key=lambda t: t[0] ^ flip, reverse=True)
-        return [(_unpack(m, self.n), c) for m, c in ordered]
+        terms, shifts = self.terms, _shifts(self.n)
+        return [(tuple([m >> s & _MASK for s in shifts]), terms[m]) for m in self._ordered()]
 
     def to_text(self) -> str:
         if not self.terms:
             return "0"
-        names = [f"x{i}" for i in range(1, self.n + 1)]
+        terms, fields = self.terms, [(s, f"x{i}") for i, s in enumerate(_shifts(self.n), 1)]
         pieces = []
-        for m, c in self.sorted_terms():
-            factors = [
-                names[k] if e == 1 else f"{names[k]}^{e}"
-                for k, e in enumerate(m)
-                if e
-            ]
-            mono = "*".join(factors)
-            coeff = format_fraction(abs(c))
-            if mono:
-                body = mono if abs(c) == 1 else f"{coeff}*{mono}"
-            else:
-                body = coeff
-            sign = "-" if c < 0 else "+"
-            pieces.append((sign, body))
-        first_sign, first_body = pieces[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
-        return text
+        for m in self._ordered():
+            c = terms[m]
+            size = abs(c)
+            mono = "*".join(x if e == 1 else f"{x}^{e}" for s, x in fields if (e := m >> s & _MASK))
+            body = (mono if size == 1 else f"{size}*{mono}") if mono else str(size)
+            pieces.append(f"- {body}" if c < 0 else f"+ {body}")
+        text = " ".join(pieces)
+        return ("-" if text[0] == "-" else "") + text[2:]
 
     def to_json_obj(self) -> dict:
+        terms, shifts = self.terms, _shifts(self.n)
         return {
             "n": self.n,
-            "terms": [
-                {"exp": list(m), "coeff": format_fraction(c)}
-                for m, c in self.sorted_terms()
-            ],
+            "terms": [{"exp": [m >> s & _MASK for s in shifts], "coeff": str(terms[m])} for m in self._ordered()],
         }
 
     def __repr__(self) -> str:
@@ -379,44 +376,59 @@ def substitute(p: Polynomial, assignment: Mapping[int, object]) -> Polynomial:
     unassigned variables (original order) followed by t as the last
     variable when any t-sentinel is used.
     """
+    n = p.n
     for i in assignment:
-        if not 1 <= i <= p.n:
-            raise IndexError(f"assigned variable {i} out of range 1..{p.n}")
-    assignment = {
-        i: v if v in (T_PLUS, T_MINUS) else _coeff(v) for i, v in assignment.items()
-    }
-    uses_t = any(v in (T_PLUS, T_MINUS) for v in assignment.values())
-    remaining = [i for i in range(1, p.n + 1) if i not in assignment]
-    n_out = len(remaining) + (1 if uses_t else 0)
-    pos = {i: k for k, i in enumerate(remaining)}
+        if not 1 <= i <= n:
+            raise IndexError(f"assigned variable {i} out of range 1..{n}")
+    # Each key maps straight to its image key.  A kept field moves down one
+    # field per assigned variable below it, so a run of kept variables moves
+    # as one masked block.  An assigned field folds into the coefficient (a
+    # value) or into the t field, the last one (a sentinel); the degree field
+    # loses what the values took.
+    runs: list[tuple[int, int]] = []  # (mask of a run of kept fields, its shift down)
+    values: list[tuple[int, Scalar]] = []  # (field offset, value)
+    signs: list[tuple[int, bool]] = []  # (field offset, negated) of the t-sentinels
+    for i in range(1, n + 1):
+        at = _BITS * (i - 1)
+        if i not in assignment:
+            gone = _BITS * (len(values) + len(signs))
+            if runs and runs[-1][1] == gone:
+                runs[-1] = (runs[-1][0] | _MASK << at, gone)
+            else:
+                runs.append((_MASK << at, gone))
+        elif (v := assignment[i]) in (T_PLUS, T_MINUS):
+            signs.append((at, v == T_MINUS))
+        else:
+            values.append((at, _coeff(v)))
+    n_out = n - len(values) - len(signs) + bool(signs)
+    t_at, degree_at, top = _BITS * (n_out - 1), _BITS * n_out, _BITS * n
     terms: dict[int, Scalar] = {}
     for m, c in p.terms.items():
-        new = [0] * n_out
-        coeff = c
-        for i, e in enumerate(_unpack(m, p.n), 1):
-            if i in pos:
-                new[pos[i]] = e
-            else:
-                v = assignment[i]
-                if v == T_PLUS:
-                    new[-1] += e
-                elif v == T_MINUS:
-                    new[-1] += e
-                    if e % 2:
-                        coeff = -coeff
-                else:
-                    if e:
-                        coeff *= v**e
-            if not coeff:
-                break
-        if coeff:
-            key = _pack(tuple(new), n_out)
-            s = terms.get(key, 0) + coeff
-            if s:
-                terms[key] = s
-            else:
-                del terms[key]
-    return Polynomial._from_keys(n_out, {m: _coeff(c) for m, c in terms.items()})
+        key = 0
+        for mask, gone in runs:
+            key |= (m & mask) >> gone
+        degree = m >> top
+        for at, v in values:
+            if e := m >> at & _MASK:
+                c *= v**e
+                degree -= e
+        if not c:
+            continue
+        if signs:
+            t = 0
+            for at, negated in signs:
+                e = m >> at & _MASK
+                t += e
+                if negated and e & 1:
+                    c = -c
+            key |= t << t_at
+        key |= degree << degree_at
+        s = terms.get(key, 0) + c
+        if s:
+            terms[key] = s if type(s) is int or s.denominator != 1 else s.numerator
+        else:
+            del terms[key]
+    return Polynomial._from_keys(n_out, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -703,6 +715,14 @@ class RationalFunction:
 # ---------------------------------------------------------------------------
 
 
+def _negatives(x, y) -> bool:
+    """x == -y; two Polynomials are compared term by term in place, with no negated copy."""
+    if isinstance(x, Polynomial) and isinstance(y, Polynomial):
+        a, b = x.terms, y.terms
+        return x.n == y.n and len(a) == len(b) and all(b.get(m) == -c for m, c in a.items())
+    return x == -y
+
+
 def pfaffian(rows, one=1):
     """Pfaffian of a skew-symmetric matrix by first-row expansion.
 
@@ -719,7 +739,7 @@ def pfaffian(rows, one=1):
             raise ValueError("matrix is not square")
     for a in range(size):
         for b in range(a, size):  # x == -y is symmetric: one check per unordered pair
-            if not rows[a][b] == -rows[b][a]:
+            if not _negatives(rows[a][b], rows[b][a]):
                 raise ValueError("matrix is not skew-symmetric")
     if not size:
         return one

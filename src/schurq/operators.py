@@ -42,12 +42,9 @@ Value = Union[Polynomial, RationalFunction]
 Pair = tuple[Sequence[RationalFunction], Sequence[RationalFunction]]  # (plain, barred) of the tilde family
 
 
-def _lift(f: Value, n: int | None = None) -> RationalFunction:
-    """f as a RationalFunction, refused unless it has the operators' n variables.
-
-    Every operator passes n; n=None skips the check for the tests that call _lift(f).
-    """
-    if n is not None and f.n != n:
+def _lift(f: Value, n: int) -> RationalFunction:
+    """f as a RationalFunction, refused unless it has the operators' n variables."""
+    if f.n != n:
         raise VariableCountMismatch(f"{f.n} vs {n} variables")
     if isinstance(f, Polynomial):
         return RationalFunction.from_polynomial(f)

@@ -649,6 +649,35 @@ class TestPfaffian:
         with pytest.raises(ValueError):
             pfaffian(rows)
 
+    @staticmethod
+    def polynomial_skew_4x4():
+        n = 2
+        rows = [[Polynomial.zero(n)] * 4 for _ in range(4)]
+        for v, (a, b) in enumerate(combinations(range(4), 2), 1):
+            p = Polynomial(n, {(v, 0): v, (1, 1): -2, (0, 0): Fraction(1, v + 1)})
+            rows[a][b], rows[b][a] = p, -p
+        return rows
+
+    @pytest.mark.parametrize("defect", ["one coefficient off", "extra term", "symmetric pair",
+                                        "nonzero diagonal", "variable counts"])
+    def test_polynomial_entries_not_skew_rejected(self, defect):
+        # Polynomial entries are compared coefficient by coefficient in place
+        rows = self.polynomial_skew_4x4()
+        one = Polynomial.constant(2, 1)
+        assert pfaffian(rows, one) == rows[0][1] * rows[2][3] - rows[0][2] * rows[1][3] + rows[0][3] * rows[1][2]
+        if defect == "one coefficient off":
+            rows[3][1] = Polynomial(2, {m: c + (m == (0, 0)) for m, c in rows[3][1].sorted_terms()})
+        elif defect == "extra term":
+            rows[3][1] = rows[3][1] + x(2, 2)
+        elif defect == "symmetric pair":
+            rows[2][0] = rows[0][2]
+        elif defect == "nonzero diagonal":
+            rows[2][2] = x(2, 1)
+        else:  # the same term map in one variable more
+            rows[0][1], rows[1][0] = Polynomial.constant(2, 5), Polynomial.constant(3, -5)
+        with pytest.raises(ValueError, match="not skew-symmetric"):
+            pfaffian(rows, one)
+
     @pytest.mark.parametrize("size", [2, 4, 6, 8])
     def test_square_equals_determinant(self, size):
         rng = random.Random(20240 + size)

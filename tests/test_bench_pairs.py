@@ -98,8 +98,9 @@ def checkout(tmp_path, name, p50, correct=True, failed=0, spread=0):
     return root
 
 
-def pairs(parent, change, capsys):
-    status = bench_pairs.main([str(parent), str(change), "--workload", "span", "--pairs", "3",
+def pairs(parent, change, capsys, workloads=("span",)):
+    flags = [arg for name in workloads for arg in ("--workload", name)]
+    status = bench_pairs.main([str(parent), str(change), *flags, "--pairs", "3",
                                "--seconds", "1", "--seed-base", "7"])
     return status, capsys.readouterr()
 
@@ -144,3 +145,39 @@ class TestRuns:
         (broken / "perfbench" / "run.py").write_text("raise SystemExit(3)\n")
         status, out = pairs(checkout(tmp_path, "parent", 1.0), broken, capsys)
         assert status == 2 and "no result line" in out.err
+
+    def test_one_table_per_workload(self, tmp_path, capsys):
+        status, out = pairs(checkout(tmp_path, "parent", 1.0), checkout(tmp_path, "change", 0.5), capsys,
+                            ("span", "eigen"))
+        lines = out.out.splitlines()
+        heads = [i for i, line in enumerate(lines) if line.startswith("workload")]
+        assert [lines[i].split(",")[0] for i in heads] == ["workload span", "workload eigen"]
+        for start, end in zip(heads, heads[1:] + [len(lines)]):
+            block = lines[start:end]
+            assert sum(line.startswith("pair") for line in block) == 6
+            (summary,) = [line for line in block if line.startswith("op_p50_ms")]
+            assert summary.split()[-2:] == ["3/0/0", "holds"]
+        assert status == 0
+
+    @pytest.mark.parametrize("broken, status", [("fails", 1), ("prints nothing", 2)])
+    def test_exit_status_covers_every_workload(self, tmp_path, capsys, broken, status):
+        # the change breaks on eigen only: span still runs and prints its table, in either order
+        change = checkout(tmp_path, "change", 0.5, correct='"eigen" not in sys.argv')
+        if broken == "prints nothing":
+            run = change / "perfbench" / "run.py"
+            run.write_text('import sys\nif "eigen" in sys.argv: raise SystemExit(3)\n' + run.read_text())
+        parent = checkout(tmp_path, "parent", 1.0)
+        for workloads in (("eigen", "span"), ("span", "eigen")):
+            got, out = pairs(parent, change, capsys, workloads)
+            assert got == status and "error: eigen:" in out.err
+            assert sum(line.startswith("op_p50_ms") for line in out.out.splitlines()) == 1
+            # eigen's first pair runs the parent, then the change, which stops the workload
+            rows = 6 + (2 if broken == "fails" else 1)
+            assert sum(line.startswith("pair") for line in out.out.splitlines()) == rows
+
+    def test_the_worst_status_wins(self, tmp_path, capsys):
+        change = checkout(tmp_path, "change", 0.5, correct='"eigen" not in sys.argv')
+        run = change / "perfbench" / "run.py"
+        run.write_text('import sys\nif "span" in sys.argv: raise SystemExit(3)\n' + run.read_text())
+        status, out = pairs(checkout(tmp_path, "parent", 1.0), change, capsys, ("span", "eigen"))
+        assert status == 2 and "error: span:" in out.err and "error: eigen:" in out.err

@@ -41,10 +41,10 @@ def x(n, i):
 class TestEulerDerivative:
     def test_monomial(self):
         p = Polynomial.monomial(1, (3,))
-        assert _lift(p).euler(1) == RationalFunction.from_polynomial(p.scale(3))
+        assert _lift(p, p.n).euler(1) == RationalFunction.from_polynomial(p.scale(3))
 
     def test_constant(self):
-        assert _lift(Polynomial.constant(2, 7)).euler(1).is_zero()
+        assert _lift(Polynomial.constant(2, 7), 2).euler(1).is_zero()
 
     def test_quotient_rule(self):
         r = RationalFunction(x(2, 1), {Factor("diff", 1, 2): 1})
@@ -53,7 +53,7 @@ class TestEulerDerivative:
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            _lift(Polynomial.zero(2)).euler(3)
+            _lift(Polynomial.zero(2), 2).euler(3)
 
 
 class TestDerivativeFamily:
@@ -75,7 +75,7 @@ class TestLevelIterators:
     def test_family_levels_follow_the_recursion(self):
         n = 3
         f = schur_q(StrictPartition((3, 1)), n)
-        values = [_lift(f).euler(i) for i in range(1, n + 1)]
+        values = [_lift(f, f.n).euler(i) for i in range(1, n + 1)]
         for level, got in enumerate(islice(family_levels(f, n), 5), 1):
             if level > 1:
                 values = family_step(values, level)
@@ -84,7 +84,7 @@ class TestLevelIterators:
     def test_tilde_levels_follow_the_recursion(self):
         n = 3
         f = schur_q(StrictPartition((3, 1)), n)
-        level1 = [_lift(f).euler(i) for i in range(1, n + 1)]
+        level1 = [_lift(f, f.n).euler(i) for i in range(1, n + 1)]
         pair = level1, level1
         for level, got in enumerate(islice(tilde_levels(f, n), 4), 1):
             if level > 1:
@@ -211,8 +211,8 @@ class TestTildeFamily:
         f = schur_q(StrictPartition((2,)), 2)
         plain, barred = next(tilde_levels(f, 2))
         for i in (1, 2):
-            assert plain[i - 1] == _lift(f).euler(i)
-            assert barred[i - 1] == _lift(f).euler(i)
+            assert plain[i - 1] == _lift(f, f.n).euler(i)
+            assert barred[i - 1] == _lift(f, f.n).euler(i)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_omega_relations(self, n):
@@ -417,7 +417,7 @@ def symmetric_inputs(n, kind, top):
 
 def n_component_walks(f, n):
     """The level-1 vector and the tilde pair, advanced by the two-argument steps."""
-    level1 = [_lift(f).euler(i) for i in range(1, n + 1)]
+    level1 = [_lift(f, f.n).euler(i) for i in range(1, n + 1)]
     return level1, (level1, level1)
 
 
@@ -690,7 +690,7 @@ class TestEvenStep:
     def test_n_component_step_equals_two_products(self, make):
         # levels 2..5: both parities against the textbook coefficients
         n = 3
-        values = [_lift(make(n)).euler(i) for i in range(1, n + 1)]
+        values = [_lift(make(n), n).euler(i) for i in range(1, n + 1)]
         for level in range(2, 6):
             want = two_product_step(values, level)
             values = family_step(values, level)
@@ -703,7 +703,7 @@ class TestTildeStep:
     @N_COMPONENT_INPUTS
     def test_n_component_step_equals_one_product_per_coefficient(self, make):
         n = 3
-        level1 = [_lift(make(n)).euler(i) for i in range(1, n + 1)]
+        level1 = [_lift(make(n), n).euler(i) for i in range(1, n + 1)]
         pair = level1, list(level1)
         for _ in range(3):
             want = two_product_tilde_step(*pair)

@@ -114,12 +114,32 @@ def r_sorted(a):
     return sorted(a.items(), key=lambda t: r_grevlex(t[0]), reverse=True)
 
 
-def r_json(a, n):
-    def text(c):
-        c = Fraction(c)
-        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+def r_coeff_text(c):
+    c = Fraction(c)
+    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
-    return {"n": n, "terms": [{"exp": list(m), "coeff": text(c)} for m, c in r_sorted(a)]}
+
+def r_json(a, n):
+    return {"n": n, "terms": [{"exp": list(m), "coeff": r_coeff_text(c)} for m, c in r_sorted(a)]}
+
+
+def r_text(a):
+    """Signed terms, largest first: a unit coefficient is left out unless the term is constant."""
+    pieces = []
+    for m, c in r_sorted(a):
+        mono = "*".join(f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(m, 1) if e)
+        size = r_coeff_text(abs(c))
+        if not mono:
+            body = size
+        elif abs(c) == 1:
+            body = mono
+        else:
+            body = f"{size}*{mono}"
+        pieces.append(("-" if c < 0 else "+", body))
+    if not pieces:
+        return "0"
+    (sign, body), rest = pieces[0], pieces[1:]
+    return ("-" if sign == "-" else "") + body + "".join(f" {s} {b}" for s, b in rest)
 
 
 def as_ref(p: Polynomial):
@@ -208,8 +228,8 @@ class TestAgainstReference:
         else:
             assert as_ref(exact_divide(Polynomial(n, dividend), f)) == want
 
-    @given(ring(operands=1), st.data())
-    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(ring(operands=1), ring(top=MAX_DEGREE, operands=1)), st.data())
+    @settings(max_examples=100, deadline=None)
     def test_substitute(self, case, data):
         n, a = case
         value = st.sampled_from([T_PLUS, T_MINUS, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
@@ -228,6 +248,7 @@ class TestAgainstReference:
         want = r_sorted(r_clean(a))
         assert p.sorted_terms() == want
         assert p.to_json_obj() == r_json(r_clean(a), n)
+        assert p.to_text() == r_text(r_clean(a))
         if want:
             assert p.leading_term() == want[0]
             assert p.degree() == max(sum(m) for m in r_clean(a))
