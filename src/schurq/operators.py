@@ -17,8 +17,8 @@ permute with their indices, so when the input is a symmetric polynomial
 component j is component 1 under the transposition x_1 <-> x_j.  Such a
 walk computes component 1 only, and its levels (_Level) build component
 j from it when a caller first reads it: a step reads components 1 and 2,
-and the level sums (omega, omegas, tilde_omega, tilde_omegas) add the
-orbit of component 1 (_total).
+and the level sums (omega, omegas, tilde_omega) add the orbit of
+component 1 (_total).
 Component 1 is fixed by every permutation of x_2..x_n, so x_2 <-> x_j
 maps p_1 to p_1, p_2 to p_j and the (1, 2) coefficients to the (1, j)
 ones: row 1 holds the pair (1, 2) alone, and each step adds its term's
@@ -332,24 +332,14 @@ def tilde_levels(f: Value, n: int) -> Iterator[Pair]:
         yield pair
 
 
-def _tilde_total(pair: Pair) -> RationalFunction:
-    """sum_i (plain_i + barred_i); a symmetric level's is the orbit of plain_1 + barred_1."""
-    plain, barred = pair
-    if isinstance(plain, _Level):
-        return _total(_Level(plain[0] + barred[0], len(plain)))
-    return sum(chain.from_iterable(zip(plain, barred)), RationalFunction.zero(plain[0].n))
-
-
 def tilde_omega(f: Value, k: int, n: int) -> RationalFunction:
-    """tilde Omega_k f = sum_i (plain_i + barred_i) at level k."""
+    """tilde Omega_k f = sum_i (plain_i + barred_i) at level k; a symmetric walk sums the orbit of the first."""
     if k < 1:
         raise ValueError("tilde omega requires k >= 1")
-    return _tilde_total(next(islice(tilde_levels(f, n), k - 1, None)))
-
-
-def tilde_omegas(f: Value, n: int) -> Iterator[RationalFunction]:
-    """Yield tilde Omega_1 f, tilde Omega_2 f, ... from one tilde_levels walk, each summed when it is read."""
-    return map(_tilde_total, tilde_levels(f, n))
+    plain, barred = next(islice(tilde_levels(f, n), k - 1, None))
+    if isinstance(plain, _Level):
+        return _total(_Level(plain[0] + barred[0], n))
+    return sum(chain.from_iterable(zip(plain, barred)), RationalFunction.zero(n))
 
 
 # ---------------------------------------------------------------------------

@@ -141,10 +141,9 @@ class TestVerify:
             assert err.startswith("error: ") and "--max" in err, name
 
     def test_max_zero_still_checks(self, capsys):
-        for name in ("lemma121", "lemma123i"):
-            rc, out, _ = run(capsys, ["verify", "--suite", name, "--n", "2", "--max", "0"])
-            obj = json.loads(out)
-            assert rc == 0 and obj["passed"] and obj["checked"] > 0, name
+        rc, out, _ = run(capsys, ["verify", "--suite", "lemma123i", "--n", "2", "--max", "0"])
+        obj = json.loads(out)
+        assert rc == 0 and obj["passed"] and obj["checked"] > 0
 
     def test_a_pass_with_no_checks_is_refused(self, capsys):
         # at --max 0 a suite checks something or exits 2: a PASS over no

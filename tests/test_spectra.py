@@ -8,7 +8,7 @@ import pytest
 
 from schurq import linalg, operators, qfunctions, spectra
 from schurq.algebra import Polynomial, RationalFunction, VariableCountMismatch
-from schurq.qfunctions import StrictPartition, power_sum, schur_q, strict_partitions
+from schurq.qfunctions import StrictPartition, monomial_symmetric, partitions, power_sum, schur_q, strict_partitions
 from schurq.spectra import (
     eigen_check,
     hc_eigenvalue_omega3,
@@ -329,13 +329,33 @@ class TestSweeps:
         assert report.passed and report.checked >= 3
 
     def test_conjugation_counts_every_monomial(self):
-        # the 20 monomials of degree <= 3 in 3 variables, plus the delta^-1 check
-        assert spectra.conjugation_sweep(3, 3).checked == 21
+        # one x^mu per S_n orbit: the 7 orbits of monomials of degree <= 3 in
+        # 3 variables, plus the delta^-1 check
+        assert spectra.conjugation_sweep(3, 3).checked == 8
+
+    @pytest.mark.parametrize(
+        "target",
+        [(6, (2, 3), True), (6, (2, 3), False), (24, (3, 3, 1, 2), True)],
+        ids=["c_23", "p_23", "triple-3-12"],
+    )
+    def test_conjugation_sees_an_index_specific_mutant(self, monkeypatch, target):
+        # omega3_closed with one pair's or one triple's coefficient off by one no
+        # longer commutes with S_n; one monomial per orbit must still see it
+        original = operators._fraction
+
+        def mutant(n, c, xs, diffs=(), sums=()):
+            return original(n, c + ((c, tuple(xs), bool(diffs)) == target), xs, diffs, sums)
+
+        monkeypatch.setattr(operators, "_fraction", mutant)
+        report = spectra.conjugation_sweep(3, 3)
+        assert report.checked == 8
+        assert len(report.failures) == 7  # every monomial; the delta^-1 check has no omega3_closed
+        assert all(failure.startswith("conjugation fails on x^") for failure in report.failures)
 
     def test_lemma121_small(self):
         report = lemma_121_sweep(2, 4)
         assert report.passed
-        assert report.checked == 4 * (1 + 1 + 2 + 2 + 3)  # partitions of 0..4, len<=2
+        assert report.checked == 4 * (1 + 2 + 2 + 3)  # partitions of 1..4, len<=2
 
 
 class TestSweepReport:
@@ -376,7 +396,7 @@ class TestTildeRelationRule:
 
     def test_perturbed_coefficient_fails_every_input(self, monkeypatch):
         # one more Omega_1 in every relation leaves |mu| m_mu over on each m_mu;
-        # m_() = 1 is killed by every operator, so no coefficient shows on it
+        # the sweep leaves out m_() = 1, which every operator kills
         original = spectra.tilde_relation
 
         def perturbed(k):
@@ -385,10 +405,23 @@ class TestTildeRelationRule:
 
         monkeypatch.setattr(spectra, "tilde_relation", perturbed)
         report = lemma_121_sweep(2, 3)
-        assert report.checked == 4 * 6
+        assert report.checked == 4 * 5
         names = [name for name, _, _ in self.HAND_WRITTEN]
         inputs = [(1,), (2,), (1, 1), (3,), (2, 1)]
         assert report.failures == [f"{name} fails on m_{mu}, n=2" for mu in inputs for name in names]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_summed_relation_at_desk_size(self, n):
+        # Lemma 1.21 as stated, on the operator sums; lemma_121_sweep reads
+        # component 1 and relies on the walks' equivariance, this does not
+        zero = RationalFunction.zero(n)
+        for d in range(5):
+            for mu in partitions(d, max_length=n):
+                f = monomial_symmetric(mu, n)
+                for k in range(1, 5):
+                    _, combo = spectra.tilde_relation(k)
+                    want = sum((operators.omega(f, m, n).scale(c) for m, c in combo.items()), zero)
+                    assert operators.tilde_omega(f, k, n) == want, (mu, k)
 
 
 def count_calls(monkeypatch, module, names) -> Counter:
@@ -426,7 +459,7 @@ class TestComputedOnce:
         calls = count_calls(monkeypatch, operators, ["family_step", "tilde_family_step"])
         report = lemma_121_sweep(2, 3)
         assert report.passed
-        inputs = 6  # m_mu for mu = (), 1, 2, 11, 3, 21
+        inputs = 5  # m_mu for mu = 1, 2, 11, 3, 21
         assert report.checked == 4 * inputs
         assert calls["family_step"] == 2 * inputs  # levels 2 and 3
         assert calls["tilde_family_step"] == 3 * inputs  # levels 2, 3 and 4
