@@ -137,14 +137,6 @@ class Polynomial:
         return Polynomial._from_keys(n, {0: c} if (c := _coeff(c)) else {})
 
     @staticmethod
-    def variable(n: int, i: int) -> "Polynomial":
-        if not 1 <= i <= n:
-            raise IndexError(f"variable index {i} out of range 1..{n}")
-        exps = [0] * n
-        exps[i - 1] = 1
-        return Polynomial(n, {tuple(exps): 1})
-
-    @staticmethod
     def monomial(n: int, exps: Iterable[int], coeff: Scalar = 1) -> "Polynomial":
         return Polynomial(n, {tuple(exps): coeff})
 
@@ -171,11 +163,6 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def constant_value(self) -> Scalar:
-        if any(self.terms):  # the constant monomial is key 0
-            raise ValueError("not a constant polynomial")
-        return self.terms.get(0, 0)
 
     def coefficient(self, exps: Iterable[int]) -> Scalar:
         """The coefficient of x^exps (0 when absent)."""

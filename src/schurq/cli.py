@@ -29,25 +29,22 @@ from .qfunctions import (
 )
 
 MAX_N = 6
-# the closed Omega_3 takes 1.3 s on Q_(8,3,1) at n = 5, 56 s on Q_(5,4,2,1) at n = 6
-MAX_N_FOR_OP = {"omega3-closed": 5}
 MAX_DEG = 12
 
 
-class GuardrailError(ValueError):
-    pass
-
-
-def _guard(args, n: int | None = None, deg: int | None = None) -> None:
+def _guard(args, n: int | None = None, deg: int | None = None, entry: tuple[str, str] | None = None) -> None:
+    """Unless --force, refuse n or a size deg (|lambda|, or verify's --max) past the spectra.LIMITS
+    entry of entry = (flag, name), the --op or --suite; an unlisted name, or none, gets MAX_N and MAX_DEG."""
     if args.force:
         return
-    op = getattr(args, "op", None)
-    max_n = MAX_N_FOR_OP.get(op, MAX_N)
+    flag, name = entry or ("", "")
+    max_n, caps = spectra.LIMITS.get(name, (MAX_N, {}))
+    cap = caps.get(n, MAX_DEG)
+    scope = f" for {flag} {name}" if name in spectra.LIMITS else ""
     if n is not None and n > max_n:
-        scope = f" for --op {op}" if op in MAX_N_FOR_OP else ""
-        raise GuardrailError(f"n={n} exceeds the guardrail {max_n}{scope}; pass --force")
-    if deg is not None and deg > MAX_DEG:
-        raise GuardrailError(f"degree {deg} exceeds the guardrail {MAX_DEG}; pass --force")
+        raise ValueError(f"n={n} exceeds the guardrail {max_n}{scope}; pass --force")
+    if deg is not None and deg > cap:
+        raise ValueError(f"degree {deg} exceeds the guardrail {cap}{scope}; pass --force")
 
 
 def _print(args, value) -> None:
@@ -69,10 +66,10 @@ def cmd_qk(args) -> int:
     return 0
 
 
-def _lambda(args) -> StrictPartition:
+def _lambda(args, entry: tuple[str, str] | None = None) -> StrictPartition:
     """--lambda parsed and guarded: the first step of qfun, apply and eigen."""
     lam = StrictPartition.parse(args.lam)
-    _guard(args, n=args.n, deg=lam.weight)
+    _guard(args, n=args.n, deg=lam.weight, entry=entry)
     return lam
 
 
@@ -82,13 +79,13 @@ def cmd_qfun(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    lam = _lambda(args)
+    lam = _lambda(args, ("--op", args.op))
     _print(args, spectra.q_image(args.op, lam, schur_q(lam, args.n), args.n))
     return 0
 
 
 def cmd_eigen(args) -> int:
-    _print(args, spectra.eigen_check(_lambda(args), args.op, args.n))
+    _print(args, spectra.eigen_check(_lambda(args, ("--op", args.op)), args.op, args.n))
     return 0
 
 
@@ -101,7 +98,7 @@ def cmd_verify(args) -> int:
         args.max = 6
     elif spectra.SWEEPS[args.suite].desk_max is None:
         raise ValueError(f"suite {args.suite} takes no --max")
-    _guard(args, n=args.n, deg=args.max)
+    _guard(args, n=args.n, deg=args.max, entry=("--suite", args.suite))
     report = spectra.SWEEPS[args.suite].sweep(args.n, args.max)
     if report.passed and not report.checked:
         raise ValueError(f"suite {args.suite} checked nothing at --n {args.n} --max {args.max}")
@@ -156,7 +153,8 @@ FLAGS = {
     "--suite": {"choices": sorted(spectra.SWEEPS)},
     "--n": {"type": int},
     "--max": {"type": int},
-    "--max?": {"type": int, "help": "default 6; aux35 takes none"},
+    "--max?": {"type": int, "help": "default 6; " + ", ".join(
+        name for name, spec in spectra.SWEEPS.items() if spec.desk_max is None) + " takes none"},
 }
 
 COMMANDS = {

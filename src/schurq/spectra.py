@@ -77,7 +77,7 @@ class EigenReport:
     eigenvalue: Optional[Scalar]
     is_eigen: bool
     residual: Polynomial
-    image: Optional[Polynomial] = field(default=None, repr=False)  # op applied to Q_lambda
+    image: Polynomial = field(repr=False)  # op applied to Q_lambda
 
     def to_json_obj(self) -> dict:
         return {
@@ -313,7 +313,7 @@ def skew_symmetry_sweep(n: int, maxindex: int) -> SweepReport:
 def supersymmetry_sweep(n: int, maxweight: int) -> SweepReport:
     report = SweepReport(f"supersym(n={n},maxweight={maxweight})")
     for d in range(1, maxweight + 1):
-        for lam in strict_partitions(d):
+        for lam in strict_partitions(d, max_length=n):
             report.check(is_supersymmetric(schur_q(lam, n), n), f"Q_{lam} not supersymmetric at n={n}")
     return report
 
@@ -322,7 +322,7 @@ def stability_sweep(n: int, maxweight: int) -> SweepReport:
     """Q_lambda(x_1..x_n, 0) = Q_lambda(x_1..x_n)."""
     report = SweepReport(f"stability(n={n},maxweight={maxweight})")
     for d in range(1, maxweight + 1):
-        for lam in strict_partitions(d):
+        for lam in strict_partitions(d, max_length=n + 1):
             big = schur_q(lam, n + 1)
             small = schur_q(lam, n)
             report.check(substitute(big, {n + 1: 0}) == small, f"Q_{lam} unstable at n={n}")
@@ -402,4 +402,17 @@ SWEEPS: dict[str, SweepSpec] = {
     "lemma123iii": SweepSpec(uniqueness_sweep, (2, 3), 8),
     "aux35": SweepSpec(lambda n, _max: auxiliary_sweep(n), (2, 3, 4), None),
     "separation": SweepSpec(separation_sweep, (2, 3), 8),
+}
+
+# Sizes admitted without --force, by operator or suite: (largest n, {n: largest size at that n});
+# the size is |lambda| for apply and eigen, --max for verify, and cli.MAX_N and MAX_DEG hold
+# elsewhere.  Each limit keeps a run within 20 s on 2 cores, by the slower of two runs: the
+# closed Omega_3 takes 30.4 s on Q_(8,3,1) at n = 6 (1.2 s at n = 5, the walk's Omega_3 0.4 s),
+# lemma121 37.5 s at (n, --max) = (5, 7) and 25.9 s at (6, 2), lemma123i 23.1 s at (5, 3) and
+# over 45 s at (6, 0), skew 27.9 s at (5, 11) and 33.5 s at (6, 9).
+LIMITS: dict[str, tuple[int, dict[int, int]]] = {
+    "omega3-closed": (5, {}),
+    "lemma121": (6, {5: 6, 6: 1}),
+    "lemma123i": (5, {5: 2}),
+    "skew": (6, {5: 10, 6: 8}),
 }

@@ -192,7 +192,7 @@ class RnPolynomial:
     def eval_at(self, point) -> Scalar:
         if len(point) != self.n:
             raise VariableCountMismatch("point length mismatch")
-        return substitute(self.poly, dict(enumerate(point, 1))).constant_value()
+        return substitute(self.poly, dict(enumerate(point, 1))).coefficient(())
 
 
 def odd_power_sum_rn(r: int, n: int) -> RnPolynomial:

@@ -25,7 +25,7 @@ from oracles import determinant, is_symmetric_by_adjacent_swaps
 
 
 def x(n, i):
-    return Polynomial.variable(n, i)
+    return Polynomial.monomial(n, (0,) * (i - 1) + (1,) + (0,) * (n - i))
 
 
 class TestPolynomialArithmetic:
@@ -73,17 +73,6 @@ class TestPolynomialArithmetic:
         assert a * b == b * a
         assert a + b == b + a
 
-
-
-class TestConstantValue:
-    def test_zero_and_nonzero_constants(self):
-        assert Polynomial.zero(2).constant_value() == 0
-        assert Polynomial.constant(2, Fraction(3, 4)).constant_value() == Fraction(3, 4)
-
-    def test_non_constant_raises(self):
-        p = Polynomial.constant(2, 1) + Polynomial.variable(2, 2)
-        with pytest.raises(ValueError, match="not a constant"):
-            p.constant_value()
 
 
 class TestSymmetry:

@@ -322,6 +322,81 @@ class TestErrors:
         assert err.startswith("error: internal: DenominatorLeft")
 
 
+def parent_refuses(entry, n, size):
+    """The guard before spectra.LIMITS: n above 6 (5 for --op omega3-closed), or a size above 12."""
+    return n > {"omega3-closed": 5}.get(entry, 6) or size > 12
+
+
+# the cells past a measured time budget that the rule above admitted, by (suite, n): the sizes refused now
+NEWLY_REFUSED = {
+    ("lemma121", 5): range(7, 13),
+    ("lemma121", 6): range(2, 13),
+    ("lemma123i", 6): range(0, 13),
+    ("lemma123i", 5): range(3, 13),
+    ("skew", 5): range(11, 13),
+    ("skew", 6): range(9, 13),
+}
+
+
+def guard_cells():
+    """(command, flag, entry) for each command, its entry from the registry its flag chooses from."""
+    for command in cli.COMMANDS:
+        if command in ("apply", "eigen"):
+            yield from ((command, "--op", op) for op in spectra.OPERATORS)
+        elif command == "verify":
+            yield from ((command, "--suite", suite) for suite in spectra.SWEEPS)
+        else:
+            yield command, None, None
+
+
+class TestGuardTable:
+    def test_every_cell_matches_the_parent_rule_but_the_listed_refusals(self):
+        args = cli.PARSER.parse_args(["qfun", "--lambda", "1", "--n", "1"])
+        for command, flag, entry in guard_cells():
+            for n in range(9):
+                for size in range(15):
+                    try:
+                        cli._guard(args, n=n, deg=size, entry=entry and (flag, entry))
+                        refused = False
+                    except ValueError:
+                        refused = True
+                    newly = size in NEWLY_REFUSED.get((entry, n), ())
+                    assert refused == (parent_refuses(entry, n, size) or newly), (command, entry, n, size)
+                    assert not (newly and parent_refuses(entry, n, size))
+
+    def test_desk_and_benchmark_sizes_are_admitted(self):
+        args = cli.PARSER.parse_args(["qfun", "--lambda", "1", "--n", "1"])
+        for name, spec in spectra.SWEEPS.items():
+            for n in spec.desk_n:
+                cli._guard(args, n=n, deg=6 if spec.desk_max is None else spec.desk_max, entry=("--suite", name))
+        for name in ("skew", "supersym", "stability"):
+            cli._guard(args, n=4, deg=4, entry=("--suite", name))
+        cli._guard(args, n=4, deg=7)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--suite", "lemma123i", "--n", "6", "--max", "0"],
+         ["verify", "--suite", "lemma121", "--n", "5", "--max", "8"]],
+    )
+    def test_long_sweeps_need_force(self, capsys, monkeypatch, argv):
+        def not_reached(n, d):
+            raise AssertionError(f"the guardrail let {argv[2]} run")
+
+        patch_sweep(monkeypatch, argv[2], not_reached)
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (2, "")
+        assert "exceeds the guardrail" in err and f"for --suite {argv[2]}; pass --force" in err
+
+        def stub(n, d):
+            report = SweepReport("stub")
+            report.check(True, "")
+            return report
+
+        patch_sweep(monkeypatch, argv[2], stub)
+        rc, out, _ = run(capsys, argv + ["--force", "--format", "text"])
+        assert (rc, out) == (0, "stub: PASS (1 checks)\n")
+
+
 def readme_cli_examples():
     """(argv, comment) for each line of README's CLI block."""
     readme = (ROOT / "README.md").read_text()

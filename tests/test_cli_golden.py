@@ -18,9 +18,10 @@ subcommand at COLUMNS=80, recorded while build_parser still declared each
 subcommand's flags by hand.  run_sweeps.txt holds the stdout of
 scripts/run_sweeps.py, every desk-scale suite's PASS line and check
 count, re-recorded when lemma121 left out m_() = 1 and lemma123i took
-one monomial per S_n orbit; the other suites' lines are as recorded
-while lemma121 still summed its levels in spectra and lemma123ii walked
-each Omega_k from level 1.
+one monomial per S_n orbit, and again when supersym left out the
+Q_lambda longer than n, which vanish (supersym at n = 2: 24 -> 20); the
+other suites' lines are as recorded while lemma121 still summed its
+levels in spectra and lemma123ii walked each Omega_k from level 1.
 """
 
 import os

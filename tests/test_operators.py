@@ -35,7 +35,7 @@ from oracles import coeff_c, coeff_d, coeff_minus, coeff_plus
 
 
 def x(n, i):
-    return Polynomial.variable(n, i)
+    return Polynomial.monomial(n, (0,) * (i - 1) + (1,) + (0,) * (n - i))
 
 
 class TestEulerDerivative:

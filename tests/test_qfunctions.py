@@ -104,7 +104,7 @@ def reference_q_series(n, maxdeg):
         upto = [restricted(qs[-1], i) for i in range(n + 1)]
         q = Polynomial.zero(n)
         for i in range(1, n + 1):
-            q = q + Polynomial.variable(n, i) * (upto[i] + upto[i - 1])
+            q = q + Polynomial.monomial(n, tuple(int(j == i - 1) for j in range(n))) * (upto[i] + upto[i - 1])
         qs.append(q)
     return tuple(qs)
 
@@ -185,6 +185,13 @@ class TestSchurQ:
     def test_vanishes_beyond_length(self):
         assert schur_q(StrictPartition((2, 1)), 1).is_zero()
         assert schur_q(StrictPartition((3, 2, 1)), 2).is_zero()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_vanishes_for_every_partition_longer_than_n(self, n):
+        # why supersymmetry_sweep stops at l(lambda) = n: past it every check tests 0
+        longer = [lam for d in range(1, 11) for lam in strict_partitions(d) if lam.length > n]
+        assert longer
+        assert all(schur_q(lam, n).is_zero() for lam in longer)
 
     def test_homogeneous(self):
         for d in range(1, 7):
@@ -283,12 +290,12 @@ class TestExpandInPowerSums:
 
     def test_not_symmetric(self):
         with pytest.raises(NotSymmetric):
-            expand_in_power_sums(Polynomial.variable(2, 1), 2, 1)
+            expand_in_power_sums(Polynomial.monomial(2, (1, 0)), 2, 1)
 
     def test_variable_count_checked_first(self):
         # x_1 is not symmetric either, but the variable count is checked first
         with pytest.raises(VariableCountMismatch):
-            expand_in_power_sums(Polynomial.variable(2, 1), 3, 1)
+            expand_in_power_sums(Polynomial.monomial(2, (1, 0)), 3, 1)
 
     def test_not_in_span(self):
         # e_2 = x1 x2 is symmetric but outside the odd power-sum span
@@ -394,7 +401,7 @@ class TestSupersymmetry:
 
     def test_requires_symmetric(self):
         with pytest.raises(NotSymmetric):
-            is_supersymmetric(Polynomial.variable(2, 1), 2)
+            is_supersymmetric(Polynomial.monomial(2, (1, 0)), 2)
 
     def test_variable_count_must_match(self):
         # p_2(t, -t) = 2t^2, so a wrong n must not reach the n < 2 shortcut

@@ -198,7 +198,7 @@ class TestRnPolynomial:
 
     def test_asymmetric_rejected(self):
         with pytest.raises(NotInRn):
-            RnPolynomial(Polynomial.variable(2, 1))
+            RnPolynomial(Polynomial.monomial(2, (1, 0)))
 
     def test_constant_eigenvalue(self):
         one = RnPolynomial(Polynomial.constant(3, 1))
@@ -328,6 +328,22 @@ class TestSweeps:
         report = uniqueness_sweep(2, 3)
         assert report.passed and report.checked >= 3
 
+    def test_uniqueness_fails_on_a_zero_dimensional_eigenspace(self, monkeypatch):
+        # only a broken kernel or matrix gives a joint eigenspace no vector; it must not pass
+        monkeypatch.setattr(spectra.linalg, "nullspace", lambda rows: [])
+        report = uniqueness_sweep(2, 4)
+        assert not report.passed
+        assert report.failures and all("has dimension 0" in failure for failure in report.failures)
+
+    @pytest.mark.parametrize("sweep", [spectra.supersymmetry_sweep, spectra.stability_sweep])
+    def test_q_lambda_longer_than_n_is_not_checked_vacuously(self, sweep):
+        # Q_lambda(x_1..x_n) = 0 for l(lambda) > n: supersym checks l <= n, stability
+        # l <= n + 1, where its check is that Q_lambda vanishes at x_(n+1) = 0
+        extra = sweep is spectra.stability_sweep
+        for n in (1, 2, 3):
+            want = sum(1 for d in range(1, 11) for _ in strict_partitions(d, max_length=n + extra))
+            assert sweep(n, 10).checked == want
+
     def test_conjugation_counts_every_monomial(self):
         # one x^mu per S_n orbit: the 7 orbits of monomials of degree <= 3 in
         # 3 variables, plus the delta^-1 check
@@ -364,6 +380,12 @@ class TestSweepReport:
         report.check(True, "first")
         report.check(False, "second")
         assert (report.checked, report.failures, report.passed) == (2, ["second"], False)
+
+    def test_json_keeps_the_first_ten_failures(self):
+        report = spectra.SweepReport("demo")
+        for i in range(12):
+            report.check(False, f"failure {i}")
+        assert report.to_json_obj()["failures"] == [f"failure {i}" for i in range(10)]
 
     def test_only_check_counts(self):
         # every sweep counts through SweepReport.check, never by touching checked itself
