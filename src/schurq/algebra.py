@@ -201,14 +201,6 @@ class Polynomial:
         m = max(self.terms, key=_low(self.n).__xor__)
         return _unpack(m, self.n), self.terms[m]
 
-    def homogeneous_components(self) -> dict[int, "Polynomial"]:
-        """The nonzero homogeneous parts of self, by degree."""
-        shift = _BITS * self.n
-        parts: dict[int, dict[int, Scalar]] = {}
-        for m, c in self.terms.items():
-            parts.setdefault(m >> shift, {})[m] = c
-        return {d: Polynomial._from_keys(self.n, t) for d, t in parts.items()}
-
     # -- arithmetic --------------------------------------------------
 
     def _check(self, other: "Polynomial") -> None:
@@ -702,42 +694,32 @@ class RationalFunction:
 # ---------------------------------------------------------------------------
 
 
-def _negatives(x, y) -> bool:
-    """x == -y; two Polynomials are compared term by term in place, with no negated copy."""
-    if isinstance(x, Polynomial) and isinstance(y, Polynomial):
-        a, b = x.terms, y.terms
-        return x.n == y.n and len(a) == len(b) and all(b.get(m) == -c for m, c in a.items())
-    return x == -y
+def pfaffian(upper, one=1):
+    """Pfaffian of a skew-symmetric matrix, given as its strict upper triangle, by first-row expansion.
 
-
-def pfaffian(rows, one=1):
-    """Pfaffian of a skew-symmetric matrix by first-row expansion.
-
-    Entries may be any ring elements supporting +, -, *.  The Pfaffian of
-    a 2x2 block is its upper entry, so the expansion stops there.  `one`
-    is the Pfaffian of the empty matrix: the scalar 1 by default, to be
-    supplied for other rings (e.g. Polynomial matrices).
+    Row a of upper holds the entries (a, b) for b = a+1 .. size-1, so every
+    input is skew-symmetric by construction.  Entries may be any ring
+    elements supporting +, -, *.  The Pfaffian of a 2x2 block is its upper
+    entry, so the expansion stops there.  `one` is the Pfaffian of the empty
+    matrix: the scalar 1 by default, to be supplied for other rings (e.g.
+    Polynomial matrices).
     """
-    size = len(rows)
+    size = len(upper)
     if size % 2:
         raise ValueError("Pfaffian requires even size")
-    for r in rows:
-        if len(r) != size:
-            raise ValueError("matrix is not square")
-    for a in range(size):
-        for b in range(a, size):  # x == -y is symmetric: one check per unordered pair
-            if not _negatives(rows[a][b], rows[b][a]):
-                raise ValueError("matrix is not skew-symmetric")
+    if any(len(row) != size - 1 - a for a, row in enumerate(upper)):
+        raise ValueError("rows must form a strict upper triangle")
     if not size:
         return one
 
     def rec(indices: tuple[int, ...]):
         first, rest = indices[0], indices[1:]
+        row = upper[first]  # row[b - first - 1] is the entry (first, b)
         if len(rest) == 1:
-            return rows[first][rest[0]]
-        total = rows[first][rest[0]] * rec(rest[1:])
+            return row[rest[0] - first - 1]
+        total = row[rest[0] - first - 1] * rec(rest[1:])
         for pos in range(1, len(rest)):
-            term = rows[first][rest[pos]] * rec(rest[:pos] + rest[pos + 1 :])
+            term = row[rest[pos] - first - 1] * rec(rest[:pos] + rest[pos + 1 :])
             total = total - term if pos % 2 else total + term
         return total
 

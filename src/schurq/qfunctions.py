@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
 from typing import Iterator
 
 from . import linalg
@@ -152,18 +151,14 @@ def schur_q(lam: StrictPartition, n: int) -> Polynomial:
     """Q_lambda via the Pfaffian of the matrix (Q_{lambda_i lambda_j}).
 
     Odd length is handled by bordering with a zero part, which turns the
-    last column into (q_{lambda_i}) and keeps the matrix skew.  Each entry
-    is built once: q_two above the diagonal, its negation below, zero on it.
+    last column into (q_{lambda_i}).  pfaffian reads the strict upper
+    triangle, so each entry q_two builds is one above the diagonal.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     parts = lam.parts + (0,) * (lam.length % 2)
-    zero = Polynomial.zero(n)
-    rows = [[zero] * len(parts) for _ in parts]
-    for a, b in combinations(range(len(parts)), 2):
-        rows[a][b] = q_two(parts[a], parts[b], n)
-        rows[b][a] = -rows[a][b]
-    return pfaffian(rows, one=Polynomial.constant(n, 1))
+    return pfaffian([[q_two(k, l, n) for l in parts[a + 1:]] for a, k in enumerate(parts)],
+                    one=Polynomial.constant(n, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +172,7 @@ def power_sum(l: int, n: int) -> Polynomial:
         raise ValueError("power sum index must be >= 1")
     if n < 1:
         raise ValueError("need n >= 1")
-    terms = {}
-    for i in range(n):
-        e = [0] * n
-        e[i] = l
-        terms[tuple(e)] = 1
-    return Polynomial(n, terms)
+    return monomial_symmetric((l,), n)
 
 
 def power_sum_product(nu, n: int) -> Polynomial:
@@ -201,11 +191,10 @@ def monomial_symmetric(mu: tuple[int, ...], n: int) -> Polynomial:
     """m_mu: sum of all distinct monomials with exponent multiset mu."""
     if len(mu) > n:
         return Polynomial.zero(n)
-    exps = list(mu) + [0] * (n - len(mu))
-    terms = {}
-    for perm in set(permutations(exps)):
-        terms[perm] = 1
-    return Polynomial(n, terms)
+    orbit = {()}
+    for e in (0,) * (n - len(mu)) + tuple(mu):  # insertion keeps each distinct arrangement once, never n! orders
+        orbit = {t[:i] + (e,) + t[i:] for t in orbit for i in range(len(t) + 1)}
+    return Polynomial(n, dict.fromkeys(orbit, 1))
 
 
 class NotSymmetric(Exception):
@@ -254,10 +243,14 @@ def expand_in_power_sums(p: Polynomial, n: int, maxweight: int) -> dict[OddCycle
     """Exact coefficients c_nu with p = sum c_nu p_nu over odd cycle types.
 
     Solved degree by degree on the dominant monomials x^mu, mu a partition with
-    at most n parts: p and every p_nu are symmetric, and a symmetric polynomial
-    with no dominant monomial is zero, so the other rows would decide nothing.
-    The entry of p_nu on x^mu is a placement count (_placements), one memo per
-    degree, so no p_nu is built.
+    at most n parts, whose coefficients are read from p in place: p and every
+    p_nu are symmetric, and a symmetric polynomial with no dominant monomial is
+    zero, so the other rows would decide nothing, and a degree whose dominant
+    coefficients are all zero is skipped.  The entry of p_nu on x^mu is a
+    placement count (_placements), one memo per degree, so no p_nu is built.
+    The p_nu of degree d span Gamma^d, of dimension the number of strict
+    partitions of d, those with at most n parts in n variables: so the solve is
+    unique iff n >= k(d), the largest length of a strict partition of d.
     """
     if p.n != n:
         raise VariableCountMismatch(f"{p.n} vs {n} variables")
@@ -266,13 +259,15 @@ def expand_in_power_sums(p: Polynomial, n: int, maxweight: int) -> dict[OddCycle
     if p.degree() > maxweight:
         raise ValueError("degree exceeds maxweight")
     result: dict[OddCycleType, Scalar] = {}
-    for d, component in sorted(p.homogeneous_components().items()):
-        nus = list(odd_cycle_types(d))
+    for d in range(p.degree() + 1):
         dominant = list(partitions(d, max_length=n))
+        rhs = [p.coefficient(mu + (0,) * (n - len(mu))) for mu in dominant]
+        if not any(rhs):
+            continue
+        nus = list(odd_cycle_types(d))
         memo: dict = {}
         try:
-            coeffs = linalg.solve([[_placements(nu.parts, mu, memo) for nu in nus] for mu in dominant],
-                                  [component.coefficient(mu + (0,) * (n - len(mu))) for mu in dominant])
+            coeffs = linalg.solve([[_placements(nu.parts, mu, memo) for nu in nus] for mu in dominant], rhs)
         except linalg.InconsistentSystem as exc:
             raise NotInSpan(f"degree-{d} component not in the odd span") from exc
         except ValueError as exc:

@@ -301,6 +301,8 @@ def eigenfunction_sweep(n: int, maxweight: int) -> SweepReport:
 
 
 def skew_symmetry_sweep(n: int, maxindex: int) -> SweepReport:
+    """Q_{k,l} = -Q_{l,k} for 0 <= k, l <= maxindex, k + l > 0.  maxindex, the suite's --max,
+    bounds each index, not the weight as in every other suite, so --max M reaches degree 2M."""
     report = SweepReport(f"skew(n={n},max={maxindex})")
     for k in range(0, maxindex + 1):
         for l in range(0, maxindex + 1):

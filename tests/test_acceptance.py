@@ -175,5 +175,5 @@ def test_criterion_10_pfaffian_oracle():
                 v = Fraction(rng.randint(-20, 20), rng.randint(1, 5))
                 rows[i][j] = v
                 rows[j][i] = -v
-        ok &= pfaffian(rows) ** 2 == determinant(rows)
+        ok &= pfaffian([row[a + 1:] for a, row in enumerate(rows)]) ** 2 == determinant(rows)
     report("10 Pfaffian oracle", ok)

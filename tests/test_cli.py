@@ -191,6 +191,19 @@ class TestVerify:
         listing = re.search(r"Verification suites: (.*?)\.", readme, re.S).group(1)
         assert re.findall(r"`([^`]+)`", listing) == sorted(spectra.SWEEPS)
 
+    def test_readme_lists_every_limit(self):
+        # each refusal phrase is derived from spectra.LIMITS, so changing an entry fails here until README follows
+        readme = " ".join((ROOT / "README.md").read_text().split())
+        phrases = []
+        for name, (max_n, caps) in spectra.LIMITS.items():
+            op = name in spectra.OPERATORS
+            if max_n < cli.MAX_N:
+                phrases.append(f"`--op {name}` in `apply` and `eigen` above n={max_n}" if op else f"`{name}` above n={max_n}")
+            for n, cap in caps.items():
+                phrases.append(f"`--op {name} --n {n}` above |λ|={cap}" if op else f"`{name} --n {n}` above `--max {cap}`")
+        assert len(phrases) >= len(spectra.LIMITS)
+        assert [p for p in phrases if p not in readme] == []
+
     def test_every_registered_sweep_is_a_suite(self):
         parser = cli.build_parser()
         for name in spectra.SWEEPS:

@@ -265,10 +265,6 @@ class TestAgainstReference:
         for m, c in a.items():
             assert p.coefficient(m) == c
         assert p.coefficient((0,) * n) == a.get((0,) * n, 0)
-        parts = p.homogeneous_components()
-        assert sorted(parts) == sorted({sum(m) for m in a})
-        for d, part in parts.items():
-            assert as_ref(part) == {m: c for m, c in a.items() if sum(m) == d}
         for k in range(1, n + 1):
             assert p.degree_in(k) == max((m[k - 1] for m in a), default=-1)
         with pytest.raises(IndexError):

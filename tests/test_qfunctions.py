@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -197,7 +198,7 @@ class TestSchurQ:
         for d in range(1, 7):
             for lam in strict_partitions(d):
                 p = schur_q(lam, 3)
-                assert len(p.homogeneous_components()) <= 1
+                assert all(sum(m) == d for m, _ in p.sorted_terms())
                 if not p.is_zero():
                     assert p.degree() == d
 
@@ -241,6 +242,19 @@ class TestCharMap:
                         for mu in odd_cycle_types(w2):
                             union = OddCycleType(nu.parts + mu.parts)
                             assert char_map(union, n) == char_map(nu, n) * char_map(mu, n)
+
+
+class TestMonomialSymmetric:
+    @pytest.mark.parametrize("mu, n", [((1,), 1), ((2, 1), 3), ((2, 2, 1), 5), ((3, 1, 1), 9), ((4,), 12)])
+    def test_each_distinct_arrangement_once(self, mu, n):
+        # the orbit of mu padded with zeros: n! / prod(multiplicity!) monomials, each with coefficient 1
+        exps = mu + (0,) * (n - len(mu))
+        size = math.factorial(n)
+        for v in set(exps):
+            size //= math.factorial(exps.count(v))
+        terms = monomial_symmetric(mu, n).sorted_terms()
+        assert len(terms) == size
+        assert all(tuple(sorted(m, reverse=True)) == exps and c == 1 for m, c in terms)
 
 
 class TestExpandInPowerSums:
@@ -302,12 +316,34 @@ class TestExpandInPowerSums:
         with pytest.raises(NotInSpan):
             expand_in_power_sums(Polynomial.monomial(2, (1, 1)), 2, 2)
 
+    def test_zero(self):
+        assert expand_in_power_sums(Polynomial.zero(3), 3, 0) == {}
+
+    def test_non_homogeneous_input(self):
+        # degrees 0, 4 and 5 and none of 1..3: the expansion is the sum of its parts' expansions
+        n = 5
+        parts = [Polynomial.constant(n, 3), schur_q(StrictPartition((3, 1)), n), schur_q(StrictPartition((5,)), n)]
+        want = {}
+        for part in parts:
+            for nu, c in expand_in_power_sums(part, n, 5).items():
+                want[nu] = want.get(nu, 0) + c
+        assert len(want) == 1 + 2 + 3
+        assert expand_in_power_sums(parts[0] + parts[1] + parts[2], n, 5) == want
+
     def test_fewer_variables_than_degree(self):
-        # in 2 variables the 5 odd power-sum products of degree 7 span a
-        # space of dimension 4, so the coefficients are not unique
-        with pytest.raises(ValueError, match="degree 7 are dependent in 2 variables"):
-            expand_in_power_sums(schur_q(StrictPartition((7,)), 2), 2, 7)
-        # at degree 5 the 3 products are still independent in 2 variables
+        # the odd power-sum products of degree d span Gamma^d, of dimension the number of
+        # strict partitions of d, and in n variables only those with at most n parts count:
+        # the coefficients are unique iff n >= k(d), the largest length of a strict partition
+        # of d, not iff n >= d (degree 7 needs 3 variables)
+        for d in range(1, 13):
+            k = max(lam.length for lam in strict_partitions(d))
+            q = StrictPartition((d,))
+            at_k = expand_in_power_sums(schur_q(q, k), k, d)
+            assert at_k == expand_in_power_sums(schur_q(q, k + 1), k + 1, d), d
+            if k >= 2:
+                with pytest.raises(ValueError, match=f"degree {d} are dependent in {k - 1} variables"):
+                    expand_in_power_sums(schur_q(q, k - 1), k - 1, d)
+        # at degree 5, k = 2 variables suffice, and the expansion rebuilds Q_(5)
         q5 = schur_q(StrictPartition((5,)), 2)
         e = expand_in_power_sums(q5, 2, 5)
         total = Polynomial.zero(2)
