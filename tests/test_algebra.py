@@ -620,18 +620,40 @@ class TestPfaffian:
             pfaffian(upper([[Fraction(0)] * 3] * 3))
 
     @staticmethod
-    def polynomial_upper_4x4():
+    def polynomial_skew_4x4():
         n = 2
         rows = [[Polynomial.zero(n)] * 4 for _ in range(4)]
         for v, (a, b) in enumerate(combinations(range(4), 2), 1):
             p = Polynomial(n, {(v, 0): v, (1, 1): -2, (0, 0): Fraction(1, v + 1)})
             rows[a][b], rows[b][a] = p, -p
-        return upper(rows)
+        return rows
 
-    def test_polynomial_entries(self):
-        r = self.polynomial_upper_4x4()  # r[a][b - a - 1] is the entry (a, b)
+    @classmethod
+    def polynomial_upper_4x4(cls):
+        return upper(cls.polynomial_skew_4x4())
+
+    @pytest.mark.parametrize("defect", ["one coefficient off", "extra term", "symmetric pair",
+                                        "nonzero diagonal", "variable counts"])
+    def test_polynomial_entries_not_skew_rejected(self, defect):
+        # a square matrix that is not skew-symmetric is refused by its shape, and its
+        # upper triangle defines the skew matrix whose Pfaffian is taken
+        rows = self.polynomial_skew_4x4()
+        if defect == "one coefficient off":
+            rows[3][1] = Polynomial(2, {m: c + (m == (0, 0)) for m, c in rows[3][1].sorted_terms()})
+        elif defect == "extra term":
+            rows[3][1] = rows[3][1] + x(2, 2)
+        elif defect == "symmetric pair":
+            rows[2][0] = rows[0][2]
+        elif defect == "nonzero diagonal":
+            rows[2][2] = x(2, 1)
+        else:  # the same term map in one variable more
+            rows[0][1], rows[1][0] = Polynomial.constant(2, 5), Polynomial.constant(3, -5)
         one = Polynomial.constant(2, 1)
-        assert pfaffian(r, one) == r[0][0] * r[2][0] - r[0][1] * r[1][1] + r[0][2] * r[1][0]
+        with pytest.raises(ValueError, match="strict upper triangle"):
+            pfaffian(rows, one)
+        assert pfaffian(upper(rows), one) == (
+            rows[0][1] * rows[2][3] - rows[0][2] * rows[1][3] + rows[0][3] * rows[1][2]
+        )
 
     @pytest.mark.parametrize("defect", ["too long", "too short", "non-empty last row", "full square"])
     def test_wrong_row_length_rejected(self, defect):
