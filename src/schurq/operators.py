@@ -28,6 +28,12 @@ value with one adds its RationalFunction.transposed images.  Any other
 input (a monomial, a rational function with a denominator) takes the
 n-component step.  Both paths yield levels of n components, and their
 values are equal.
+
+Level 1 (_FirstLevel) builds its component D_i g when it is first read,
+and its sum, Omega_1 g, is the Euler derivation of g (_euler_derivation):
+every denominator factor is a binomial of degree 1, so with g = N/D,
+Omega_1 g = (E N - deg(D) N)/D, one pass over N in place of n quotient
+rules and an n-term sum.  It is exact, as E is a derivation and E D = deg(D) D.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from collections.abc import Sequence
 from itertools import chain, combinations, count, islice
 from typing import Iterator, Union
 
-from .algebra import Factor, Polynomial, RationalFunction, VariableCountMismatch
+from .algebra import _BITS, Factor, Polynomial, RationalFunction, VariableCountMismatch, _coeff
 
 Value = Union[Polynomial, RationalFunction]
 Pair = tuple[Sequence[RationalFunction], Sequence[RationalFunction]]  # (plain, barred) of the tilde family
@@ -106,14 +112,10 @@ def _orbit(value: RationalFunction, pairs: list[tuple[int, int]]) -> RationalFun
     return sum((value.transposed(a, b) for a, b in pairs), value)
 
 
-class _Level(Sequence):
-    """Components 1..n of a symmetric walk's level: component j is x_1 <-> x_j
-    applied to component 1, built when it is first read, and kept."""
+class _Lazy(Sequence):
+    """Components 1..n of a level, component i+1 built by _build(i) when it is first read, and kept."""
 
     __slots__ = ("_parts",)
-
-    def __init__(self, first: RationalFunction, n: int):
-        self._parts: list = [first] + [None] * (n - 1)
 
     def __len__(self) -> int:
         return len(self._parts)
@@ -124,7 +126,7 @@ class _Level(Sequence):
         part = self._parts[i]
         if part is None:
             i %= len(self._parts)
-            part = self._parts[i] = self._parts[0].transposed(1, i + 1)
+            part = self._parts[i] = self._build(i)
         return part
 
     def __eq__(self, other: object) -> bool:
@@ -133,11 +135,55 @@ class _Level(Sequence):
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
     def __repr__(self) -> str:
-        return f"_Level({list(self)!r})"
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+class _Level(_Lazy):
+    """Components 1..n of a symmetric walk's level: component j is x_1 <-> x_j
+    applied to component 1."""
+
+    __slots__ = ()
+
+    def __init__(self, first: RationalFunction, n: int):
+        self._parts: list = [first] + [None] * (n - 1)
+
+    def _build(self, i: int) -> RationalFunction:
+        return self._parts[0].transposed(1, i + 1)
+
+
+class _FirstLevel(_Lazy):
+    """Level 1 of a walk of g: component i is D_i g.  Its sum is read from g
+    alone (_euler_derivation), so Omega_1 builds no component."""
+
+    __slots__ = ("g",)
+
+    def __init__(self, g: RationalFunction):
+        self.g = g
+        self._parts: list = [None] * g.n
+
+    def _build(self, i: int) -> RationalFunction:
+        return self.g.euler(i + 1)
+
+
+def _euler_derivation(g: RationalFunction) -> RationalFunction:
+    """Omega_1 g = sum_i x_i d/dx_i g, the Euler derivation E, in one pass over g's numerator.
+
+    Every factor of g = N/D is a binomial of degree 1, so E D = deg(D) D and
+    E g = (E N - deg(D) N)/D, where E scales each term of N by its total
+    degree.  A homogeneous N of degree e maps to (e - deg(D)) N, which no
+    factor divides; an inhomogeneous N can gain factors, so every factor
+    of D is tried (_reduce).
+    """
+    shift, deg = _BITS * g.n, sum(g.den.values())
+    terms = {m: _coeff(c * k) for m, c in g.num.terms.items() if (k := (m >> shift) - deg)}
+    return RationalFunction._reduced(Polynomial._from_keys(g.n, terms), dict(g.den))._reduce(list(g.den))
 
 
 def _total(level: Sequence[RationalFunction]) -> RationalFunction:
-    """The sum of a level's components; a symmetric level's is the orbit of component 1."""
+    """The sum of a level's components; a symmetric level's is the orbit of component 1,
+    and level 1's the Euler derivation of the walk's input."""
+    if isinstance(level, _FirstLevel):
+        return _euler_derivation(level.g)
     if isinstance(level, _Level):
         return _orbit(level[0], [(1, j) for j in range(2, len(level) + 1)])
     return sum(level, RationalFunction.zero(level[0].n))
@@ -193,9 +239,9 @@ def family_step(
 
 
 def family_levels(f: Value, n: int) -> Iterator[Sequence[RationalFunction]]:
-    """Yield (D_i^{(k)} f)_i for k = 1, 2, ...: D_i f, then one family_step per level."""
+    """Yield (D_i^{(k)} f)_i for k = 1, 2, ...: D_i f (a _FirstLevel), then one family_step per level."""
     g = _lift(f, n)
-    values = [g.euler(i) for i in range(1, n + 1)]
+    values = _FirstLevel(g)
     yield values
     rows = _rows(n, _plain_pair, _symmetric(g))
     for level in count(2):
@@ -204,7 +250,12 @@ def family_levels(f: Value, n: int) -> Iterator[Sequence[RationalFunction]]:
 
 
 def omega(f: Value, k: int, n: int) -> RationalFunction:
-    """Omega_k f = sum_i D_i^{(k)} f, for odd k."""
+    """Omega_k f = sum_i D_i^{(k)} f, for odd k.
+
+    Omega_1 f is evaluated as the Euler derivation E f (_euler_derivation),
+    which is exact: E(N/D) = (E N - deg(D) N)/D, every factor of D being a
+    binomial of degree 1.  It takes no step and builds no D_i f.
+    """
     if k < 1 or k % 2 == 0:
         raise ValueError("omega is defined for odd k >= 1")
     return _total(next(islice(family_levels(f, n), k - 1, None)))

@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import combinations, islice, permutations, product, zip_longest
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurq.algebra import Factor, NotDivisible, Polynomial, RationalFunction, exact_divide
 from schurq.operators import (
@@ -31,6 +33,7 @@ from schurq.qfunctions import (
 
 from schurq.algebra import VariableCountMismatch
 
+from conftest import polynomials
 from oracles import coeff_c, coeff_d, coeff_minus, coeff_plus
 
 
@@ -177,6 +180,63 @@ class TestOmega:
             image = omega(f, k, 3)
             if image.is_polynomial():
                 assert image.as_polynomial().is_symmetric()
+
+
+def level_1_sum(g, n):
+    """Omega_1 g by its definition: the sum of the components D_i g of level 1."""
+    return operators._total(list(next(family_levels(g, n))))
+
+
+def rational_functions(n):
+    """f over up to three binomials with multiplicities up to 2, f inhomogeneous with Fraction coefficients."""
+    binomials = [Factor(kind, i, j) for kind in ("diff", "sum") for i, j in combinations(range(1, n + 1), 2)]
+    den = st.dictionaries(st.sampled_from(binomials), st.integers(1, 2), max_size=3)
+    return st.builds(RationalFunction, polynomials(n, max_degree=4, max_terms=4), den)
+
+
+class TestOmega1IsTheEulerDerivation:
+    # omega(g, 1, n) reads g alone; level_1_sum builds and adds the n quotient rules D_i g
+
+    @given(st.integers(2, 4).flatmap(rational_functions))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_level_1_sum(self, g):
+        image = omega(g, 1, g.n)
+        assert image == level_1_sum(g, g.n)
+        assert all(type(c) is int or c.denominator > 1 for c in image.num.terms.values())
+
+    def test_delta_times_a_monomial(self):
+        n = 3
+        g = delta(n) * RationalFunction.from_polynomial(Polynomial.monomial(n, (2, 1, 0)))
+        assert omega(g, 1, n) == level_1_sum(g, n)
+        assert omega(g, 1, n) == g.scale(3)  # delta has degree 0
+
+    def test_an_inhomogeneous_numerator_gains_a_factor(self):
+        # (x1 + x1^2 - x2^2)/(x1 - x2) is reduced; E N - N = x1^2 - x2^2 divides
+        n = 2
+        x1, x2 = x(n, 1), x(n, 2)
+        g = RationalFunction(x1 + x1 * x1 - x2 * x2, {Factor("diff", 1, 2): 1})
+        assert g.den == {Factor("diff", 1, 2): 1}
+        for image in (omega(g, 1, n), level_1_sum(g, n)):
+            assert image.num == x1 + x2 and image.den == {}
+
+    def test_a_squared_factor_counts_twice(self):
+        g = RationalFunction(Polynomial.monomial(2, (3, 0)), {Factor("diff", 1, 2): 2})  # degree 3 - 2 = 1
+        assert omega(g, 1, 2) == g
+        assert level_1_sum(g, 2) == g
+
+    def test_coefficients_stay_canonical(self):
+        g = Polynomial(2, {(2, 0): Fraction(1, 2), (1, 0): Fraction(1, 3)})
+        image = omega(g, 1, 2)
+        assert image == Polynomial(2, {(2, 0): 1, (1, 0): Fraction(1, 3)})
+        assert type(image.num.coefficient((2, 0))) is int
+        assert image == level_1_sum(g, 2)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("name", ["Q_31", "m_21", "1", "x^e"])
+    def test_omegas_yields_the_same_omega1(self, n, name):
+        f = _inputs(n)[name]
+        first = next(operators.omegas(f, n))
+        assert first == omega(f, 1, n) == level_1_sum(f, n)
 
 
 class TestOmega3Closed:

@@ -7,7 +7,7 @@ from itertools import combinations, count
 import pytest
 
 from schurq import linalg, operators, qfunctions, spectra
-from schurq.algebra import Polynomial, RationalFunction, VariableCountMismatch
+from schurq.algebra import Factor, Polynomial, RationalFunction, VariableCountMismatch
 from schurq.qfunctions import StrictPartition, monomial_symmetric, partitions, power_sum, schur_q, strict_partitions
 from schurq.spectra import (
     eigen_check,
@@ -368,6 +368,32 @@ class TestSweeps:
         assert len(report.failures) == 7  # every monomial; the delta^-1 check has no omega3_closed
         assert all(failure.startswith("conjugation fails on x^") for failure in report.failures)
 
+    @staticmethod
+    def omega1_mutant(monkeypatch, wrong_degree):
+        # Omega_1 with deg(D) replaced by wrong_degree(den): (E N - d' N)/D is the
+        # true image plus (deg(D) - d') N/D
+        original = operators._euler_derivation
+
+        def mutant(g):
+            return original(g) + g.scale(sum(g.den.values()) - wrong_degree(g.den))
+
+        monkeypatch.setattr(operators, "_euler_derivation", mutant)
+
+    def test_conjugation_sees_omega1_without_the_denominator_degree(self, monkeypatch):
+        # delta x^mu carries three binomials, so Omega_1^2 inside omega3_closed goes wrong
+        self.omega1_mutant(monkeypatch, lambda den: 0)
+        report = spectra.conjugation_sweep(3, 3)
+        assert len(report.failures) == 7
+        assert all(failure.startswith("conjugation fails on x^") for failure in report.failures)
+
+    def test_omega1_counts_a_factor_by_its_multiplicity(self, monkeypatch):
+        # delta's factors are simple, so only a squared one tells sum(den.values()) from len(den)
+        g = RationalFunction(Polynomial.monomial(2, (3, 0)), {Factor("diff", 1, 2): 2})
+        assert operators.omega(g, 1, 2) == g == g.euler(1) + g.euler(2)
+        self.omega1_mutant(monkeypatch, len)
+        assert spectra.conjugation_sweep(3, 3).passed
+        assert operators.omega(g, 1, 2) == g.scale(2)
+
     def test_lemma121_small(self):
         report = lemma_121_sweep(2, 4)
         assert report.passed
@@ -476,6 +502,19 @@ class TestComputedOnce:
         # separates size 1, Omega_1 and Omega_3 the rest
         assert checks["eigen_check"] == 1 + 1 + 2 * (2 + 2 + 3 + 4 + 5)
         assert calls["solve"] == 7
+
+    def test_omega1_takes_no_step(self, monkeypatch):
+        # Omega_1 is the Euler derivation of the input: no walk, no quotient rule, no coefficient rows
+        steps = count_calls(monkeypatch, operators, ["family_step", "_rows"])
+        eulers = count_calls(monkeypatch, RationalFunction, ["euler"])
+        n = 3
+        for lam in strict_partitions(4, max_length=n):
+            assert eigen_check(lam, "omega1", n).eigenvalue == 4
+        operators.omega(Polynomial.monomial(n, (2, 1, 0)), 1, n)
+        operators.omega(operators.delta(n), 1, n)
+        assert steps == Counter() and eulers == Counter()
+        operators.omega(schur_q(StrictPartition((3, 1)), n), 3, n)
+        assert steps["family_step"] == 2
 
     def test_lemma121_walks_each_family_once(self, monkeypatch):
         calls = count_calls(monkeypatch, operators, ["family_step", "tilde_family_step"])
