@@ -525,6 +525,8 @@ class RationalFunction:
           neither reduced num, nor any monomial;
         - in a.euler(i), those without x_i: modulo one through x_i the new
           num is +-m num x_i times the other raised factors, which is nonzero;
+        - in a.total_euler(), every factor: a homogeneous num of degree e
+          maps to (e - deg(den)) num, but an inhomogeneous one can gain any;
         - in -a, a.scale(c) and a.transposed(s, t), none.
         """
         if not self.num.terms:
@@ -660,6 +662,19 @@ class RationalFunction:
                 grown = fp if grown is None else grown * fp
                 den[f] += 1
         return RationalFunction._reduced(num, den)._reduce([f for f in self.den if i not in (f.i, f.j)])
+
+    def total_euler(self) -> "RationalFunction":
+        """sum_i x_i d/dx_i, the Euler derivation E, in one pass over the numerator.
+
+        Every factor is a binomial of degree 1, so E D = deg(D) D and
+        E(N/D) = (E N - deg(D) N)/D, where E scales each term of N by its
+        total degree (the key's degree field) and deg(D) sums the factor
+        multiplicities.
+        """
+        shift, deg = _BITS * self.n, sum(self.den.values())
+        terms = {m: _coeff(c * k) for m, c in self.num.terms.items() if (k := (m >> shift) - deg)}
+        num = Polynomial._from_keys(self.n, terms)
+        return RationalFunction._reduced(num, dict(self.den))._reduce(list(self.den))
 
     def transposed(self, a: int, b: int) -> "RationalFunction":
         """self with x_a and x_b exchanged, reduced as it stands (see _reduce)."""

@@ -7,9 +7,9 @@ denominators, and the steps only add and multiply: the arithmetic keeps
 each value reduced and tries only the factors that can cancel (see
 RationalFunction._reduce).
 
-A level walk (family_levels, tilde_levels) builds its coefficients once,
-at its first step past level 1, as rows of the values its steps multiply
-by, and at that step also decides which path it takes.  Each row value
+A level walk (family_levels, tilde_levels) decides which path it takes
+before level 1, and builds its coefficients once, at its first step past
+level 1, as rows of the values its steps multiply by.  Each row value
 is one _fraction, and inv = 1/((x_i-x_j)(x_i+x_j)) carries the sign of a
 reversed x_i - x_j, so every pair term is one fraction over inv.  The coefficients
 permute with their indices, so when the input is a symmetric polynomial
@@ -29,11 +29,11 @@ input (a monomial, a rational function with a denominator) takes the
 n-component step.  Both paths yield levels of n components, and their
 values are equal.
 
-Level 1 (_FirstLevel) builds its component D_i g when it is first read,
-and its sum, Omega_1 g, is the Euler derivation of g (_euler_derivation):
-every denominator factor is a binomial of degree 1, so with g = N/D,
-Omega_1 g = (E N - deg(D) N)/D, one pass over N in place of n quotient
-rules and an n-term sum.  It is exact, as E is a derivation and E D = deg(D) D.
+Level 1 follows the same rule: a _Level of D_1 g on a symmetric walk, else
+the n values D_i g.  Its sum, Omega_1 g, is the Euler derivation E g, which
+omega and omegas read from g alone (RationalFunction.total_euler): every
+factor of D in g = N/D is a binomial of degree 1, so E D = deg(D) D and
+Omega_1 g = (E N - deg(D) N)/D exactly, one pass over N.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from collections.abc import Sequence
 from itertools import chain, combinations, count, islice
 from typing import Iterator, Union
 
-from .algebra import _BITS, Factor, Polynomial, RationalFunction, VariableCountMismatch, _coeff
+from .algebra import Factor, Polynomial, RationalFunction, VariableCountMismatch
 
 Value = Union[Polynomial, RationalFunction]
 Pair = tuple[Sequence[RationalFunction], Sequence[RationalFunction]]  # (plain, barred) of the tilde family
@@ -108,14 +108,18 @@ def _orbit(value: RationalFunction, pairs: list[tuple[int, int]]) -> RationalFun
     if not pairs:
         return value
     if not value.den:
-        return RationalFunction._reduced(value.num.plus_transposes(pairs), {})
+        return RationalFunction.from_polynomial(value.num.plus_transposes(pairs))
     return sum((value.transposed(a, b) for a, b in pairs), value)
 
 
-class _Lazy(Sequence):
-    """Components 1..n of a level, component i+1 built by _build(i) when it is first read, and kept."""
+class _Level(Sequence):
+    """Components 1..n of a symmetric walk's level: component j is x_1 <-> x_j
+    applied to component 1, built when it is first read, and kept."""
 
     __slots__ = ("_parts",)
+
+    def __init__(self, first: RationalFunction, n: int):
+        self._parts: list = [first] + [None] * (n - 1)
 
     def __len__(self) -> int:
         return len(self._parts)
@@ -126,7 +130,7 @@ class _Lazy(Sequence):
         part = self._parts[i]
         if part is None:
             i %= len(self._parts)
-            part = self._parts[i] = self._build(i)
+            part = self._parts[i] = self._parts[0].transposed(1, i + 1)
         return part
 
     def __eq__(self, other: object) -> bool:
@@ -135,55 +139,11 @@ class _Lazy(Sequence):
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({list(self)!r})"
-
-
-class _Level(_Lazy):
-    """Components 1..n of a symmetric walk's level: component j is x_1 <-> x_j
-    applied to component 1."""
-
-    __slots__ = ()
-
-    def __init__(self, first: RationalFunction, n: int):
-        self._parts: list = [first] + [None] * (n - 1)
-
-    def _build(self, i: int) -> RationalFunction:
-        return self._parts[0].transposed(1, i + 1)
-
-
-class _FirstLevel(_Lazy):
-    """Level 1 of a walk of g: component i is D_i g.  Its sum is read from g
-    alone (_euler_derivation), so Omega_1 builds no component."""
-
-    __slots__ = ("g",)
-
-    def __init__(self, g: RationalFunction):
-        self.g = g
-        self._parts: list = [None] * g.n
-
-    def _build(self, i: int) -> RationalFunction:
-        return self.g.euler(i + 1)
-
-
-def _euler_derivation(g: RationalFunction) -> RationalFunction:
-    """Omega_1 g = sum_i x_i d/dx_i g, the Euler derivation E, in one pass over g's numerator.
-
-    Every factor of g = N/D is a binomial of degree 1, so E D = deg(D) D and
-    E g = (E N - deg(D) N)/D, where E scales each term of N by its total
-    degree.  A homogeneous N of degree e maps to (e - deg(D)) N, which no
-    factor divides; an inhomogeneous N can gain factors, so every factor
-    of D is tried (_reduce).
-    """
-    shift, deg = _BITS * g.n, sum(g.den.values())
-    terms = {m: _coeff(c * k) for m, c in g.num.terms.items() if (k := (m >> shift) - deg)}
-    return RationalFunction._reduced(Polynomial._from_keys(g.n, terms), dict(g.den))._reduce(list(g.den))
+        return f"_Level({list(self)!r})"
 
 
 def _total(level: Sequence[RationalFunction]) -> RationalFunction:
-    """The sum of a level's components; a symmetric level's is the orbit of component 1,
-    and level 1's the Euler derivation of the walk's input."""
-    if isinstance(level, _FirstLevel):
-        return _euler_derivation(level.g)
+    """The sum of a level's components; a symmetric level's is the orbit of component 1."""
     if isinstance(level, _Level):
         return _orbit(level[0], [(1, j) for j in range(2, len(level) + 1)])
     return sum(level, RationalFunction.zero(level[0].n))
@@ -239,11 +199,13 @@ def family_step(
 
 
 def family_levels(f: Value, n: int) -> Iterator[Sequence[RationalFunction]]:
-    """Yield (D_i^{(k)} f)_i for k = 1, 2, ...: D_i f (a _FirstLevel), then one family_step per level."""
+    """Yield (D_i^{(k)} f)_i for k = 1, 2, ...: D_i f, then one family_step per level;
+    on a symmetric walk each level, the first too, is a _Level."""
     g = _lift(f, n)
-    values = _FirstLevel(g)
+    symmetric = _symmetric(g)
+    values = _Level(g.euler(1), n) if symmetric else [g.euler(i) for i in range(1, n + 1)]
     yield values
-    rows = _rows(n, _plain_pair, _symmetric(g))
+    rows = _rows(n, _plain_pair, symmetric)
     for level in count(2):
         values = family_step(values, level, rows)
         yield values
@@ -252,18 +214,23 @@ def family_levels(f: Value, n: int) -> Iterator[Sequence[RationalFunction]]:
 def omega(f: Value, k: int, n: int) -> RationalFunction:
     """Omega_k f = sum_i D_i^{(k)} f, for odd k.
 
-    Omega_1 f is evaluated as the Euler derivation E f (_euler_derivation),
-    which is exact: E(N/D) = (E N - deg(D) N)/D, every factor of D being a
-    binomial of degree 1.  It takes no step and builds no D_i f.
+    Omega_1 = sum_i x_i d/dx_i is the Euler derivation E, and it is
+    evaluated as one (RationalFunction.total_euler), with no walk: every
+    factor of D is a binomial of degree 1, so E(N/D) = (E N - deg(D) N)/D
+    exactly.  It builds no D_i f.
     """
     if k < 1 or k % 2 == 0:
         raise ValueError("omega is defined for odd k >= 1")
+    if k == 1:
+        return _lift(f, n).total_euler()
     return _total(next(islice(family_levels(f, n), k - 1, None)))
 
 
 def omegas(f: Value, n: int) -> Iterator[RationalFunction]:
-    """Yield Omega_1 f, Omega_3 f, ... from one family_levels walk, each level summed when it is read."""
-    return map(_total, islice(family_levels(f, n), 0, None, 2))
+    """Yield Omega_1 f (as in omega), Omega_3 f, ... from one family_levels walk, each level summed when read."""
+    g = _lift(f, n)
+    yield g.total_euler()
+    yield from map(_total, islice(family_levels(g, n), 2, None, 2))
 
 
 def sum_cubes(f: Value, n: int) -> RationalFunction:
@@ -277,7 +244,7 @@ def sum_cubes(f: Value, n: int) -> RationalFunction:
 
 def euler_cubes(f: Value, n: int) -> RationalFunction:
     """(sum_i D_i^3 - (sum_i D_i)^2) f, the conjugated form of Omega_3."""
-    return sum_cubes(f, n) - omega(omega(f, 1, n), 1, n)
+    return sum_cubes(f, n) - _lift(f, n).total_euler().total_euler()
 
 
 def omega3_closed(f: Value, n: int) -> RationalFunction:
@@ -308,7 +275,7 @@ def omega3_closed(f: Value, n: int) -> RationalFunction:
         for a, b in combinations(others, 2):
             term = _fraction(n, 24, (i, i, a, b), [(i, a), (i, b)], [(i, a), (i, b)])
             total = total + term * eul[i - 1]
-    return total - omega(omega(f, 1, n), 1, n)
+    return total - g.total_euler().total_euler()
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +339,13 @@ def tilde_family_step(
 
 
 def tilde_levels(f: Value, n: int) -> Iterator[Pair]:
-    """Yield (plain, barred) for k = 1, 2, ...: (D_i f, D_i f), then one step per level."""
+    """Yield (plain, barred) for k = 1, 2, ...: family_levels' level 1 as both, then one step per level."""
     g = _lift(f, n)
-    plain = [g.euler(i) for i in range(1, n + 1)]
-    pair = plain, list(plain)
+    symmetric = _symmetric(g)
+    level = _Level(g.euler(1), n) if symmetric else [g.euler(i) for i in range(1, n + 1)]
+    pair = level, level
     yield pair
-    rows = _rows(n, _tilde_pair, _symmetric(g))
+    rows = _rows(n, _tilde_pair, symmetric)
     while True:
         pair = tilde_family_step(*pair, rows)
         yield pair

@@ -119,7 +119,7 @@ class TestLevelSums:
         walk = operators.omegas(schur_q(StrictPartition((2, 1)), 3), 3)
         assert calls == []
         next(walk), next(walk)
-        assert len(calls) == 2
+        assert len(calls) == 1  # Omega_1 is the Euler derivation of the input, not a level sum
 
 
 class TestVariableCount:
@@ -261,11 +261,16 @@ class TestOmega3Closed:
 
 class TestTildeFamily:
     def test_level_one(self):
-        f = schur_q(StrictPartition((2,)), 2)
-        plain, barred = next(tilde_levels(f, 2))
-        for i in (1, 2):
-            assert plain[i - 1] == _lift(f, f.n).euler(i)
-            assert barred[i - 1] == _lift(f, f.n).euler(i)
+        # symmetric inputs build components 2..n by transposition, the others by D_i
+        for n in (2, 3, 4):
+            inputs = _inputs(n)
+            inputs["delta Q_21"] = delta(n) * _lift(schur_q(StrictPartition((2, 1)), n), n)
+            for name, f in inputs.items():
+                g = _lift(f, n)
+                plain, barred = next(tilde_levels(g, n))
+                for level in (next(family_levels(g, n)), plain, barred):
+                    assert len(level) == n
+                    assert all(level[i - 1] == g.euler(i) for i in range(1, n + 1)), (name, n)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_omega_relations(self, n):
@@ -567,14 +572,15 @@ class TestSymmetricPath:
         f = schur_q(StrictPartition((2, 1)), n)
         calls = self.count_transposes(monkeypatch)
         omega(f, 5, n)
-        # the steps to levels 3..5 read component 2 of levels 2..4, built by
+        # the steps to levels 2..5 read component 2 of levels 1..4, built by
         # x_1 <-> x_2; the orbits of Q_lambda's polynomial values are summed
         # by Polynomial.plus_transposes, so component 3 is never built
-        assert calls == [(1, 2)] * 3
+        assert calls == [(1, 2)] * 4
         calls.clear()
         tilde_omega(f, 3, n)
-        # the step to level 3 reads component 2 of plain and barred at level 2
-        assert calls == [(1, 2)] * 2
+        # the step to level 2 reads component 2 of level 1, one object as plain
+        # and barred; the step to level 3 that of plain and barred at level 2
+        assert calls == [(1, 2)] * 3
 
     @pytest.mark.parametrize(
         "make",

@@ -372,12 +372,12 @@ class TestSweeps:
     def omega1_mutant(monkeypatch, wrong_degree):
         # Omega_1 with deg(D) replaced by wrong_degree(den): (E N - d' N)/D is the
         # true image plus (deg(D) - d') N/D
-        original = operators._euler_derivation
+        original = RationalFunction.total_euler
 
         def mutant(g):
             return original(g) + g.scale(sum(g.den.values()) - wrong_degree(g.den))
 
-        monkeypatch.setattr(operators, "_euler_derivation", mutant)
+        monkeypatch.setattr(RationalFunction, "total_euler", mutant)
 
     def test_conjugation_sees_omega1_without_the_denominator_degree(self, monkeypatch):
         # delta x^mu carries three binomials, so Omega_1^2 inside omega3_closed goes wrong
@@ -515,6 +515,22 @@ class TestComputedOnce:
         assert steps == Counter() and eulers == Counter()
         operators.omega(schur_q(StrictPartition((3, 1)), n), 3, n)
         assert steps["family_step"] == 2
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda n: schur_q(StrictPartition((3, 1)), n), lambda n: monomial_symmetric((2, 1), n)],
+        ids=["Q_31", "m_21"],
+    )
+    def test_tilde_omega1_reads_one_component(self, monkeypatch, make):
+        # level 1 of a symmetric tilde walk is one _Level of D_1 f, as plain and
+        # barred; its sum is the orbit of 2 D_1 f, and no coefficient row is built
+        n = 4
+        f = make(n)
+        steps = count_calls(monkeypatch, operators, ["tilde_family_step", "_rows"])
+        eulers = count_calls(monkeypatch, RationalFunction, ["euler"])
+        image = operators.tilde_omega(f, 1, n)
+        assert eulers == Counter({"euler": 1}) and steps == Counter()
+        assert image == operators.omega(f, 1, n).scale(2)
 
     def test_lemma121_walks_each_family_once(self, monkeypatch):
         calls = count_calls(monkeypatch, operators, ["family_step", "tilde_family_step"])
