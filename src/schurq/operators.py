@@ -7,39 +7,46 @@ denominators, and the steps only add and multiply: the arithmetic keeps
 each value reduced and tries only the factors that can cancel (see
 RationalFunction._reduce).
 
-A level walk (family_levels, tilde_levels) decides which path it takes
-before level 1, and builds its coefficients once, at its first step past
-level 1, as rows of the values its steps multiply by.  Each row value
-is one _fraction, and inv = 1/((x_i-x_j)(x_i+x_j)) carries the sign of a
-reversed x_i - x_j, so every pair term is one fraction over inv.  The coefficients
-permute with their indices, so when the input is a symmetric polynomial
-(no denominator, and num.is_symmetric()) every level is equivariant:
+Both walks (family_levels, tilde_levels) start from one level 1,
+_first_level: the values D_i g of the input g, whose form decides the
+walk's path.  Each walk builds one coefficient table at its first step
+past level 1, _rows(n, c, symmetric): row i holds (j, c x_ix_j, c x_i^2,
+inv) for its pairs, c = 2 for the plain family and c = 1 for the tilde
+one.  Each value is one _fraction, and inv = 1/((x_i-x_j)(x_i+x_j))
+carries the sign of a reversed x_i - x_j, so every pair term is one
+fraction over inv.  The steps (family_step, tilde_family_step) are walk
+internals and take the walk's table.  The coefficients permute with
+their indices, so when the input is a symmetric polynomial (no
+denominator, and num.is_symmetric()) every level is equivariant:
 component j is component 1 under the transposition x_1 <-> x_j.  Such a
 walk computes component 1 only, and its levels (_Level) build component
 j from it when a caller first reads it: a step reads components 1 and 2,
 and the level sums (omega, omegas, tilde_omega) add the orbit of
-component 1 (_total).
-Component 1 is fixed by every permutation of x_2..x_n, so x_2 <-> x_j
-maps p_1 to p_1, p_2 to p_j and the (1, 2) coefficients to the (1, j)
-ones: row 1 holds the pair (1, 2) alone, and each step adds its term's
-transposes for j = 3..n (_orbit), exactly.  An orbit of a value without
-a denominator is summed in one term map (Polynomial.plus_transposes); a
-value with one adds its RationalFunction.transposed images.  Any other
-input (a monomial, a rational function with a denominator) takes the
-n-component step.  Both paths yield levels of n components, and their
-values are equal.
+component 1 (_total).  Component 1 is fixed by every permutation of
+x_2..x_n, so x_2 <-> x_j maps p_1 to p_1, p_2 to p_j and the (1, 2)
+coefficients to the (1, j) ones: row 1 holds the pair (1, 2) alone, and
+each step adds its term's transposes for j = 3..n (_orbit), exactly.  An
+orbit of a value without a denominator is summed in one term map
+(Polynomial.plus_transposes); a value with one adds its
+RationalFunction.transposed images.  Any other input (a monomial, a
+rational function with a denominator) takes the n-component step, with n
+rows.  Both paths yield levels of n components, and their values are
+equal.  No CLI command, verify suite or perfbench workload reaches the
+n-component step; library calls on non-symmetric inputs and the tests
+do.
 
-Level 1 follows the same rule: a _Level of D_1 g on a symmetric walk, else
-the n values D_i g.  Its sum, Omega_1 g, is the Euler derivation E g, which
-omega and omegas read from g alone (RationalFunction.total_euler): every
+Level 1 sums to the Euler derivation E g, so omega(g, 1, n) and the
+first value of omegas read g alone (RationalFunction.total_euler): every
 factor of D in g = N/D is a binomial of degree 1, so E D = deg(D) D and
-Omega_1 g = (E N - deg(D) N)/D exactly, one pass over N.
+E g = (E N - deg(D) N)/D exactly, one pass over N.  The tilde walk's
+level 1 is that level as both plain and barred, so tilde_omega(g, 1, n)
+is 2 E g, read the same way.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import chain, combinations, count, islice
+from itertools import combinations, count, islice
 from typing import Iterator, Union
 
 from .algebra import Factor, Polynomial, RationalFunction, VariableCountMismatch
@@ -86,21 +93,17 @@ def _symmetric(g: RationalFunction) -> bool:
     return not g.den and g.num.is_symmetric()
 
 
-def _rows(n: int, pair, symmetric: bool) -> Rows:
-    """Row i lists (j, *pair(n, i, j)) for every j != i; a symmetric walk gets row 1 with j = 2 alone."""
+def _rows(n: int, c: int, symmetric: bool) -> Rows:
+    """Row i lists (j, c x_ix_j, c x_i^2, inv) for every j != i, inv = 1/((x_i-x_j)(x_i+x_j));
+    a symmetric walk gets row 1 with j = 2 alone.  c = 2 gives the plain numerators, c = 1 the tilde ones."""
     if symmetric:
-        return [[(2, *pair(n, 1, 2))] if n > 1 else []]
-    return [[(j, *pair(n, i, j)) for j in range(1, n + 1) if j != i] for i in range(1, n + 1)]
-
-
-def _plain_pair(n: int, i: int, j: int) -> tuple:
-    """(2x_ix_j, 2x_i^2, inv): c_ij and d_ij are these over (x_i-x_j)(x_i+x_j), inv = 1/that."""
-    return _fraction(n, 2, (i, j)), _fraction(n, 2, (i, i)), _fraction(n, 1, (), [(i, j)], [(i, j)])
-
-
-def _tilde_pair(n: int, i: int, j: int) -> tuple:
-    """(x_i^2, x_ix_j, inv): x_i/(x_i-x_j) times x_i/(x_i+x_j) and x_j/(x_i+x_j), over inv's denominator."""
-    return _fraction(n, 1, (i, i)), _fraction(n, 1, (i, j)), _fraction(n, 1, (), [(i, j)], [(i, j)])
+        pairs = [[(1, 2)] if n > 1 else []]
+    else:
+        pairs = [[(i, j) for j in range(1, n + 1) if j != i] for i in range(1, n + 1)]
+    return [
+        [(j, _fraction(n, c, (i, j)), _fraction(n, c, (i, i)), _fraction(n, 1, (), [(i, j)], [(i, j)])) for i, j in row]
+        for row in pairs
+    ]
 
 
 def _orbit(value: RationalFunction, pairs: list[tuple[int, int]]) -> RationalFunction:
@@ -149,28 +152,31 @@ def _total(level: Sequence[RationalFunction]) -> RationalFunction:
     return sum(level, RationalFunction.zero(level[0].n))
 
 
+def _first_level(f: Value, n: int) -> Sequence[RationalFunction]:
+    """Level 1 of either walk, (D_i g)_i for g = f lifted: a _Level of D_1 g on a
+    symmetric walk, else the n values D_i g.  It decides the walk's path."""
+    g = _lift(f, n)
+    if _symmetric(g):
+        return _Level(g.euler(1), n)
+    return [g.euler(i) for i in range(1, n + 1)]
+
+
 # ---------------------------------------------------------------------------
 # The plain family and Omega_k
 # ---------------------------------------------------------------------------
 
 
-def family_step(
-    prev: Sequence[RationalFunction], level: int, rows: Rows | None = None
-) -> Sequence[RationalFunction]:
+def family_step(prev: Sequence[RationalFunction], level: int, rows: Rows) -> Sequence[RationalFunction]:
     """Advance the vector (D_i^{(k-1)} f) to level k = level.
 
     Odd k:  D_i prev_i + sum_j 2x_ix_j/(x_i^2-x_j^2) (prev_i - prev_j).
     Even k: (D_i - 1) prev_i
             + sum_j [2x_ix_j/(x_i^2-x_j^2) prev_i - 2x_i^2/(x_i^2-x_j^2) prev_j].
 
-    rows holds the walk's rows (see _plain_pair); without it every
-    component is computed, and the result is a list.  With row 1 alone,
-    prev must be the level of a symmetric input, and the step reads its
-    components 1 and 2 only: the row holds the pair (1, 2) alone, whose
-    term under x_2 <-> x_j is the (1, j) term, since p_1 is fixed by every
-    permutation of x_2..x_n, and _orbit adds those transposes to it.  The
-    result is then a _Level, which builds components 2..n from the first
-    when they are read.
+    rows is the walk's table, _rows(n, 2, symmetric).  With n rows every
+    component is computed, and the result is a list.  With row 1 alone prev
+    is a symmetric level: the step reads its components 1 and 2, adds the
+    (1, 2) pair term's transposes x_2 <-> x_j (_orbit) and returns a _Level.
 
     c_ij and d_ij share their denominator, so with inv = 1/((x_i-x_j)(x_i+x_j))
     (one _fraction, carrying the sign of a reversed x_i - x_j) each pair of
@@ -179,8 +185,6 @@ def family_step(
     the binomials: on an eigenfunction it divides, where c_ij prev_i does not.
     """
     n = len(prev)
-    if rows is None:
-        rows = _rows(n, _plain_pair, symmetric=False)
     others = [(2, j) for j in range(3, n + 1)] if len(rows) < n else []
     out = []
     for i, row in enumerate(rows, 1):
@@ -201,24 +205,17 @@ def family_step(
 def family_levels(f: Value, n: int) -> Iterator[Sequence[RationalFunction]]:
     """Yield (D_i^{(k)} f)_i for k = 1, 2, ...: D_i f, then one family_step per level;
     on a symmetric walk each level, the first too, is a _Level."""
-    g = _lift(f, n)
-    symmetric = _symmetric(g)
-    values = _Level(g.euler(1), n) if symmetric else [g.euler(i) for i in range(1, n + 1)]
+    values = _first_level(f, n)
     yield values
-    rows = _rows(n, _plain_pair, symmetric)
+    rows = _rows(n, 2, isinstance(values, _Level))
     for level in count(2):
         values = family_step(values, level, rows)
         yield values
 
 
 def omega(f: Value, k: int, n: int) -> RationalFunction:
-    """Omega_k f = sum_i D_i^{(k)} f, for odd k.
-
-    Omega_1 = sum_i x_i d/dx_i is the Euler derivation E, and it is
-    evaluated as one (RationalFunction.total_euler), with no walk: every
-    factor of D is a binomial of degree 1, so E(N/D) = (E N - deg(D) N)/D
-    exactly.  It builds no D_i f.
-    """
+    """Omega_k f = sum_i D_i^{(k)} f, for odd k; Omega_1 = sum_i x_i d/dx_i is the Euler
+    derivation E, read from f alone (RationalFunction.total_euler) with no walk."""
     if k < 1 or k % 2 == 0:
         raise ValueError("omega is defined for odd k >= 1")
     if k == 1:
@@ -283,9 +280,7 @@ def omega3_closed(f: Value, n: int) -> RationalFunction:
 # ---------------------------------------------------------------------------
 
 
-def tilde_family_step(
-    plain: Sequence[RationalFunction], barred: Sequence[RationalFunction], rows: Rows | None = None
-) -> Pair:
+def tilde_family_step(plain: Sequence[RationalFunction], barred: Sequence[RationalFunction], rows: Rows) -> Pair:
     """One level of the paired recursion.
 
     plain_i  <- D_i plain_i
@@ -302,11 +297,8 @@ def tilde_family_step(
     (spectra.tilde_relation).  lemma_121_sweep must not compute tilde
     levels this way, or it would verify its own algebra.
 
-    rows holds the walk's rows (see _tilde_pair), as in family_step: with
-    row 1 alone the step reads components 1 and 2 of both parts, each line
-    adds its (1, 2) pair term's transposes x_2 <-> x_j (_orbit), since
-    plain_1 and barred_1 are fixed by every permutation of x_2..x_n, and
-    both parts are returned as _Levels.
+    rows is the walk's table, _rows(n, 1, symmetric), read as in
+    family_step: with row 1 alone both parts are returned as _Levels.
 
     Over (x_i-x_j)(x_i+x_j) each line's pair terms are one fraction with
     monomial multipliers.  With s_j = plain_j + barred_j and
@@ -317,8 +309,6 @@ def tilde_family_step(
     against the two binomials.
     """
     n = len(plain)
-    if rows is None:
-        rows = _rows(n, _tilde_pair, symmetric=False)
     others = [(2, j) for j in range(3, n + 1)] if len(rows) < n else []
     new_plain, new_barred = [], []
     for i, row in enumerate(rows, 1):
@@ -326,7 +316,7 @@ def tilde_family_step(
         acc_p = pi.euler(i)
         acc_b = pi + bi - bi.euler(i)
         pi2, bi2 = pi.scale(2), bi.scale(2)
-        for j, square, mixed, inv in row:
+        for j, mixed, square, inv in row:
             s_term = (plain[j - 1] + barred[j - 1]) * square
             t_j = barred[j - 1] - plain[j - 1]
             acc_p = acc_p + _orbit(((pi2 + t_j) * mixed - s_term) * inv, others)
@@ -340,25 +330,26 @@ def tilde_family_step(
 
 def tilde_levels(f: Value, n: int) -> Iterator[Pair]:
     """Yield (plain, barred) for k = 1, 2, ...: family_levels' level 1 as both, then one step per level."""
-    g = _lift(f, n)
-    symmetric = _symmetric(g)
-    level = _Level(g.euler(1), n) if symmetric else [g.euler(i) for i in range(1, n + 1)]
+    level = _first_level(f, n)
     pair = level, level
     yield pair
-    rows = _rows(n, _tilde_pair, symmetric)
+    rows = _rows(n, 1, isinstance(level, _Level))
     while True:
         pair = tilde_family_step(*pair, rows)
         yield pair
 
 
 def tilde_omega(f: Value, k: int, n: int) -> RationalFunction:
-    """tilde Omega_k f = sum_i (plain_i + barred_i) at level k; a symmetric walk sums the orbit of the first."""
+    """tilde Omega_k f = sum_i (plain_i + barred_i) at level k, summed by _total; level 1
+    is D_i f as both, so tilde Omega_1 = 2E, read from f alone as omega's Omega_1 is."""
     if k < 1:
         raise ValueError("tilde omega requires k >= 1")
+    if k == 1:
+        return _lift(f, n).total_euler().scale(2)
     plain, barred = next(islice(tilde_levels(f, n), k - 1, None))
     if isinstance(plain, _Level):
         return _total(_Level(plain[0] + barred[0], n))
-    return sum(chain.from_iterable(zip(plain, barred)), RationalFunction.zero(n))
+    return _total([p + b for p, b in zip(plain, barred)])
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,12 @@ class TestBasicCommands:
         assert obj["eigenvalue"] == "0"
         assert obj["isEigen"] is True
 
+    def test_eigen_in_one_variable(self, capsys):
+        # Omega_3 on Q_(2) = 2x1^2 walks to level 3 with an empty coefficient row: 2^2 (2 - 1) = 4
+        rc, out, _ = run(capsys, ["eigen", "--lambda", "2", "--op", "omega3", "--n", "1"])
+        assert rc == 0
+        assert json.loads(out) == {"eigenvalue": "4", "isEigen": True, "operator": "omega3", "partition": "2"}
+
     def test_tableaux(self, capsys):
         rc, out, _ = run(capsys, ["tableaux", "--lambda", "3,2,1", "--format", "text"])
         assert rc == 0

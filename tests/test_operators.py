@@ -41,6 +41,11 @@ def x(n, i):
     return Polynomial.monomial(n, (0,) * (i - 1) + (1,) + (0,) * (n - i))
 
 
+def full_rows(n, c):
+    """The coefficient table of an n-component walk: c = 2 for family_step, c = 1 for tilde_family_step."""
+    return operators._rows(n, c, symmetric=False)
+
+
 class TestEulerDerivative:
     def test_monomial(self):
         p = Polynomial.monomial(1, (3,))
@@ -81,7 +86,7 @@ class TestLevelIterators:
         values = [_lift(f, f.n).euler(i) for i in range(1, n + 1)]
         for level, got in enumerate(islice(family_levels(f, n), 5), 1):
             if level > 1:
-                values = family_step(values, level)
+                values = family_step(values, level, full_rows(n, 2))
             assert got == values
 
     def test_tilde_levels_follow_the_recursion(self):
@@ -91,7 +96,7 @@ class TestLevelIterators:
         pair = level1, level1
         for level, got in enumerate(islice(tilde_levels(f, n), 4), 1):
             if level > 1:
-                pair = tilde_family_step(*pair)
+                pair = tilde_family_step(*pair, full_rows(n, 1))
             assert got == pair
 
 
@@ -272,6 +277,26 @@ class TestTildeFamily:
                     assert len(level) == n
                     assert all(level[i - 1] == g.euler(i) for i in range(1, n + 1)), (name, n)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_tilde_omega1_is_the_level_1_sum(self, n):
+        # tilde Omega_1 = 2E by the definition of level 1 (plain = barred = D_i f), not by Lemma 1.21
+        inputs = {
+            "Q_31": schur_q(StrictPartition((3, 1)), n),
+            "m_21": monomial_symmetric((2, 1), n),
+            "x^e": Polynomial.monomial(n, (1, 2) + (0,) * (n - 2)),
+            "delta Q_21": delta(n) * _lift(schur_q(StrictPartition((2, 1)), n), n),
+        }
+        for name, f in inputs.items():
+            plain, barred = next(tilde_levels(f, n))
+            want = sum((p + b for p, b in zip(plain, barred)), RationalFunction.zero(n))
+            assert tilde_omega(f, 1, n) == want, (name, n)
+
+    def test_one_variable_still_walks(self):
+        # n = 1: a symmetric walk whose row 1 is empty; Q_(2) = 2x1^2, D^(k) on x1^2 is 2, 2, 4, 4, 8
+        f = schur_q(StrictPartition((2,)), 1)
+        assert omega(f, 5, 1) == Polynomial.monomial(1, (2,), 16)
+        assert tilde_omega(f, 3, 1) == Polynomial.monomial(1, (2,), 24)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_omega_relations(self, n):
         f = schur_q(StrictPartition((2,)), n)
@@ -314,8 +339,8 @@ class TestTildeFamily:
             if k == 1:
                 assert all(v.is_zero() for v in t)
             else:
-                assert s == [u - v for u, v in zip(s_prev, family_step(t_prev, 3))], k
-                assert t == [-v for v in family_step(s_prev, 2)], k
+                assert s == [u - v for u, v in zip(s_prev, family_step(t_prev, 3, full_rows(n, 2)))], k
+                assert t == [-v for v in family_step(s_prev, 2, full_rows(n, 2))], k
             want = [RationalFunction.zero(n)] * n
             for c, level in zip(a[k - 1], plain_levels[::2]):
                 want = [w + v.scale(c) for w, v in zip(want, level)]
@@ -376,15 +401,13 @@ class TestPairRows:
     def test_rows_times_inv_are_the_textbook_coefficients(self, n):
         # the rows with i > j run only on the n-component path; there inv
         # alone carries the sign of the reversed difference
+        plain, tilde = full_rows(n, 2), full_rows(n, 1)
         for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i == j:
-                    continue
-                cn, dn, inv = operators._plain_pair(n, i, j)
+            assert [j for j, *_ in plain[i - 1]] == [j for j in range(1, n + 1) if j != i]
+            for (j, cn, dn, inv), (tj, mixed, square, tilde_inv) in zip(plain[i - 1], tilde[i - 1]):
                 assert cn * inv == coeff_c(n, i, j), (i, j)
                 assert dn * inv == coeff_d(n, i, j), (i, j)
-                square, mixed, tilde_inv = operators._tilde_pair(n, i, j)
-                assert tilde_inv == inv
+                assert tj == j and tilde_inv == inv
                 assert square * inv == coeff_minus(n, i, j) * coeff_plus(n, i, j), (i, j)
                 assert mixed * inv == coeff_minus(n, i, j) * coeff_plus(n, j, i), (i, j)
 
@@ -403,11 +426,7 @@ class TestFractionBuilder:
             return built[-1]
 
         monkeypatch.setattr(operators, "_fraction", recorded)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i != j:
-                    operators._plain_pair(n, i, j)
-                    operators._tilde_pair(n, i, j)
+        full_rows(n, 2), full_rows(n, 1)
         rows, built = built, []
         for i in range(1, n + 1):
             auxiliary_functions(i, n)
@@ -484,12 +503,12 @@ def assert_walks_match_n_component_steps(name, f, n, plain_top, tilde_top):
     values, pair = n_component_walks(f, n)
     for level, got in enumerate(islice(family_levels(f, n), plain_top), 1):
         if level > 1:
-            values = family_step(values, level)
+            values = family_step(values, level, full_rows(n, 2))
         for i in range(n):
             assert got[i] == values[i], (name, level, i + 1)
     for level, got in enumerate(islice(tilde_levels(f, n), tilde_top), 1):
         if level > 1:
-            pair = tilde_family_step(*pair)
+            pair = tilde_family_step(*pair, full_rows(n, 1))
         for part in (0, 1):
             for i in range(n):
                 assert got[part][i] == pair[part][i], (name, level, part, i + 1)
@@ -520,8 +539,8 @@ class TestSymmetricPath:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_symmetric_rows_hold_the_pair_1_2_alone(self, n):
-        for pair in (operators._plain_pair, operators._tilde_pair):
-            rows = operators._rows(n, pair, symmetric=True)
+        for c in (2, 1):
+            rows = operators._rows(n, c, symmetric=True)
             assert [[j for j, *_ in row] for row in rows] == [[2] if n > 1 else []]
 
     def test_fixed_by_the_stabiliser_of_x1_is_not_symmetric(self, monkeypatch):
@@ -599,33 +618,51 @@ class TestSymmetricPath:
         assert calls == []
         values, pair = n_component_walks(f, n)
         for level in (2, 3):
-            values = family_step(values, level)
-            pair = tilde_family_step(*pair)
+            values = family_step(values, level, full_rows(n, 2))
+            pair = tilde_family_step(*pair, full_rows(n, 1))
         assert plain[-1] == values and tilde[-1] == pair
 
     def test_coefficients_are_built_once_per_walk(self, monkeypatch):
+        # each walk builds one table: (c, its number of entries); c = 2 plain, c = 1 tilde
         n = 3
         built = []
-        for name in ("_plain_pair", "_tilde_pair"):
-            original = getattr(operators, name)
+        original = operators._rows
 
-            def counted(*args, _name=name, _original=original):
-                built.append(_name)
-                return _original(*args)
+        def counted(n, c, symmetric):
+            rows = original(n, c, symmetric)
+            built.append((c, sum(map(len, rows))))
+            return rows
 
-            monkeypatch.setattr(operators, name, counted)
+        monkeypatch.setattr(operators, "_rows", counted)
         q = schur_q(StrictPartition((3, 1)), n)
         monomial = Polynomial.monomial(n, (1, 2, 0))
-        omega(q, 1, n)
-        tilde_omega(q, 1, n)
+        for f in (q, monomial):
+            omega(f, 1, n)
+            tilde_omega(f, 1, n)
+            list(islice(family_levels(f, n), 1))
+            list(islice(tilde_levels(f, n), 1))
         assert built == []  # level 1 needs no coefficient
         for f, pairs in ((q, 1), (monomial, n * (n - 1))):
             built.clear()
             omega(f, 5, n)  # four steps
-            assert built == ["_plain_pair"] * pairs
+            assert built == [(2, pairs)]
             built.clear()
             tilde_omega(f, 4, n)  # three steps
-            assert built == ["_tilde_pair"] * pairs
+            assert built == [(1, pairs)]
+
+    def test_symmetric_is_decided_once_per_walk(self, monkeypatch):
+        calls = []
+        original = operators._symmetric
+        monkeypatch.setattr(operators, "_symmetric", lambda g: calls.append(g) or original(g))
+        n = 3
+        for f in (schur_q(StrictPartition((3, 1)), n), Polynomial.monomial(n, (1, 2, 0))):
+            calls.clear()
+            omega(f, 1, n), tilde_omega(f, 1, n)
+            assert calls == []  # Omega_1 and tilde Omega_1 take no walk
+            omega(f, 5, n)
+            tilde_omega(f, 4, n)
+            list(islice(operators.omegas(f, n), 3))
+            assert len(calls) == 3  # one per walk, at level 1
 
 
 class TestLazyLevel:
@@ -752,7 +789,7 @@ class TestEvenStep:
         values = [_lift(make(n), n).euler(i) for i in range(1, n + 1)]
         for level in range(2, 6):
             want = two_product_step(values, level)
-            values = family_step(values, level)
+            values = family_step(values, level, full_rows(n, 2))
             assert values == want, level
             if level == 3:
                 assert any(v.den for v in values)
@@ -766,7 +803,7 @@ class TestTildeStep:
         pair = level1, list(level1)
         for _ in range(3):
             want = two_product_tilde_step(*pair)
-            pair = tilde_family_step(*pair)
+            pair = tilde_family_step(*pair, full_rows(n, 1))
             assert pair == want
         assert any(v.den for v in pair[0] + pair[1])
 

@@ -521,15 +521,15 @@ class TestComputedOnce:
         [lambda n: schur_q(StrictPartition((3, 1)), n), lambda n: monomial_symmetric((2, 1), n)],
         ids=["Q_31", "m_21"],
     )
-    def test_tilde_omega1_reads_one_component(self, monkeypatch, make):
-        # level 1 of a symmetric tilde walk is one _Level of D_1 f, as plain and
-        # barred; its sum is the orbit of 2 D_1 f, and no coefficient row is built
+    def test_tilde_omega1_takes_no_walk(self, monkeypatch, make):
+        # level 1 is D_i f as plain and barred, so tilde Omega_1 = 2E, read from f
+        # alone: no walk, no quotient rule, no coefficient row
         n = 4
         f = make(n)
-        steps = count_calls(monkeypatch, operators, ["tilde_family_step", "_rows"])
+        steps = count_calls(monkeypatch, operators, ["tilde_levels", "_first_level", "_rows"])
         eulers = count_calls(monkeypatch, RationalFunction, ["euler"])
         image = operators.tilde_omega(f, 1, n)
-        assert eulers == Counter({"euler": 1}) and steps == Counter()
+        assert eulers == Counter() and steps == Counter()
         assert image == operators.omega(f, 1, n).scale(2)
 
     def test_lemma121_walks_each_family_once(self, monkeypatch):
