@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Print the Omega_1/3/5 spectrum on Q_lambda for all strict partitions,
-read from one walk of each Q_lambda's operator levels.
+read from one walk of each Q_lambda's operator levels, beside the
+formula3 column p3 - p1^2 (spectra.hc_eigenvalue_omega3).
 
 Exits 1 when an entry is NOT EIGEN or differs from the closed form
-spectra.omega_eigenvalue, after printing the whole table.
+spectra.omega_eigenvalue, the integer series of R_lambda, after printing
+the whole table.
 """
 
 import argparse

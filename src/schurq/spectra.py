@@ -1,10 +1,8 @@
 """Eigenvalue extraction, the Omega spectrum, identity sweeps, and desk-scale uniqueness checks.
 
-omega_eigenvalue is the closed-form eigenvalue of each odd Omega_k on Q_lambda.  Uniqueness
+omega_eigenvalue reads each odd Omega_k's eigenvalue on Q_lambda, an int, from one series.  Uniqueness
 and separation read the measured joint_spectrum: the operators' eigenvalues tell the Q_lambda apart.
-
-All sweeps are exact: a pass means zero residual in exact rational
-arithmetic, never a tolerance.
+All sweeps are exact: a pass means zero residual in exact rational arithmetic, never a tolerance.
 """
 
 from __future__ import annotations
@@ -133,27 +131,29 @@ def _fit(lam: StrictPartition, op: str, f: Polynomial, p: Polynomial) -> EigenRe
     return EigenReport(lam, op, None, False, p - f.scale(c), p)
 
 
-def hc_eigenvalue_omega3(lam: StrictPartition) -> Fraction:
+def hc_eigenvalue_omega3(lam: StrictPartition) -> int:
     """sum lambda_i^3 - (sum lambda_i)^2."""
-    return Fraction(sum(p**3 for p in lam.parts) - sum(lam.parts) ** 2)
+    return sum(p**3 for p in lam.parts) - sum(lam.parts) ** 2
 
 
-def omega_eigenvalue(lam: StrictPartition, k: int) -> Scalar:
-    """The eigenvalue of Omega_k on Q_lambda for odd k = 2m + 1, at any n >= l(lambda).
+def omega_eigenvalue(lam: StrictPartition, k: int) -> int:
+    """The eigenvalue of Omega_k on Q_lambda for odd k = 2m + 1, at any n >= l(lambda); an int.
 
-    sum_i c_i (lambda_i (lambda_i - 1))^m, with c_i = lambda_i prod_(j != i)
-    (l_i + l_j)(l_i - l_j - 1) / ((l_i - l_j)(l_i + l_j - 1)); an int when integral.
+    With u_i = l_i(l_i - 1), v_i = l_i(l_i + 1) and R(w) = prod_i (w - v_i)/(w - u_i), the spectrum is
+    sum_m eig(Omega_(2m+1)) w^(-m-1) = (1 - R(w))/2, so eig = -[t^(m+1)] R(1/t)/2, exact in ints (every
+    u_i, v_i is even).  Its partial fractions are the pairwise sum_i c_i u_i^m: c_i = -Res_(w=u_i) R/2
+    = l_i prod_(j != i) (u_i - v_j)/(u_i - u_j), as u_i - v_j = (l_i + l_j)(l_i - l_j - 1) and
+    u_i - u_j = (l_i - l_j)(l_i + l_j - 1).
     """
     if k < 1 or k % 2 == 0:
         raise ValueError(f"the Omega spectrum is defined for odd k >= 1, not k={k}")
-    total = Fraction(0)
+    series = [1] + [0] * (k // 2 + 1)  # prod_i (1 - v_i t)/(1 - u_i t), up to t^(m+1)
     for a in lam.parts:
-        c = Fraction(a)
-        for b in lam.parts:
-            if b != a:
-                c *= Fraction((a + b) * (a - b - 1), (a - b) * (a + b - 1))
-        total += c * (a * (a - 1)) ** (k // 2)
-    return _coeff(total)
+        for j in range(len(series) - 1, 0, -1):  # times 1 - v t
+            series[j] -= a * (a + 1) * series[j - 1]
+        for j in range(1, len(series)):  # over 1 - u t, exact: its constant term is 1
+            series[j] += a * (a - 1) * series[j - 1]
+    return -series[-1] // 2
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +208,7 @@ def joint_spectrum(basis: list[StrictPartition], n: int, report: SweepReport) ->
         reports = [eigen_check(lam, op, n) for lam in basis]
         for lam, rep in zip(basis, reports):
             if not rep.is_eigen:
-                report.failures.append(f"d={lam.weight} {lam}: not an eigenfunction of {op}")
+                report.check(False, f"d={lam.weight} {lam}: not an eigenfunction of {op}")
             keys[lam] += (rep.eigenvalue,)
         images.extend(rep.image for rep in reports)
         if len(set(keys.values())) == len(basis):
@@ -369,10 +369,10 @@ def auxiliary_sweep(n: int) -> SweepReport:
 def separation_sweep(n: int, maxweight: int) -> SweepReport:
     """The Omega eigenvalues tell apart every two Q_lambda with l <= n, |lambda| <= maxweight.
 
-    One joint_spectrum over all of them, then one check per pair: the two
-    eigenvalue tuples differ.  Omega_1, .., Omega_(2n-1) fix p_1, .., p_(2n-1)
-    of lambda, which determine lambda (Macdonald, III.8), so UNIQUENESS_OPS
-    suffice for l <= 4; Omega_1 and Omega_3 alone first tie at weight 15.
+    One joint_spectrum over all of them, then one check per pair: the eigenvalue tuples differ.  By
+    log R(1/t) (see omega_eigenvalue), eig(Omega_(2m+1)) = p_(2m+1)(lambda) + a polynomial in p_1, ..,
+    p_(2m-1), so Omega_1, .., Omega_(2n-1) fix p_1, .., p_(2n-1), which determine lambda (Macdonald,
+    III.8): UNIQUENESS_OPS suffice for l <= 4.  Omega_1 and Omega_3 alone first tie at weight 15.
     """
     report = SweepReport(f"separation(n={n},maxweight={maxweight})")
     all_parts = [lam for d in range(1, maxweight + 1) for lam in strict_partitions(d, max_length=n)]

@@ -8,9 +8,11 @@ Q_lambda, and every adjacent swap on exponent tuples for the symmetry
 test on packed keys.  It also holds the textbook coefficients of the
 operator recursions, c_ij, d_ij and x_i/(x_i -+ x_j), each one reduced
 fraction, against which the steps' pair rows are checked.  Last come
-the Harish-Chandra formula for the Omega_5 eigenvalue and the
-separating algebra R_n with its odd power-sum witnesses, which check
-spectra's closed-form spectrum and its separation by the operators.
+the spectrum: the pairwise partial-fraction form of the Omega
+eigenvalues, the tilde Omega eigenvalues read from the same R_lambda,
+and the Harish-Chandra formula for the Omega_5 eigenvalue, which check
+spectra's integer series; and the separating algebra R_n with its odd
+power-sum witnesses, which checks the separation by the operators.
 """
 
 from collections import Counter
@@ -150,6 +152,41 @@ def coeff_minus(n, i, j):
 def coeff_plus(n, i, j):
     """x_i / (x_i + x_j)."""
     return _fraction(n, 1, (i,), sums=[(i, j)])
+
+
+def pairwise_omega_eigenvalue(lam: StrictPartition, k: int) -> Scalar:
+    """The eigenvalue of Omega_k on Q_lambda for odd k = 2m + 1, in partial fractions.
+
+    sum_i c_i (lambda_i (lambda_i - 1))^m, with c_i = lambda_i prod_(j != i)
+    (l_i + l_j)(l_i - l_j - 1) / ((l_i - l_j)(l_i + l_j - 1)); an int when integral.
+    """
+    if k < 1 or k % 2 == 0:
+        raise ValueError(f"the Omega spectrum is defined for odd k >= 1, not k={k}")
+    total = Fraction(0)
+    for a in lam.parts:
+        c = Fraction(a)
+        for b in lam.parts:
+            if b != a:
+                c *= Fraction((a + b) * (a - b - 1), (a - b) * (a + b - 1))
+        total += c * (a * (a - 1)) ** (k // 2)
+    return _coeff(total)
+
+
+def tilde_omega_eigenvalue(lam: StrictPartition, k: int) -> int:
+    """The eigenvalue of tilde Omega_k on Q_lambda, k >= 1.
+
+    sum_k eig(tilde Omega_k) t^k = (1 - R_lambda((1 - t)/t^2))/t, Lemma 1.21's
+    substitution w = (1 - t)/t^2 in the Omega series (see spectra.omega_eigenvalue).
+    Per part a the factor of R_lambda is (1 - t - a(a+1) t^2)/(1 - t - a(a-1) t^2),
+    so the eigenvalue is -[t^(k+1)] of their product.
+    """
+    series = [1] + [0] * (k + 1)
+    for a in lam.parts:
+        num, den = (1, -1, -a * (a + 1)), (1, -1, -a * (a - 1))
+        series = [sum(c * series[j - i] for i, c in enumerate(num) if i <= j) for j in range(k + 2)]
+        for j in range(1, k + 2):  # divide by den, whose constant term is 1
+            series[j] -= sum(c * series[j - i] for i, c in enumerate(den) if 1 <= i <= j)
+    return -series[k + 1]
 
 
 def hc_eigenvalue_omega5(lam: StrictPartition) -> Fraction:

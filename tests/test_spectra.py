@@ -22,8 +22,10 @@ from oracles import (
     RnPolynomial,
     hc_eigenvalue_omega5,
     odd_power_sum_rn,
+    pairwise_omega_eigenvalue,
     rn_eigenvalue,
     separation_check,
+    tilde_omega_eigenvalue,
 )
 
 
@@ -180,6 +182,56 @@ class TestOmegaEigenvalue:
             for lam in strict_partitions(d):
                 for k in (1, 3, 5, 7):
                     assert type(omega_eigenvalue(lam, k)) is int, (lam, k)
+
+
+class TestSpectrumSeries:
+    def test_equals_the_pairwise_oracle(self):
+        # the series against its own partial fractions, on every strict lambda with |lambda| <= 20
+        checked = 0
+        for d in range(1, 21):
+            for lam in strict_partitions(d):
+                for k in range(1, 16, 2):
+                    value = omega_eigenvalue(lam, k)
+                    assert type(value) is int, (lam, k)
+                    assert value == pairwise_omega_eigenvalue(lam, k), (lam, k)
+                    checked += 1
+        assert checked == 370 * 8
+
+    def test_triangular_in_the_odd_power_sums(self):
+        # (9,5,1) and (8,7) share p1 = 15 and p3 = 855, so they tie on Omega_1 and Omega_3;
+        # eig(Omega_5) = p5 + a polynomial in p1 and p3, so it differs by p5 alone
+        lam, mu = StrictPartition((9, 5, 1)), StrictPartition((8, 7))
+        assert [omega_eigenvalue(lam, k) for k in (1, 3, 5)] == [15, 630, 39060]
+        assert [omega_eigenvalue(mu, k) for k in (1, 3, 5)] == [15, 630, 26460]
+        p5 = [sum(a**5 for a in nu.parts) for nu in (lam, mu)]
+        assert p5 == [62175, 49575]
+        assert omega_eigenvalue(lam, 5) - omega_eigenvalue(mu, 5) == p5[0] - p5[1] == 12600
+
+
+class TestTildeSpectrum:
+    def test_equals_the_lemma_121_combination(self):
+        # tilde Omega_k = sum coef Omega_m (tilde_relation), on eigenvalues
+        checked = 0
+        for d in range(1, 26):
+            for lam in strict_partitions(d):
+                for k in range(1, 15):
+                    _, combo = spectra.tilde_relation(k)
+                    want = sum(c * omega_eigenvalue(lam, m) for m, c in combo.items())
+                    assert tilde_omega_eigenvalue(lam, k) == want, (lam, k)
+                    checked += 1
+        assert checked == 903 * 14
+
+    def test_equals_eigen_check(self):
+        # the eigenvalues that `schurq eigen` prints for tilde-omega1..4
+        checked = 0
+        for n, maxweight in ((2, 7), (3, 7), (4, 5)):
+            for d in range(1, maxweight + 1):
+                for lam in strict_partitions(d, max_length=n):
+                    for k in range(1, spectra.TILDE_LEVELS + 1):
+                        rep = eigen_check(lam, f"tilde-omega{k}", n)
+                        assert rep.is_eigen and rep.eigenvalue == tilde_omega_eigenvalue(lam, k), (n, lam, k)
+                        checked += 1
+        assert checked == 172
 
 
 class TestRnPolynomial:
@@ -645,3 +697,23 @@ class TestSpanGuard:
         report = uniqueness_sweep(n, 3)
         assert not report.passed
         assert "d=3 2,1: not an eigenfunction of omega1" in report.failures
+
+    def test_non_eigen_image_counts_as_a_check(self, monkeypatch):
+        # joint_spectrum records a Q_lambda that is not an eigenfunction through report.check,
+        # so a failing report counts every check it ran
+        n = 2
+        mixed_input = schur_q(StrictPartition((2, 1)), n)
+        other = RationalFunction.from_polynomial(schur_q(StrictPartition((3,)), n))
+        original = spectra.apply_operator
+
+        def mixing(op, f, n):
+            image = original(op, f, n)
+            return image + other if op == "omega1" and f == mixed_input else image
+
+        assert (uniqueness_sweep(n, 3).checked, spectra.separation_sweep(n, 3).checked) == (4, 6)
+        monkeypatch.setattr(spectra, "apply_operator", mixing)
+        # uniqueness: one eigenspace per tuple, less the one that holds None, plus the failure;
+        # separation: one check per pair of (1), (2), (3), (2,1), plus the failure
+        uniqueness, separation = uniqueness_sweep(n, 3), spectra.separation_sweep(n, 3)
+        assert (uniqueness.checked, len(uniqueness.failures)) == (3 + 1, 1)
+        assert (separation.checked, len(separation.failures)) == (6 + 1, 1)
