@@ -185,14 +185,19 @@ class Polynomial:
         """Invariant under x_1 <-> x_2 and the cycle x_1 -> x_2 -> .. -> x_n -> x_1, which generate S_n.
 
         The cycle shifts the exponent fields of a key up by one and wraps e_n round to the field of x_1.
+        Each generator is a bijection on keys, so it fixes p exactly when it maps every key onto a key
+        with an equal coefficient: one lookup per term, and no image is built.
         """
-        n = self.n
-        if n < 2 or self.transposed(1, 2) != self:
-            return n < 2
+        n, terms = self.n, self.terms
+        if n < 2:
+            return True
+        move = 1 - (1 << _BITS)  # adding (e_2 - e_1) * move swaps the fields of x_1 and x_2
+        if not all(terms.get(m + ((m >> _BITS & _MASK) - (m & _MASK)) * move) == c for m, c in terms.items()):
+            return False
         if n == 2:
             return True  # the cycle is the swap
         low, at = _low(n), _BITS * (n - 1)
-        return {m & ~low | m << _BITS & low | m >> at & _MASK: c for m, c in self.terms.items()} == self.terms
+        return all(terms.get(m & ~low | m << _BITS & low | m >> at & _MASK) == c for m, c in terms.items())
 
     def leading_term(self) -> tuple[tuple[int, ...], Scalar]:
         """Grevlex-leading (monomial, coefficient); error on zero."""
@@ -528,6 +533,8 @@ class RationalFunction:
         - in a.total_euler(), every factor: a homogeneous num of degree e
           maps to (e - deg(den)) num, but an inhomogeneous one can gain any;
         - in -a, a.scale(c) and a.transposed(s, t), none.
+        Operands without a denominator skip this: a + b, a * b, a.euler(i)
+        and a.transposed(s, t) are then the numerators' operation over {}.
         """
         if not self.num.terms:
             self.den = {}
@@ -582,8 +589,8 @@ class RationalFunction:
     # -- arithmetic --------------------------------------------------
 
     def _check(self, other: "RationalFunction") -> None:
-        if self.n != other.n:
-            raise VariableCountMismatch(f"{self.n} vs {other.n} variables")
+        if self.num.n != other.num.n:
+            raise VariableCountMismatch(f"{self.num.n} vs {other.num.n} variables")
 
     def __add__(self, other: "RationalFunction", op=operator.add) -> "RationalFunction":
         """self + other; __sub__ runs the same code with op=operator.sub."""
@@ -616,6 +623,8 @@ class RationalFunction:
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         self._check(other)
+        if not self.den and not other.den:
+            return RationalFunction._reduced(self.num * other.num, {})
         den: dict[Factor, int] = dict(self.den)
         for f, m in other.den.items():
             den[f] = den.get(f, 0) + m
@@ -652,6 +661,8 @@ class RationalFunction:
         under D.
         """
         num = self.num.euler(i)
+        if not self.den:
+            return RationalFunction._reduced(num, {})
         grown = None  # product of the binomials raised so far, once there is one
         den = dict(self.den)
         for f, m in self.den.items():
@@ -678,8 +689,10 @@ class RationalFunction:
 
     def transposed(self, a: int, b: int) -> "RationalFunction":
         """self with x_a and x_b exchanged, reduced as it stands (see _reduce)."""
-        swap = {a: b, b: a}
         num = self.num.transposed(a, b)
+        if not self.den:
+            return RationalFunction._reduced(num, {})
+        swap = {a: b, b: a}
         den: dict[Factor, int] = {}
         for f, m in self.den.items():
             g, sign = Factor.ordered(f.kind, swap.get(f.i, f.i), swap.get(f.j, f.j))

@@ -19,6 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 
 from schurq.algebra import Polynomial, Scalar, VariableCountMismatch, _coeff, substitute
 from schurq.operators import _fraction
@@ -132,6 +133,13 @@ def is_symmetric_by_adjacent_swaps(p) -> bool:
         if swapped != terms:
             return False
     return True
+
+
+def is_symmetric_by_all_permutations(p) -> bool:
+    """p is fixed by every one of the n! permutations of x_1..x_n; on exponent tuples."""
+    terms = dict(p.sorted_terms())
+    return all({tuple([m[i] for i in perm]): c for m, c in terms.items()} == terms
+               for perm in permutations(range(p.n)))
 
 
 def coeff_c(n, i, j):

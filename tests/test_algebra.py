@@ -21,7 +21,7 @@ from schurq.algebra import (
 from schurq.qfunctions import StrictPartition, q_series, schur_q
 
 from conftest import polynomials
-from oracles import determinant, is_symmetric_by_adjacent_swaps
+from oracles import determinant, is_symmetric_by_adjacent_swaps, is_symmetric_by_all_permutations
 
 
 def x(n, i):
@@ -128,6 +128,33 @@ class TestSymmetry:
             p = p + Polynomial.monomial(n, extra)
         assert p.is_symmetric() == is_symmetric_by_adjacent_swaps(p)
         if group == "all":
+            assert p.is_symmetric()
+
+    @given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+        polynomials(n, max_degree=4, max_terms=4), st.booleans(), st.permutations(range(n)),
+    )))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_all_permutations(self, case):
+        """Half the inputs are S_n-orbit sums, the rest orbit sums under the cyclic group of a random
+        permutation sigma: the identity leaves the drawn polynomial, x1 <-> x2 or the n-cycle one generator."""
+        f, whole, sigma = case
+        n = f.n
+        identity = tuple(range(n))
+        if whole:
+            group = list(permutations(identity))
+        else:
+            group, g = [identity], tuple(sigma)
+            while g != identity:
+                group.append(g)
+                g = tuple(g[k] for k in sigma)
+        orbit = {}
+        for m, c in f.sorted_terms():
+            for perm in group:
+                image = tuple(m[perm[i]] for i in range(n))
+                orbit[image] = orbit.get(image, 0) + c
+        p = Polynomial(n, orbit)
+        assert p.is_symmetric() == is_symmetric_by_all_permutations(p)
+        if whole:
             assert p.is_symmetric()
 
 
@@ -561,6 +588,59 @@ class TestRationalFunction:
         for f in (Factor("diff", 1, 4), Factor("sum", 2, 4), Factor("diff", 1, 5)):
             with pytest.raises(VariableCountMismatch):
                 RationalFunction(num, {f: 1})
+
+
+def same_n(max_degree=4, max_terms=4, count=2):
+    """count polynomials in one n = 1..4, then n."""
+    return st.integers(1, 4).flatmap(lambda n: st.tuples(
+        *[polynomials(n, max_degree=max_degree, max_terms=max_terms)] * count, st.just(n)))
+
+
+class TestDenominatorFree:
+    """Operands without a denominator: a * b, a.euler(i) and a.transposed(s, t) are the numerators'."""
+
+    @given(same_n(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_each_operation_is_the_numerators(self, case, data):
+        p, q, n = case
+        i, a, b = (data.draw(st.integers(1, n)) for _ in range(3))
+        r, s = RationalFunction.from_polynomial(p), RationalFunction.from_polynomial(q)
+        for value, expected in ((r * s, p * q), (r.euler(i), p.euler(i)), (r.transposed(a, b), p.transposed(a, b))):
+            assert value.den == {} and value.num == expected and is_canonical(value.num)
+
+    @given(same_n(max_degree=3), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_a_product_with_a_denominator_is_reduced(self, case, data):
+        p, q, n = case
+        assume(n > 1)
+        factors = [Factor(kind, i, j) for kind in ("diff", "sum") for i, j in combinations(range(1, n + 1), 2)]
+        chosen = data.draw(st.lists(st.sampled_from(factors), min_size=1, max_size=2, unique=True))
+        den = {f: data.draw(st.integers(1, 2)) for f in chosen}
+        for f in data.draw(st.lists(st.sampled_from(chosen), max_size=3)):
+            p = p * f.as_polynomial(n)  # so that the product can cancel
+        a, b = RationalFunction.from_polynomial(p), RationalFunction(q, den)
+        for value in (a * b, b * a):
+            assert value == RationalFunction(p * q, den)  # the constructor tries every factor
+            for f in value.den:
+                with pytest.raises(NotDivisible):
+                    exact_divide(value.num, f)
+
+    @given(same_n(max_degree=3, max_terms=3, count=1))
+    @settings(max_examples=60, deadline=None)
+    def test_errors_still_raise(self, case):
+        p, n = case
+        r = RationalFunction.from_polynomial(p)
+        with pytest.raises(VariableCountMismatch):
+            r * RationalFunction.from_polynomial(Polynomial.constant(n + 1, 1))
+        with pytest.raises(VariableCountMismatch):
+            RationalFunction.constant(n + 1, 1) * r
+        for bad in (0, n + 1):
+            with pytest.raises(IndexError):
+                r.euler(bad)
+            with pytest.raises(IndexError):
+                r.transposed(bad, 1)
+            with pytest.raises(IndexError):
+                r.transposed(n, bad)
 
 
 def leibniz_determinant(rows, zero):
