@@ -21,18 +21,11 @@ than b times the parent's median, b the metric's `bound`; otherwise
 times its median and not every change run reads better than every
 parent run, since a spread wider than the bound cannot show that nothing
 moved; else "ok(b)".
-After the table, `python3 perfbench/run.py --workload W --seed B --seconds 1
---trace 1` runs once in the parent's checkout, then once in the change's,
-and every exact count of the two results that differs (a metric in unit
-count or bytes: the .calls counters and the other counts that repeat
-exactly between traced passes) is printed as parent -> change, or "no
-count changed".
 A workload stops at its first run that reports correct: false or a
 failed op, or prints no result, and prints no summary table; the next
-workload still runs; a traced run that fails the same way ends its
-workload without the count lines.  The exit status covers every run,
-traced ones included: 2 when any run printed no result, else 1 when any
-run reported correct: false or a failed op, else 0.
+workload still runs.  The exit status covers every run: 2 when any run
+printed no result, else 1 when any run reported correct: false or a
+failed op, else 0.
 """
 
 from __future__ import annotations
@@ -45,7 +38,6 @@ import sys
 from pathlib import Path
 
 WIN_SHARE = 0.9
-COUNT_UNITS = ("count", "bytes")
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -80,10 +72,10 @@ def summarise(parent: list[float], change: list[float], better: str, bound: floa
     }
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: int, trace: bool = False) -> dict:
-    """One benchmark run in checkout, traced when trace is true; its JSON result line."""
+def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+    """One benchmark run in checkout; its JSON result line."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-               "--seconds", str(seconds)] + (["--trace", "1"] if trace else [])
+               "--seconds", str(seconds)]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=False)
     lines = done.stdout.strip().splitlines()
     try:
@@ -131,36 +123,6 @@ def workload(args, name: str, better: dict, bound: dict) -> int:
         verdict = f"{verdict}({bound[metric]:g})"
         print(f"{metric:12s} {sides[0]:34s} {sides[1]:34s} {verdict:16s} {s['wins']}/{s['losses']}/{s['ties']} "
               f"{'holds' if s['holds'] else 'no'}")
-    return count_deltas(args, name)
-
-
-def show(count) -> str:
-    return "absent" if count is None else f"{count:.12g}"
-
-
-def count_deltas(args, name: str) -> int:
-    """Trace one short run of a workload in each checkout and print the exact counts that differ; the exit status."""
-    counts = {}
-    for side in ("parent", "change"):
-        try:
-            result = run(getattr(args, side), name, args.seed_base, 1, trace=True)
-        except RuntimeError as exc:
-            print(f"error: {name}: traced {exc}", file=sys.stderr)
-            return 2
-        if not result["correct"] or result["failed"]:
-            print(f"error: {name}: traced {side} run on seed {args.seed_base} reports "
-                  f"correct={result['correct']}, {result['failed']} failed ops", file=sys.stderr)
-            return 1
-        counts[side] = {metric: m["value"] for metric, m in result["metrics"].items() if m["unit"] in COUNT_UNITS}
-    print(f"counts of one --trace 1 run on seed {args.seed_base}, parent -> change")
-    changed = 0
-    for metric in sorted(counts["parent"].keys() | counts["change"].keys()):
-        p, c = (counts[side].get(metric) for side in ("parent", "change"))
-        if p != c:
-            changed += 1
-            print(f"count {metric:40s} {show(p)} -> {show(c)}")
-    if not changed:
-        print("no count changed")
     return 0
 
 

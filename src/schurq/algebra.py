@@ -589,12 +589,12 @@ class RationalFunction:
     # -- arithmetic --------------------------------------------------
 
     def _check(self, other: "RationalFunction") -> None:
-        if self.num.n != other.num.n:
-            raise VariableCountMismatch(f"{self.num.n} vs {other.num.n} variables")
+        if self.n != other.n:
+            raise VariableCountMismatch(f"{self.n} vs {other.n} variables")
 
     def __add__(self, other: "RationalFunction", op=operator.add) -> "RationalFunction":
         """self + other; __sub__ runs the same code with op=operator.sub."""
-        self._check(other)
+        self._check(other)  # else lift() can meet a factor beyond self.n and raise IndexError
         if not self.den and not other.den:
             return RationalFunction._reduced(op(self.num, other.num), {})
         # common denominator = factor-wise max multiplicity
@@ -622,7 +622,7 @@ class RationalFunction:
         return self.__add__(other, operator.sub)
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        self._check(other)
+        # no _check: self.num * other.num, on either path, raises the same VariableCountMismatch
         if not self.den and not other.den:
             return RationalFunction._reduced(self.num * other.num, {})
         den: dict[Factor, int] = dict(self.den)

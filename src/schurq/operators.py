@@ -12,11 +12,10 @@ _first_level: the values D_i g of the input g, whose form decides the
 walk's path.  Each walk builds one coefficient table at its first step
 past level 1, _rows(n, c, symmetric): row i holds (j, c x_ix_j, c x_i^2,
 inv) for its pairs, c = 2 for the plain family and c = 1 for the tilde
-one.  Each value is one _fraction: the numerators without a
-denominator, and inv = 1/((x_i-x_j)(x_i+x_j)), which carries the sign of
-a reversed x_i - x_j, so every pair term is one fraction over inv.  The
-steps (family_step, tilde_family_step) are walk internals and take the
-walk's table.  The coefficients permute with
+one.  Each value is one _fraction, and inv = 1/((x_i-x_j)(x_i+x_j))
+carries the sign of a reversed x_i - x_j, so every pair term is one
+fraction over inv.  The steps (family_step, tilde_family_step) are walk
+internals and take the walk's table.  The coefficients permute with
 their indices, so when the input is a symmetric polynomial (no
 denominator, and num.is_symmetric()) every level is equivariant:
 component j is component 1 under the transposition x_1 <-> x_j.  Such a
@@ -73,8 +72,6 @@ def _fraction(n: int, c, xs, diffs=(), sums=()) -> RationalFunction:
     exps = [0] * n
     for i in xs:
         exps[i - 1] += 1
-    if not diffs and not sums:
-        return RationalFunction.from_polynomial(Polynomial.monomial(n, exps, c))
     den: dict[Factor, int] = {}
     for kind, pairs in (("diff", diffs), ("sum", sums)):
         for i, j in pairs:

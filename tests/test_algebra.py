@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -473,6 +474,15 @@ class TestRationalFunction:
             RationalFunction.constant(2, 1) == RationalFunction.constant(3, 1)
         with pytest.raises(VariableCountMismatch):
             RationalFunction.constant(2, 1) == Polynomial.constant(3, 1)
+
+    def test_arithmetic_refuses_mismatched_variable_counts(self):
+        # b's factor lies outside a's ring, so a sum must refuse before it lifts a over it
+        a = RationalFunction.constant(2, 1)
+        b = RationalFunction(Polynomial.constant(3, 1), {Factor("diff", 1, 3): 1})
+        for op in (operator.add, operator.sub, operator.mul):
+            for left, right in ((a, b), (b, a)):
+                with pytest.raises(VariableCountMismatch):
+                    op(left, right)
 
     @given(polynomials(2, max_degree=3, max_terms=3), polynomials(2, max_degree=3, max_terms=3))
     @settings(max_examples=30, deadline=None)

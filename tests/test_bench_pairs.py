@@ -79,26 +79,18 @@ class TestSummarise:
 STUB = """
 import json, sys
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
-seconds = int(sys.argv[sys.argv.index("--seconds") + 1])
 print("metrics above the result line")
-if "--trace" in sys.argv:  # the counts read seed and seconds, so a delta shows which run was traced
-    metrics = {{"algebra.rf_new.calls": {{"value": {calls} + seed + 1000 * seconds, "unit": "count"}},
-               "algebra.poly_mul.calls": {{"value": 552, "unit": "count"}},
-               "cli.main.stdout_bytes": {{"value": {stdout_bytes}, "unit": "bytes"}},
-               "algebra.rf_new.self_s": {{"value": {p50}, "unit": "s"}}}}
-else:
-    metrics = {{"op_p50_ms": {{"value": {p50} + seed / 1000 + seed % 3 * {spread}, "unit": "ms"}},
-               "trace.overhead_s": {{"value": 1.0, "unit": "s"}}}}
-print(json.dumps({{"correct": {correct}, "attempted": 10, "failed": {failed}, "metrics": metrics}}))
+print(json.dumps({{"correct": {correct}, "attempted": 10, "failed": {failed},
+                   "metrics": {{"op_p50_ms": {{"value": {p50} + seed / 1000 + seed % 3 * {spread}, "unit": "ms"}},
+                               "trace.overhead_s": {{"value": 1.0, "unit": "s"}}}}}}))
 """
 
 
-def checkout(tmp_path, name, p50, correct=True, failed=0, spread=0, calls=144, stdout_bytes=100):
+def checkout(tmp_path, name, p50, correct=True, failed=0, spread=0):
     root = tmp_path / name
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(STUB.format(correct=correct, failed=failed, p50=p50,
-                                                          spread=spread, calls=calls,
-                                                          stdout_bytes=stdout_bytes))
+                                                          spread=spread))
     (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
         {"name": "op_p50_ms", "better": "lower", "bound": 0.2},
         {"name": "ops_per_s", "better": "higher", "bound": 0.2},
@@ -189,36 +181,3 @@ class TestRuns:
         run.write_text('import sys\nif "span" in sys.argv: raise SystemExit(3)\n' + run.read_text())
         status, out = pairs(checkout(tmp_path, "parent", 1.0), change, capsys, ("span", "eigen"))
         assert status == 2 and "error: span:" in out.err and "error: eigen:" in out.err
-
-
-class TestCountDeltas:
-    def test_prints_the_counts_that_differ_after_the_table(self, tmp_path, capsys):
-        parent = checkout(tmp_path, "parent", 1.0)
-        change = checkout(tmp_path, "change", 0.5, calls=48, stdout_bytes=120)
-        status, out = pairs(parent, change, capsys)
-        lines = out.out.splitlines()
-        table = next(i for i, line in enumerate(lines) if line.startswith("op_p50_ms"))
-        counts = [line.split() for line in lines if line.startswith("count ")]
-        # traced once per side on the seed base, 7, for 1 s: 144 + 7 + 1000 -> 48 + 7 + 1000
-        assert counts == [["count", "algebra.rf_new.calls", "1151", "->", "1055"],
-                          ["count", "cli.main.stdout_bytes", "100", "->", "120"]]
-        assert lines.index("counts of one --trace 1 run on seed 7, parent -> change") > table
-        assert "self_s" not in out.out and "poly_mul" not in out.out and status == 0
-
-    def test_no_count_changed(self, tmp_path, capsys):
-        status, out = pairs(checkout(tmp_path, "parent", 1.0), checkout(tmp_path, "change", 0.5), capsys,
-                            ("span", "eigen"))
-        assert out.out.splitlines().count("no count changed") == 2
-        assert not any(line.startswith("count ") for line in out.out.splitlines()) and status == 0
-
-    @pytest.mark.parametrize("broken, status", [("fails", 1), ("prints nothing", 2)])
-    def test_a_failed_traced_run_sets_the_exit_status(self, tmp_path, capsys, broken, status):
-        change = checkout(tmp_path, "change", 0.5, correct='"--trace" not in sys.argv')
-        if broken == "prints nothing":
-            run = change / "perfbench" / "run.py"
-            run.write_text('import sys\nif "--trace" in sys.argv: raise SystemExit(3)\n' + run.read_text())
-        got, out = pairs(checkout(tmp_path, "parent", 1.0), change, capsys, ("span", "eigen"))
-        assert got == status and out.err.count("error:") == 2 and "error: span: traced" in out.err
-        # both workloads print their tables, and neither its counts
-        assert sum(line.startswith("op_p50_ms") for line in out.out.splitlines()) == 2
-        assert "count" not in out.out
