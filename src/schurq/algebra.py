@@ -99,11 +99,10 @@ class Polynomial:
     never stores zero coefficients, and stores each one in canonical form
     (see _coeff): an int when it is integral, else a Fraction with
     denominator > 1.  Exponent tuples appear only at the edges: the
-    constructor and coefficient pack them, and leading_term and
-    sorted_terms unpack the keys they return; to_json_obj and to_text
-    read exponents straight from the ordered keys.  substitute maps each
-    key to its image key.  Instances are treated as immutable; no method
-    mutates self.
+    constructor and coefficient pack them, and leading_term unpacks the
+    key it returns; to_json_obj and to_text read exponents straight from
+    the ordered keys.  substitute maps each key to its image key.
+    Instances are treated as immutable; no method mutates self.
     """
 
     __slots__ = ("n", "terms")
@@ -317,11 +316,6 @@ class Polynomial:
     def _ordered(self) -> list[int]:
         """The keys of self, grevlex-largest first."""
         return sorted(self.terms, key=_low(self.n).__xor__, reverse=True)
-
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
-        """(exponents, coefficient) pairs, grevlex-largest first."""
-        terms, shifts = self.terms, _shifts(self.n)
-        return [(tuple([m >> s & _MASK for s in shifts]), terms[m]) for m in self._ordered()]
 
     def to_text(self) -> str:
         if not self.terms:

@@ -19,21 +19,22 @@ internals and take the walk's table.  The coefficients permute with
 their indices, so when the input is a symmetric polynomial (no
 denominator, and num.is_symmetric()) every level is equivariant:
 component j is component 1 under the transposition x_1 <-> x_j.  Such a
-walk computes component 1 only, and its levels (_Level) build component
-j from it when a caller first reads it: a step reads components 1 and 2,
-and the level sums (omega, omegas, tilde_omega) add the orbit of
-component 1 (_total).  Component 1 is fixed by every permutation of
-x_2..x_n, so x_2 <-> x_j maps p_1 to p_1, p_2 to p_j and the (1, 2)
-coefficients to the (1, j) ones: row 1 holds the pair (1, 2) alone, and
-each step adds its term's transposes for j = 3..n (_orbit), exactly.  An
-orbit of a value without a denominator is summed in one term map
-(Polynomial.plus_transposes); a value with one adds its
-RationalFunction.transposed images.  Any other input (a monomial, a
-rational function with a denominator) takes the n-component step, with n
-rows.  Both paths yield levels of n components, and their values are
-equal.  No CLI command, verify suite or perfbench workload reaches the
-n-component step; library calls on non-symmetric inputs and the tests
-do.
+walk's levels are [component 1], any other walk's are its n components,
+and past _first_level a level's length (len(level) < level[0].n) is the
+only mark of its path.  A step builds component 2 of the level it reads,
+once, as x_1 <-> x_2 of component 1, and the level sums (omega, omegas,
+tilde_omega) add the orbit of component 1 (_total).  Component 1 is
+fixed by every permutation of x_2..x_n, so x_2 <-> x_j maps p_1 to p_1,
+p_2 to p_j and the (1, 2) coefficients to the (1, j) ones: row 1 holds
+the pair (1, 2) alone, and each step adds its term's transposes for j =
+3..n (_orbit), exactly.  An orbit of a value without a denominator is
+summed in one term map (Polynomial.plus_transposes); a value with one
+adds its RationalFunction.transposed images.  Any other input (a
+monomial, a rational function with a denominator) takes the n-component
+step, with n rows.  Component 1 of both paths is equal, and so are the
+level sums.  No CLI command, verify suite or perfbench workload reaches
+the n-component step; library calls on non-symmetric inputs and the
+tests do.
 
 Level 1 sums to the Euler derivation E g, so omega(g, 1, n) and the
 first value of omegas read g alone (RationalFunction.total_euler): every
@@ -45,14 +46,14 @@ is 2 E g, read the same way.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from itertools import combinations, count, islice
 from typing import Iterator, Union
 
 from .algebra import Factor, Polynomial, RationalFunction, VariableCountMismatch
 
 Value = Union[Polynomial, RationalFunction]
-Pair = tuple[Sequence[RationalFunction], Sequence[RationalFunction]]  # (plain, barred) of the tilde family
+Level = list[RationalFunction]  # [component 1] on a symmetric walk, else the n components
+Pair = tuple[Level, Level]  # (plain, barred) of the tilde family
 
 
 def _lift(f: Value, n: int) -> RationalFunction:
@@ -115,49 +116,20 @@ def _orbit(value: RationalFunction, pairs: list[tuple[int, int]]) -> RationalFun
     return sum((value.transposed(a, b) for a, b in pairs), value)
 
 
-class _Level(Sequence):
-    """Components 1..n of a symmetric walk's level: component j is x_1 <-> x_j
-    applied to component 1, built when it is first read, and kept."""
-
-    __slots__ = ("_parts",)
-
-    def __init__(self, first: RationalFunction, n: int):
-        self._parts: list = [first] + [None] * (n - 1)
-
-    def __len__(self) -> int:
-        return len(self._parts)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self._parts)))]
-        part = self._parts[i]
-        if part is None:
-            i %= len(self._parts)
-            part = self._parts[i] = self._parts[0].transposed(1, i + 1)
-        return part
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __repr__(self) -> str:
-        return f"_Level({list(self)!r})"
+def _total(level: Level) -> RationalFunction:
+    """The sum of a level's components; a one-component level's is the orbit of component 1."""
+    n = level[0].n
+    if len(level) < n:
+        return _orbit(level[0], [(1, j) for j in range(2, n + 1)])
+    return sum(level, RationalFunction.zero(n))
 
 
-def _total(level: Sequence[RationalFunction]) -> RationalFunction:
-    """The sum of a level's components; a symmetric level's is the orbit of component 1."""
-    if isinstance(level, _Level):
-        return _orbit(level[0], [(1, j) for j in range(2, len(level) + 1)])
-    return sum(level, RationalFunction.zero(level[0].n))
-
-
-def _first_level(f: Value, n: int) -> Sequence[RationalFunction]:
-    """Level 1 of either walk, (D_i g)_i for g = f lifted: a _Level of D_1 g on a
-    symmetric walk, else the n values D_i g.  It decides the walk's path."""
+def _first_level(f: Value, n: int) -> Level:
+    """Level 1 of either walk, (D_i g)_i for g = f lifted: [D_1 g] on a symmetric
+    walk, else the n values D_i g.  It decides the walk's path, which its length carries."""
     g = _lift(f, n)
     if _symmetric(g):
-        return _Level(g.euler(1), n)
+        return [g.euler(1)]
     return [g.euler(i) for i in range(1, n + 1)]
 
 
@@ -166,17 +138,18 @@ def _first_level(f: Value, n: int) -> Sequence[RationalFunction]:
 # ---------------------------------------------------------------------------
 
 
-def family_step(prev: Sequence[RationalFunction], level: int, rows: Rows) -> Sequence[RationalFunction]:
+def family_step(prev: Level, level: int, rows: Rows) -> Level:
     """Advance the vector (D_i^{(k-1)} f) to level k = level.
 
     Odd k:  D_i prev_i + sum_j 2x_ix_j/(x_i^2-x_j^2) (prev_i - prev_j).
     Even k: (D_i - 1) prev_i
             + sum_j [2x_ix_j/(x_i^2-x_j^2) prev_i - 2x_i^2/(x_i^2-x_j^2) prev_j].
 
-    rows is the walk's table, _rows(n, 2, symmetric).  With n rows every
-    component is computed, and the result is a list.  With row 1 alone prev
-    is a symmetric level: the step reads its components 1 and 2, adds the
-    (1, 2) pair term's transposes x_2 <-> x_j (_orbit) and returns a _Level.
+    rows is the walk's table, _rows(n, 2, symmetric).  A level of n
+    components gets n rows and yields n components.  A one-component level
+    [component 1] gets row 1 alone: the step builds component 2 as
+    x_1 <-> x_2 of component 1, adds the (1, 2) pair term's transposes
+    x_2 <-> x_j (_orbit) and returns [component 1].
 
     c_ij and d_ij share their denominator, so with inv = 1/((x_i-x_j)(x_i+x_j))
     (one _fraction, carrying the sign of a reversed x_i - x_j) each pair of
@@ -184,8 +157,11 @@ def family_step(prev: Sequence[RationalFunction], level: int, rows: Rows) -> Seq
     (2x_ix_j prev_i - 2x_i^2 prev_j) * inv, and only its sum is tried against
     the binomials: on an eigenfunction it divides, where c_ij prev_i does not.
     """
-    n = len(prev)
-    others = [(2, j) for j in range(3, n + 1)] if len(rows) < n else []
+    n = prev[0].n
+    others = []
+    if len(prev) < n:
+        prev = [prev[0], prev[0].transposed(1, 2)]
+        others = [(2, j) for j in range(3, n + 1)]
     out = []
     for i, row in enumerate(rows, 1):
         pi = prev[i - 1]
@@ -197,17 +173,15 @@ def family_step(prev: Sequence[RationalFunction], level: int, rows: Rows) -> Seq
             term = ((pi - pj) * cn if level % 2 else pi * cn - pj * dn) * inv
             acc = acc + _orbit(term, others)
         out.append(acc)
-    if len(rows) < n:
-        return _Level(out[0], n)
     return out
 
 
-def family_levels(f: Value, n: int) -> Iterator[Sequence[RationalFunction]]:
+def family_levels(f: Value, n: int) -> Iterator[Level]:
     """Yield (D_i^{(k)} f)_i for k = 1, 2, ...: D_i f, then one family_step per level;
-    on a symmetric walk each level, the first too, is a _Level."""
+    on a symmetric walk each level, the first too, is [component 1]."""
     values = _first_level(f, n)
     yield values
-    rows = _rows(n, 2, isinstance(values, _Level))
+    rows = _rows(n, 2, len(values) < n)
     for level in count(2):
         values = family_step(values, level, rows)
         yield values
@@ -280,7 +254,7 @@ def omega3_closed(f: Value, n: int) -> RationalFunction:
 # ---------------------------------------------------------------------------
 
 
-def tilde_family_step(plain: Sequence[RationalFunction], barred: Sequence[RationalFunction], rows: Rows) -> Pair:
+def tilde_family_step(plain: Level, barred: Level, rows: Rows) -> Pair:
     """One level of the paired recursion.
 
     plain_i  <- D_i plain_i
@@ -298,7 +272,9 @@ def tilde_family_step(plain: Sequence[RationalFunction], barred: Sequence[Ration
     levels this way, or it would verify its own algebra.
 
     rows is the walk's table, _rows(n, 1, symmetric), read as in
-    family_step: with row 1 alone both parts are returned as _Levels.
+    family_step: one-component parts get row 1 alone and return
+    [component 1] each.  Component 2 is built once per part, and once for
+    both when they are one list, as level 1 is.
 
     Over (x_i-x_j)(x_i+x_j) each line's pair terms are one fraction with
     monomial multipliers.  With s_j = plain_j + barred_j and
@@ -308,8 +284,13 @@ def tilde_family_step(plain: Sequence[RationalFunction], barred: Sequence[Ration
     so, as in the even step of family_step, only their sums are tried
     against the two binomials.
     """
-    n = len(plain)
-    others = [(2, j) for j in range(3, n + 1)] if len(rows) < n else []
+    n = plain[0].n
+    others = []
+    if len(plain) < n:
+        second = plain[0].transposed(1, 2)
+        barred = [barred[0], second if barred is plain else barred[0].transposed(1, 2)]
+        plain = [plain[0], second]
+        others = [(2, j) for j in range(3, n + 1)]
     new_plain, new_barred = [], []
     for i, row in enumerate(rows, 1):
         pi, bi = plain[i - 1], barred[i - 1]
@@ -323,17 +304,16 @@ def tilde_family_step(plain: Sequence[RationalFunction], barred: Sequence[Ration
             acc_b = acc_b + _orbit((s_term + (t_j - bi2) * mixed) * inv, others)
         new_plain.append(acc_p)
         new_barred.append(acc_b)
-    if len(rows) < n:
-        return _Level(new_plain[0], n), _Level(new_barred[0], n)
     return new_plain, new_barred
 
 
 def tilde_levels(f: Value, n: int) -> Iterator[Pair]:
-    """Yield (plain, barred) for k = 1, 2, ...: family_levels' level 1 as both, then one step per level."""
+    """Yield (plain, barred) for k = 1, 2, ...: family_levels' level 1 as both, one list,
+    then one step per level; on a symmetric walk each part is [component 1]."""
     level = _first_level(f, n)
     pair = level, level
     yield pair
-    rows = _rows(n, 1, isinstance(level, _Level))
+    rows = _rows(n, 1, len(level) < n)
     while True:
         pair = tilde_family_step(*pair, rows)
         yield pair
@@ -347,8 +327,6 @@ def tilde_omega(f: Value, k: int, n: int) -> RationalFunction:
     if k == 1:
         return _lift(f, n).total_euler().scale(2)
     plain, barred = next(islice(tilde_levels(f, n), k - 1, None))
-    if isinstance(plain, _Level):
-        return _total(_Level(plain[0] + barred[0], n))
     return _total([p + b for p, b in zip(plain, barred)])
 
 

@@ -266,10 +266,10 @@ def lemma_121_sweep(n: int, maxdeg: int) -> SweepReport:
     """Verify tilde_relation(k) for k <= TILDE_LEVELS on every m_mu with 1 <= |mu| <= maxdeg;
     every operator maps m_() = 1 to 0.
 
-    One walk of each family per m_mu, read on component 1: plain_k + barred_k against
-    sum coef * L_m, L_m the plain level m.  m_mu is symmetric, so component j of either
-    walk is component 1 under x_1 <-> x_j (test_equals_the_n_component_step guards it):
-    the vector relation holds iff component 1 does, and it implies the summed lemma.
+    One walk of each family per m_mu, whose levels are [component 1]: plain_k + barred_k
+    against sum coef * L_m, L_m the plain level m.  m_mu is symmetric, so component j of
+    either walk is component 1 under x_1 <-> x_j (test_equals_the_n_component_step guards
+    it): the vector relation holds iff component 1 does, and it implies the summed lemma.
     """
     report = SweepReport(f"lemma121(n={n},maxdeg={maxdeg})")
     relations = [(k, *tilde_relation(k)) for k in range(1, TILDE_LEVELS + 1)]

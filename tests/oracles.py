@@ -4,9 +4,11 @@ Each recomputes something the package computes, by a route that shares
 no code with it: elimination over Fraction for linalg's fraction-free
 _rref (and the determinant that checks the Pfaffian), corner peeling
 for the shifted standard tableau count, marked shifted tableaux for
-Q_lambda, and every adjacent swap on exponent tuples for the symmetry
-test on packed keys.  It also holds the textbook coefficients of the
-operator recursions, c_ij, d_ij and x_i/(x_i -+ x_j), each one reduced
+Q_lambda, and every adjacent swap on exponent tuples (sorted_terms
+reads them through the public to_json_obj) for the symmetry test on
+packed keys.  It also expands a symmetric walk's one-component level to its n
+components, and holds the textbook coefficients of the operator
+recursions, c_ij, d_ij and x_i/(x_i -+ x_j), each one reduced
 fraction, against which the steps' pair rows are checked.  Last come
 the spectrum: the pairwise partial-fraction form of the Omega
 eigenvalues, the tilde Omega eigenvalues read from the same R_lambda,
@@ -125,9 +127,16 @@ def marked_shifted_tableaux(lam: StrictPartition, n: int) -> Counter:
     return counts
 
 
+def sorted_terms(p) -> list[tuple[tuple[int, ...], Scalar]]:
+    """p's (exponents, coefficient) pairs, grevlex-largest first: the exponents in
+    to_json_obj's order, each coefficient read back exactly by coefficient()."""
+    exponents = [tuple(term["exp"]) for term in p.to_json_obj()["terms"]]
+    return [(e, p.coefficient(e)) for e in exponents]
+
+
 def is_symmetric_by_adjacent_swaps(p) -> bool:
     """p is fixed by every adjacent swap x_i <-> x_(i+1), which generate S_n; on exponent tuples."""
-    terms = dict(p.sorted_terms())
+    terms = dict(sorted_terms(p))
     for i in range(p.n - 1):
         swapped = {m[:i] + (m[i + 1], m[i]) + m[i + 2 :]: c for m, c in terms.items()}
         if swapped != terms:
@@ -137,9 +146,18 @@ def is_symmetric_by_adjacent_swaps(p) -> bool:
 
 def is_symmetric_by_all_permutations(p) -> bool:
     """p is fixed by every one of the n! permutations of x_1..x_n; on exponent tuples."""
-    terms = dict(p.sorted_terms())
+    terms = dict(sorted_terms(p))
     return all({tuple([m[i] for i in perm]): c for m, c in terms.items()} == terms
                for perm in permutations(range(p.n)))
+
+
+def components(level):
+    """A walk level's n components.  A symmetric walk's level [c] stands for
+    [c] + [c.transposed(1, j) for j in 2..n]; a level of n components is returned as a list."""
+    first = level[0]
+    if len(level) < first.n:
+        return [first] + [first.transposed(1, j) for j in range(2, first.n + 1)]
+    return list(level)
 
 
 def coeff_c(n, i, j):

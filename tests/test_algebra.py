@@ -22,7 +22,7 @@ from schurq.algebra import (
 from schurq.qfunctions import StrictPartition, q_series, schur_q
 
 from conftest import polynomials
-from oracles import determinant, is_symmetric_by_adjacent_swaps, is_symmetric_by_all_permutations
+from oracles import determinant, is_symmetric_by_adjacent_swaps, is_symmetric_by_all_permutations, sorted_terms
 
 
 def x(n, i):
@@ -120,7 +120,7 @@ class TestSymmetry:
             "all + one term": list(permutations(identity)),
         }[group]
         orbit = {}
-        for m, c in f.sorted_terms():
+        for m, c in sorted_terms(f):
             for perm in perms:
                 image = tuple(m[perm[i]] for i in range(n))
                 orbit[image] = orbit.get(image, 0) + c
@@ -149,7 +149,7 @@ class TestSymmetry:
                 group.append(g)
                 g = tuple(g[k] for k in sigma)
         orbit = {}
-        for m, c in f.sorted_terms():
+        for m, c in sorted_terms(f):
             for perm in group:
                 image = tuple(m[perm[i]] for i in range(n))
                 orbit[image] = orbit.get(image, 0) + c
@@ -729,7 +729,7 @@ class TestPfaffian:
         # upper triangle defines the skew matrix whose Pfaffian is taken
         rows = self.polynomial_skew_4x4()
         if defect == "one coefficient off":
-            rows[3][1] = Polynomial(2, {m: c + (m == (0, 0)) for m, c in rows[3][1].sorted_terms()})
+            rows[3][1] = Polynomial(2, {m: c + (m == (0, 0)) for m, c in sorted_terms(rows[3][1])})
         elif defect == "extra term":
             rows[3][1] = rows[3][1] + x(2, 2)
         elif defect == "symmetric pair":

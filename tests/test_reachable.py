@@ -13,6 +13,10 @@ an unrelated variable that shares its name is not a use:
   import <mod>`, `from . import <mod>`, `import schurq.<mod> as m`), or
   `schurq.<mod>.name`;
 - a tuple `(m, "name", ...)`, as perfbench/tracer.py names what it wraps.
+
+A method of a package class other than a dunder counts as used when a
+file reads it as an attribute (`x.name`) outside the method's own body;
+the reader's type is not checked.
 """
 
 import ast
@@ -130,10 +134,51 @@ def unused_definitions(files: dict[str, str]) -> list[str]:
     return unused
 
 
+def attribute_reads(node: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """The attribute names read under node, outside the node skip."""
+    found: set[str] = set()
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def unused_methods(files: dict[str, str]) -> list[str]:
+    """Non-dunder methods of the package's classes that no file reads as an attribute
+    outside their own body; files is as in unused_definitions."""
+    trees = {path: ast.parse(source) for path, source in files.items()}
+    unused = []
+    for path, tree in sorted(trees.items()):
+        if not path.startswith(PACKAGE_DIR):
+            continue
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for method in (node for node in cls.body if isinstance(node, ast.FunctionDef)):
+                name = method.name
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                if not any(name in attribute_reads(other, skip=method) for other in trees.values()):
+                    unused.append(f"{Path(path).name}:{cls.name}.{name}")
+    return unused
+
+
+def program_files() -> dict[str, str]:
+    return {str(path.relative_to(ROOT)): path.read_text() for top in ("src", "scripts", "perfbench")
+            for path in sorted((ROOT / top).rglob("*.py"))}
+
+
 def test_every_definition_is_used_outside_tests():
-    files = {str(path.relative_to(ROOT)): path.read_text() for top in ("src", "scripts", "perfbench")
-             for path in sorted((ROOT / top).rglob("*.py"))}
+    files = program_files()
     assert len(files) > 10 and unused_definitions(files) == []
+
+
+def test_every_method_is_read_outside_tests():
+    files = program_files()
+    assert len(files) > 10 and unused_methods(files) == []
 
 
 LINALG = """
@@ -185,3 +230,44 @@ class TestBindings:
             if path == "src/schurq/linalg.py":
                 files["scripts/b.py"] += "from schurq.linalg import nullspace\n"
             assert unused_definitions(files) == [], source
+
+
+POLY = """
+class Poly:
+    def __init__(self, n):
+        self.n = n
+
+    def __add__(self, other):
+        return Poly(self.n)
+
+    def terms(self):
+        return self.terms()
+
+    def degree(self):
+        return 0
+
+    @staticmethod
+    def zero(n):
+        return Poly(n)
+"""
+
+
+class TestMethods:
+    def test_a_method_read_only_by_itself_or_a_dunder_is_unused(self):
+        files = {"src/schurq/algebra.py": POLY, "scripts/a.py": "from schurq.algebra import Poly\nPoly.zero(2).degree()\n"}
+        assert unused_methods(files) == ["algebra.py:Poly.terms"]
+
+    def test_a_read_anywhere_in_the_program_is_a_use(self):
+        for path, source in [
+            ("scripts/a.py", "def f(p):\n    return p.terms\n"),
+            ("src/schurq/other.py", "def f(p):\n    return [q.terms() for q in p]\n"),
+            ("src/schurq/algebra.py", POLY + "\ndef total(p):\n    return p.terms()\n"),
+        ]:
+            files = {"src/schurq/algebra.py": POLY, "scripts/b.py": "p.degree(); p.zero\n"}
+            files[path] = files.get(path, "") + source
+            assert unused_methods(files) == [], source
+
+    def test_a_write_or_a_name_is_not_a_read(self):
+        files = {"src/schurq/algebra.py": POLY,
+                 "scripts/a.py": "p.degree(); p.zero\np.terms = 1\nterms = 2\nprint(terms)\n"}
+        assert unused_methods(files) == ["algebra.py:Poly.terms"]

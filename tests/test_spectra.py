@@ -599,19 +599,6 @@ class TestComputedOnce:
         # 9 strict lambda with |lambda| <= 5, l <= 3; Omega_1, 3, 5 from levels 1..5 of one walk
         assert calls["family_step"] == 9 * 4
 
-    def test_lemma121_fills_no_component_past_2(self, monkeypatch):
-        # the steps read components 1 and 2 of a symmetric level, and its sums read the orbit of 1
-        levels = []
-        init = operators._Level.__init__
-
-        def recording(self, first, n):
-            init(self, first, n)
-            levels.append(self)
-
-        monkeypatch.setattr(operators._Level, "__init__", recording)
-        assert lemma_121_sweep(4, 3).passed
-        assert levels and all(part is None for level in levels for part in level._parts[2:])
-
     @pytest.mark.parametrize(
         "parts, entries",
         [((), 0), ((3,), 1), ((4, 2), 1), ((4, 2, 1), 6), ((5, 3, 2, 1), 6)],

@@ -16,6 +16,8 @@ from schurq import operators  # noqa: E402
 from schurq.algebra import Polynomial, RationalFunction  # noqa: E402
 from schurq.qfunctions import StrictPartition, monomial_symmetric, schur_q  # noqa: E402
 
+from oracles import components, sorted_terms  # noqa: E402
+
 N = 2
 X = sympy.symbols(f"x1:{N + 1}")
 
@@ -26,7 +28,7 @@ def to_sympy(value):
         value = RationalFunction.from_polynomial(value)
     num = sum(
         (sympy.Rational(c.numerator, c.denominator) * sympy.prod([x**e for x, e in zip(X, exps)])
-         for exps, c in value.num.sorted_terms()),
+         for exps, c in sorted_terms(value.num)),
         sympy.Integer(0),
     )
     den = sympy.Integer(1)
@@ -112,7 +114,23 @@ def test_tilde_omegas_match_the_sympy_recursion(name):
         assert sympy.cancel(to_sympy(operators.tilde_omega(f, k, N)) - want) == 0, (name, k)
 
 
+def assert_components_match(name, level, want):
+    for i, (got, w) in enumerate(zip(components(level), want, strict=True), 1):
+        assert sympy.cancel(to_sympy(got) - w) == 0, (name, i)
+
+
 def test_the_inputs_cover_both_paths():
-    # the monomials and delta x^(1,0) take the n-component step, the symmetric inputs the orbit step
-    paths = {name: isinstance(next(operators.family_levels(make(), N)), operators._Level) for name, make in INPUTS.items()}
-    assert paths == {"x^(2,1)": False, "x^(3,0)": False, "delta x^(1,0)": False, "m_(2,1)": True, "Q_(3,1)": True}
+    # the monomials and delta x^(1,0) take the n-component step, the symmetric inputs
+    # the orbit step; on either path every component of levels 1..3 is sympy's
+    lengths = {}
+    for name, make in INPUTS.items():
+        f = make()
+        g = to_sympy(f)
+        levels = list(islice(operators.family_levels(f, N), 3))
+        lengths[name] = len(levels[0])
+        for level, want in zip(levels, plain_levels(g)):
+            assert_components_match(name, level, want)
+        for pair, want in zip(islice(operators.tilde_levels(f, N), 3), tilde_levels(g)):
+            for part, want_part in zip(pair, want):
+                assert_components_match(name, part, want_part)
+    assert lengths == {"x^(2,1)": N, "x^(3,0)": N, "delta x^(1,0)": N, "m_(2,1)": 1, "Q_(3,1)": 1}
