@@ -193,8 +193,6 @@ class Polynomial:
         move = 1 - (1 << _BITS)  # adding (e_2 - e_1) * move swaps the fields of x_1 and x_2
         if not all(terms.get(m + ((m >> _BITS & _MASK) - (m & _MASK)) * move) == c for m, c in terms.items()):
             return False
-        if n == 2:
-            return True  # the cycle is the swap
         low, at = _low(n), _BITS * (n - 1)
         return all(terms.get(m & ~low | m << _BITS & low | m >> at & _MASK) == c for m, c in terms.items())
 
@@ -286,8 +284,6 @@ class Polynomial:
         """p with x_a and x_b exchanged."""
         if not (1 <= a <= self.n and 1 <= b <= self.n):
             raise IndexError(f"variable indices {a}, {b} out of range 1..{self.n}")
-        if a == b:
-            return self
         at, bt = _BITS * (a - 1), _BITS * (b - 1)
         move = (1 << at) - (1 << bt)  # adding (e_b - e_a) * move swaps the two fields
         terms = {m + ((m >> bt & _MASK) - (m >> at & _MASK)) * move: c for m, c in self.terms.items()}
@@ -359,21 +355,16 @@ def substitute(p: Polynomial, assignment: Mapping[int, object]) -> Polynomial:
         if not 1 <= i <= n:
             raise IndexError(f"assigned variable {i} out of range 1..{n}")
     # Each key maps straight to its image key.  A kept field moves down one
-    # field per assigned variable below it, so a run of kept variables moves
-    # as one masked block.  An assigned field folds into the coefficient (a
-    # value) or into the t field, the last one (a sentinel); the degree field
-    # loses what the values took.
-    runs: list[tuple[int, int]] = []  # (mask of a run of kept fields, its shift down)
+    # field per assigned variable below it.  An assigned field folds into the
+    # coefficient (a value) or into the t field, the last one (a sentinel);
+    # the degree field loses what the values took.
+    kept: list[tuple[int, int]] = []  # (mask of a kept field, its shift down)
     values: list[tuple[int, Scalar]] = []  # (field offset, value)
     signs: list[tuple[int, bool]] = []  # (field offset, negated) of the t-sentinels
     for i in range(1, n + 1):
         at = _BITS * (i - 1)
         if i not in assignment:
-            gone = _BITS * (len(values) + len(signs))
-            if runs and runs[-1][1] == gone:
-                runs[-1] = (runs[-1][0] | _MASK << at, gone)
-            else:
-                runs.append((_MASK << at, gone))
+            kept.append((_MASK << at, _BITS * (len(values) + len(signs))))
         elif (v := assignment[i]) in (T_PLUS, T_MINUS):
             signs.append((at, v == T_MINUS))
         else:
@@ -383,7 +374,7 @@ def substitute(p: Polynomial, assignment: Mapping[int, object]) -> Polynomial:
     terms: dict[int, Scalar] = {}
     for m, c in p.terms.items():
         key = 0
-        for mask, gone in runs:
+        for mask, gone in kept:
             key |= (m & mask) >> gone
         degree = m >> top
         for at, v in values:

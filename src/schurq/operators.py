@@ -98,7 +98,7 @@ def _rows(n: int, c: int, symmetric: bool) -> Rows:
     """Row i lists (j, c x_ix_j, c x_i^2, inv) for every j != i, inv = 1/((x_i-x_j)(x_i+x_j));
     a symmetric walk gets row 1 with j = 2 alone.  c = 2 gives the plain numerators, c = 1 the tilde ones."""
     if symmetric:
-        pairs = [[(1, 2)] if n > 1 else []]
+        pairs = [[(1, 2)]]
     else:
         pairs = [[(i, j) for j in range(1, n + 1) if j != i] for i in range(1, n + 1)]
     return [
@@ -109,8 +109,6 @@ def _rows(n: int, c: int, symmetric: bool) -> Rows:
 
 def _orbit(value: RationalFunction, pairs: list[tuple[int, int]]) -> RationalFunction:
     """value plus its transposes x_a <-> x_b, (a, b) in pairs; in one term map when value has no denominator."""
-    if not pairs:
-        return value
     if not value.den:
         return RationalFunction.from_polynomial(value.num.plus_transposes(pairs))
     return sum((value.transposed(a, b) for a, b in pairs), value)

@@ -197,6 +197,11 @@ class TestVerify:
         listing = re.search(r"Verification suites: (.*?)\.", readme, re.S).group(1)
         assert re.findall(r"`([^`]+)`", listing) == sorted(spectra.SWEEPS)
 
+    def test_readme_lists_every_operator(self):
+        readme = (ROOT / "README.md").read_text()
+        listing = re.search(r"Operators \(`--op`[^)]*\): (.*?)\.", readme, re.S).group(1)
+        assert re.findall(r"`([^`]+)`", listing) == list(spectra.OPERATORS)
+
     def test_readme_lists_every_limit(self):
         # each refusal phrase is derived from spectra.LIMITS, so changing an entry fails here until README follows
         readme = " ".join((ROOT / "README.md").read_text().split())
@@ -330,6 +335,17 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: ")
         assert "injected" in err
+
+    @pytest.mark.parametrize("error", [IndexError, RuntimeError])
+    def test_any_other_exception_exits_3(self, capsys, monkeypatch, error):
+        # an IndexError is not a usage error (2), and an exception that escaped
+        # main made Python exit 1, the code of a failing sweep
+        def broken(n, d):
+            raise error("injected")
+
+        patch_sweep(monkeypatch, "skew", broken)
+        rc, out, err = run(capsys, ["verify", "--suite", "skew", "--n", "2"])
+        assert (rc, out, err) == (3, "", f"error: internal: {error.__name__}: injected\n")
 
     def test_apply_denominator_left_exits_3(self, capsys, monkeypatch):
         # every registered operator maps Q_lambda to a polynomial, so a

@@ -540,11 +540,27 @@ class TestSymmetricPath:
         for name, f in symmetric_inputs(n, kind, top):
             assert_walks_match_n_component_steps(name, f, n, plain_top, tilde_top)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_symmetric_rows_hold_the_pair_1_2_alone(self, n):
         for c in (2, 1):
             rows = operators._rows(n, c, symmetric=True)
-            assert [[j for j, *_ in row] for row in rows] == [[2] if n > 1 else []]
+            assert [[j for j, *_ in row] for row in rows] == [[2]]
+
+    def test_a_walk_at_n1_asks_for_the_n_component_table(self, monkeypatch):
+        # every input in one variable is symmetric, but its level 1 already
+        # has all n = 1 components, so no walk asks for the pair (1, 2)
+        calls = []
+        original = operators._rows
+
+        def recorded(n, c, symmetric):
+            calls.append((n, c, symmetric))
+            return original(n, c, symmetric)
+
+        monkeypatch.setattr(operators, "_rows", recorded)
+        f = Polynomial.monomial(1, (3,), 2) + Polynomial.constant(1, 5)
+        next(islice(family_levels(f, 1), 2, None))
+        next(islice(tilde_levels(f, 1), 2, None))
+        assert calls == [(1, 2, False), (1, 1, False)]
 
     def test_fixed_by_the_stabiliser_of_x1_is_not_symmetric(self, monkeypatch):
         # x_1^2 (x_2 + x_3) is fixed by x_2 <-> x_3, as component 1 of a
